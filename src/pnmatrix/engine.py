@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .matrix_core import PNMatrix, viable_components
+from .matrix_core import CompiledMatrix, PNMatrix, viable_components
 from .syntax import (
     App,
     Formula,
@@ -24,19 +24,6 @@ from .syntax import (
     subformula_closure,
     well_formed,
 )
-
-
-@dataclass(frozen=True)
-class Query:
-    mode: str  # "single" | "multiple"
-    premises: tuple[Formula, ...]
-    conclusions: tuple[Formula, ...]
-
-    def __post_init__(self):
-        if self.mode not in ("single", "multiple"):
-            raise ValueError(f"bad mode {self.mode!r}")
-        if self.mode == "single" and len(self.conclusions) != 1:
-            raise ValueError("single-conclusion queries take exactly one conclusion")
 
 
 @dataclass(frozen=True)
@@ -63,38 +50,6 @@ class Verdict:
 
     def __bool__(self) -> bool:
         return self.answer == "yes"
-
-
-# ---------------------------------------------------------------------------
-# compiled matrices (indices instead of names, cached per matrix object)
-# ---------------------------------------------------------------------------
-
-class _Compiled:
-    def __init__(self, m: PNMatrix):
-        self.m = m
-        self.index = {v: i for i, v in enumerate(m.values)}
-        self.order = tuple(range(len(m.values)))
-        self.designated = frozenset(self.index[v] for v in m.designated)
-        self.tables = {
-            c: {
-                tuple(self.index[x] for x in tup): tuple(
-                    sorted(self.index[y] for y in out)
-                )
-                for tup, out in table.items()
-            }
-            for c, table in m.tables.items()
-        }
-
-
-_compiled_cache: dict[int, _Compiled] = {}
-
-
-def _compiled(m: PNMatrix) -> _Compiled:
-    c = _compiled_cache.get(id(m))
-    if c is None or c.m is not m:
-        c = _Compiled(m)
-        _compiled_cache[id(m)] = c
-    return c
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +104,7 @@ def _propagate(omega, parents, poss, comp) -> bool:
     return True
 
 
-def _search_component(comp: _Compiled, omega: Sequence[Formula], w: frozenset[int],
+def _search_component(comp: CompiledMatrix, omega: Sequence[Formula], w: frozenset[int],
                       must_designate, must_not_designate, fixed, collector=None):
     """Backtracking search for prevaluations over one viable component.
 
@@ -181,38 +136,37 @@ def _search_component(comp: _Compiled, omega: Sequence[Formula], w: frozenset[in
 
     order = list(omega)
     n = len(order)
+    if n == 0:
+        return {}, 0
     assignment: dict[Formula, int] = {}
     explored = 0
 
     def candidates(f: Formula):
         if isinstance(f, Var):
-            return [v for v in comp.order if v in poss[f]]
+            return iter(sorted(poss[f]))
         entry = comp.tables[f.head][tuple(assignment[a] for a in f.args)]
-        return [v for v in entry if v in poss[f]]
+        return iter([v for v in entry if v in poss[f]])
 
-    def dfs(i: int):
-        nonlocal explored
-        if i == n:
-            if collector is not None:
-                f, acc = collector
-                acc.add(assignment[f])
-                return False  # keep enumerating
-            return True
+    # depth-first over order, one candidate iterator per assigned position
+    stack = [candidates(order[0])]
+    while stack:
+        i = len(stack) - 1
         f = order[i]
-        for v in candidates(f):
-            assignment[f] = v
-            explored += 1
-            if dfs(i + 1):
-                return True
-            del assignment[f]
-        return False
-
-    if dfs(0):
-        return dict(assignment), explored
+        v = next(stack[i], None)
+        if v is None:
+            stack.pop()
+            assignment.pop(f, None)
+            continue
+        assignment[f] = v
+        explored += 1
+        if i + 1 < n:
+            stack.append(candidates(order[i + 1]))
+        elif collector is None:
+            return dict(assignment), explored
+        else:
+            g, acc = collector
+            acc.add(assignment[g])
     return None, explored
-
-
-_decide_cache: dict[tuple, tuple[PNMatrix, Verdict]] = {}
 
 
 def decide_multiple(m: PNMatrix, gamma: Iterable[Formula], delta: Iterable[Formula]) -> Verdict:
@@ -222,19 +176,12 @@ def decide_multiple(m: PNMatrix, gamma: Iterable[Formula], delta: Iterable[Formu
     for f in gamma + delta:
         if not well_formed(f, m.sig):
             raise ValueError(f"formula {print_formula(f)} not well-formed over the matrix signature")
-    key = (id(m), frozenset(gamma), frozenset(delta))
-    hit = _decide_cache.get(key)
-    if hit is not None and hit[0] is m:
-        return hit[1]
 
-    comp = _compiled(m)
+    comp = m.compiled
     omega = subformula_closure(gamma + delta)
     gset, dset = set(gamma), set(delta)
-    report = viable_components(m)
     explored_total = 0
-    verdict = None
-    for tried, w_names in enumerate(report.maximal, start=1):
-        w = frozenset(comp.index[v] for v in w_names)
+    for tried, (w_names, w) in enumerate(comp.components, start=1):
         solution, explored = _search_component(
             comp, omega, w, gset, dset, fixed={}
         )
@@ -243,29 +190,21 @@ def decide_multiple(m: PNMatrix, gamma: Iterable[Formula], delta: Iterable[Formu
             assignment = tuple(
                 (f, m.values[solution[f]]) for f in omega
             )
-            verdict = Verdict(
+            return Verdict(
                 answer="no",
                 countermodel=Countermodel(assignment=assignment, component=w_names),
                 components_tried=tried,
                 assignments_explored=explored_total,
             )
-            break
-    if verdict is None:
-        verdict = Verdict(
-            answer="yes",
-            components_tried=len(report.maximal),
-            assignments_explored=explored_total,
-        )
-    _decide_cache[key] = (m, verdict)
-    return verdict
+    return Verdict(
+        answer="yes",
+        components_tried=len(comp.components),
+        assignments_explored=explored_total,
+    )
 
 
 def decide_single(m: PNMatrix, gamma: Iterable[Formula], a: Formula) -> Verdict:
     return decide_multiple(m, gamma, [a])
-
-
-def decide(m: PNMatrix, q: Query) -> Verdict:
-    return decide_multiple(m, q.premises, q.conclusions)
 
 
 def possible_values(m: PNMatrix, a: Formula, x: str) -> frozenset[str]:
@@ -279,16 +218,15 @@ def possible_values(m: PNMatrix, a: Formula, x: str) -> frozenset[str]:
     vars_of = {g for g in subformula_closure([a]) if isinstance(g, Var)}
     if len(vars_of) > 1:
         raise ValueError("possible_values expects a formula with at most one variable")
-    comp = _compiled(m)
-    if x not in comp.index:
+    if x not in m.values:
         raise ValueError(f"unknown value {x!r}")
+    comp = m.compiled
     xi = comp.index[x]
     omega = subformula_closure([a])
     acc: set[int] = set()
-    for w_names in viable_components(m).maximal:
+    for w_names, w in comp.components:
         if x not in w_names:
             continue
-        w = frozenset(comp.index[v] for v in w_names)
         fixed = {next(iter(vars_of)): xi} if vars_of else {}
         _search_component(
             comp, omega, w, set(), set(), fixed=fixed, collector=(a, acc)

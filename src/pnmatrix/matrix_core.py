@@ -11,7 +11,8 @@ homomorphism checking.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .syntax import Signature
@@ -48,6 +49,21 @@ class PNMatrix:
 
     def is_deterministic(self) -> bool:
         return all(len(e) <= 1 for t in self.tables.values() for e in t.values())
+
+    # Derived data is built on first use and kept on the object.  Copies and
+    # pickles carry only the fields, so they start without it.
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @cached_property
+    def _viability(self) -> "ViabilityReport":
+        return _scan_viability(self)
+
+    @cached_property
+    def compiled(self) -> "CompiledMatrix":
+        """The index form the engine searches over."""
+        return CompiledMatrix(self)
 
 
 def make_matrix(
@@ -296,9 +312,6 @@ class ViabilityReport:
     spurious: frozenset[str]
 
 
-_viability_cache: dict[int, tuple[PNMatrix, ViabilityReport]] = {}
-
-
 def _is_viable(m: PNMatrix, w: frozenset[str]) -> bool:
     for name, arity in m.sig:
         table = m.tables[name]
@@ -312,11 +325,12 @@ def viable_components(m: PNMatrix) -> ViabilityReport:
     """Exhaustive subset scan for the maximal viable value sets.
 
     Output order: by descending size, then lexicographically on the sorted
-    member list.  Results are cached per matrix object.
+    member list.  The scan runs once per matrix object.
     """
-    cached = _viability_cache.get(id(m))
-    if cached is not None and cached[0] is m:
-        return cached[1]
+    return m._viability
+
+
+def _scan_viability(m: PNMatrix) -> ViabilityReport:
     if len(m.values) > VIABILITY_CAP:
         raise MatrixError(
             f"viability scan over {len(m.values)} values exceeds cap {VIABILITY_CAP}"
@@ -333,13 +347,33 @@ def viable_components(m: PNMatrix) -> ViabilityReport:
                 maximal.append(w)
     maximal.sort(key=lambda w: (-len(w), sorted(w)))
     usable = frozenset().union(*maximal) if maximal else frozenset()
-    report = ViabilityReport(
+    return ViabilityReport(
         maximal=tuple(maximal),
         usable=usable,
         spurious=frozenset(m.values) - usable,
     )
-    _viability_cache[id(m)] = (m, report)
-    return report
+
+
+class CompiledMatrix:
+    """A matrix over value indices (value i is ``m.values[i]``).
+
+    Table entries are sorted index tuples; ``components`` pairs each maximal
+    viable set, in ``viable_components`` order, with its index set.
+    """
+
+    def __init__(self, m: PNMatrix):
+        self.index = {v: i for i, v in enumerate(m.values)}
+        self.components = tuple(
+            (w, frozenset(self.index[v] for v in w)) for w in viable_components(m).maximal
+        )
+        self.designated = frozenset(self.index[v] for v in m.designated)
+        self.tables = {
+            c: {
+                tuple(self.index[x] for x in tup): tuple(sorted(self.index[y] for y in out))
+                for tup, out in table.items()
+            }
+            for c, table in m.tables.items()
+        }
 
 
 def prune(m: PNMatrix) -> PNMatrix:

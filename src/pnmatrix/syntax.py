@@ -155,15 +155,6 @@ def variables(f: Formula) -> frozenset[str]:
     return frozenset(g.name for g in subformulas(f) if isinstance(g, Var))
 
 
-def head_of(f: Formula) -> str:
-    return f.name if isinstance(f, Var) else f.head
-
-
-def analyze(f: Formula) -> tuple[frozenset[str], frozenset[Formula], str]:
-    """Return (variables, subformulas, head) of a formula."""
-    return variables(f), subformulas(f), head_of(f)
-
-
 def subformula_closure(formulas: Iterable[Formula]) -> list[Formula]:
     """All subformulas of the given set, in increasing subformula order."""
     acc: set[Formula] = set()

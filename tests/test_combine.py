@@ -143,6 +143,16 @@ class TestAxioms:
     def test_underivable_without_axioms(self):
         assert decide_multiple(self.m, [], [self.pf("squig(p, p)")]).answer == "no"
 
+    def test_large_instance_closure_is_searched(self):
+        # the depth-2 query closes over 2,564 formulas
+        m = builtin("bool2")
+        k = AxiomSet("K", (parse_formula("imp(p, imp(q, p))", m.sig),))
+        gamma = [parse_formula("p", m.sig)]
+        d = decide_with_axioms(m, k, gamma, parse_formula("and(p, neg(q))", m.sig))
+        assert d.answer == "unknown"
+        assert d.depth_used == 2
+        assert d.instances_used == 1296
+
     def test_unknown_on_non_theorem(self):
         d = decide_with_axioms(self.m, self.axioms(), [], self.pf("p"), max_depth=1)
         assert d.answer == "unknown"

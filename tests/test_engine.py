@@ -1,7 +1,13 @@
+import copy
+import gc
+import pickle
+import weakref
+
 import pytest
 
 from pnmatrix import (
     Signature,
+    Var,
     builtin,
     check_countermodel,
     decide_multiple,
@@ -11,6 +17,7 @@ from pnmatrix import (
     possible_values,
     reduct,
     strict_product,
+    viable_components,
 )
 
 from corpus import random_query, seeded
@@ -91,6 +98,45 @@ class TestCountermodels:
         first = decide_multiple(ks, gamma, delta).countermodel
         again = decide_multiple(ks, tuple(gamma), tuple(delta)).countermodel
         assert first == again
+
+
+    def test_large_closure_does_not_recurse(self):
+        m = builtin("bool2")
+        gamma = [Var(f"p{i}") for i in range(1200)]
+        delta = [Var("q")]
+        v = decide_multiple(m, gamma, delta)
+        assert v.answer == "no"
+        assert check_countermodel(m, gamma, delta, v.countermodel) == []
+
+
+class TestDerivedState:
+    """A matrix's viability report and compiled form live on the matrix."""
+
+    def test_matrix_is_freed_after_use(self):
+        m = strict_product(builtin("bool2"), builtin("bool2"))
+        gamma, delta = [pf(m, "p")], [pf(m, "q")]
+        v = decide_multiple(m, gamma, delta)
+        possible_values(m, pf(m, "neg(p)"), m.values[0])
+        viable_components(m)
+        assert check_countermodel(m, gamma, delta, v.countermodel) == []
+        ref = weakref.ref(m)
+        del m
+        gc.collect()
+        assert ref() is None
+
+    def test_copies_start_cold(self):
+        m = strict_product(builtin("kleene-ks"), builtin("kleene-ks"))
+        gamma = parse_formula_list("p, neg(p)", m.sig)
+        delta = parse_formula_list("q", m.sig)
+        warm = decide_multiple(m, gamma, delta)
+        fields = {"sig", "values", "designated", "tables", "meta"}
+        assert set(vars(m)) > fields
+        for twin in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert set(vars(twin)) == fields
+            assert twin == m
+            v = decide_multiple(twin, gamma, delta)
+            assert v.answer == warm.answer == "no"
+            assert v.countermodel == warm.countermodel
 
 
 class TestPossibleValues:
