@@ -3,16 +3,28 @@
 A query fails over a matrix exactly when some prevaluation on the subformula
 closure of the query designates every premise and no conclusion, with all its
 values drawn from one viable component (the component's restriction is total,
-so such a prevaluation extends to a full valuation).  The search backtracks
-over the closure in increasing subformula order, per maximal viable component,
-after an arc-consistency pass that prunes locally impossible values (pruned
-values belong to no prevaluation, so the first countermodel in search order
-is unchanged).
+so such a prevaluation extends to a full valuation).  The closure is the only
+place the search looks, so each query is compiled once into integer form:
+node i is the i-th closure formula in increasing subformula order, with the
+ids of its arguments and of the compound nodes that use it (``_Closure``).
+All components share that index.
+
+Per component, every node starts with a bitmask domain (bit j is the matrix's
+value j): the component's mask, narrowed to designated values for premises
+and to undesignated ones for conclusions.  Arc consistency (AC-3 over the
+table masks of ``CompiledMatrix``) then removes values that no prevaluation
+can use, and a depth-first search assigns nodes in id order.  A variable
+tries the values of its domain, a compound node those of its table entry
+that are in its domain; both in ascending value index.  That order is a
+contract: it fixes the first countermodel and ``assignments_explored``.
+Propagation removes only values that belong to no prevaluation, so it
+changes neither; its queue order is free, since the fixpoint is unique.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Optional, Sequence
 
 from .matrix_core import CompiledMatrix, PNMatrix, viable_components
@@ -56,113 +68,128 @@ class Verdict:
 # search
 # ---------------------------------------------------------------------------
 
-def _propagate(omega, parents, poss, comp) -> bool:
-    """Arc-consistency over the closure; False if some value set empties.
+class _Closure:
+    """A subformula closure indexed by integers.
 
-    Only removes values that occur in no prevaluation compatible with the
-    current sets, so the solution set (and hence the first countermodel in
-    deterministic order) is untouched.
+    Node i is the i-th formula given (``node`` maps formulas to ids), and
+    arguments precede the nodes that use them.  ``heads[i]`` is its
+    connective (None for a variable), ``args[i]`` its argument ids,
+    ``distinct[i]`` those ids without repeats, ``positions[i]`` the position
+    of each argument within ``distinct[i]`` (None when there are no
+    repeats), and ``parents[i]`` the compound nodes with node i among their
+    arguments.
     """
-    from itertools import product
 
-    pending = list(omega)
-    in_queue = set(pending)
+    def __init__(self, formulas: Sequence[Formula]):
+        self.node = node = {f: i for i, f in enumerate(formulas)}
+        self.heads = [f.head if isinstance(f, App) else None for f in formulas]
+        self.args = [tuple(node[a] for a in f.args) if isinstance(f, App) else () for f in formulas]
+        self.distinct = [tuple(dict.fromkeys(args)) for args in self.args]
+        self.positions = [
+            None if len(d) == len(args) else tuple(d.index(a) for a in args)
+            for args, d in zip(self.args, self.distinct)
+        ]
+        self.parents: list[list[int]] = [[] for _ in formulas]
+        for i, d in enumerate(self.distinct):
+            for a in d:
+                self.parents[a].append(i)
+
+
+def _bits(mask: int) -> list[int]:
+    """The set bits of a mask (value indices), in ascending order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _propagate(cl: _Closure, comp: CompiledMatrix, dom: list[int]) -> bool:
+    """Arc consistency over the closure; False if some domain empties.
+
+    Revising node i keeps the values of i, and of each of its arguments,
+    that occur in some combination of argument values whose table entry
+    meets i's domain.  Only values that occur in no prevaluation compatible
+    with the current domains are removed, so the solution set is untouched.
+    """
+    heads, parents = cl.heads, cl.parents
+    pending = [i for i, h in enumerate(heads) if h is not None]
+    queued = [h is not None for h in heads]
     while pending:
-        f = pending.pop()
-        in_queue.discard(f)
-        if not isinstance(f, App):
-            continue
-        table = comp.tables[f.head]
-        distinct = list(dict.fromkeys(f.args))
-        changed: list[Formula] = []
-        # feasible output values, and per-argument support
-        out_ok = set()
-        support = {g: set() for g in distinct}
-        fset = poss[f]
-        for combo in product(*(sorted(poss[g]) for g in distinct)):
-            env = dict(zip(distinct, combo))
-            entry = table[tuple(env[a] for a in f.args)]
-            hits = [y for y in entry if y in fset]
-            if hits:
-                out_ok.update(hits)
-                for g in distinct:
-                    support[g].add(env[g])
-        if out_ok != fset:
-            poss[f] = out_ok
-            changed.append(f)
-        for g in distinct:
-            if support[g] != poss[g]:
-                poss[g] = support[g]
+        i = pending.pop()
+        queued[i] = False
+        table = comp.tables[heads[i]]
+        own = dom[i]
+        distinct, positions = cl.distinct[i], cl.positions[i]
+        out = 0
+        support = [0] * len(distinct)
+        for combo in product(*(_bits(dom[g]) for g in distinct)):
+            hit = table[combo if positions is None else tuple(combo[k] for k in positions)] & own
+            if hit:
+                out |= hit
+                for k, x in enumerate(combo):
+                    support[k] |= 1 << x
+        changed = []
+        if out != own:
+            dom[i] = out
+            changed.append(i)
+        for g, s in zip(distinct, support):
+            if s != dom[g]:
+                dom[g] = s
                 changed.append(g)
         for g in changed:
-            if not poss[g]:
+            if not dom[g]:
                 return False
-            for h in parents.get(g, ()) + ((g,) if isinstance(g, App) else ()):
-                if h not in in_queue:
+            # i is at its fixpoint now; the users of g, and the arcs of g
+            # itself when g is a compound argument, may not be
+            for h in parents[g] if heads[g] is None else parents[g] + [g]:
+                if h != i and not queued[h]:
+                    queued[h] = True
                     pending.append(h)
-                    in_queue.add(h)
     return True
 
 
-def _search_component(comp: CompiledMatrix, omega: Sequence[Formula], w: frozenset[int],
-                      must_designate, must_not_designate, fixed, collector=None):
-    """Backtracking search for prevaluations over one viable component.
+def _search_component(comp: CompiledMatrix, cl: _Closure, dom: list[int], collector=None):
+    """Backtracking search for prevaluations within the given domains.
 
-    With collector=None, returns (assignment or None, explored-count) for the
-    first solution in deterministic order; with a (formula, set) collector,
-    enumerates all solutions, accumulating the value of the given formula.
+    ``dom`` holds each node's initial value mask and is narrowed in place.
+    With collector=None, returns (assignment or None, explored-count), the
+    assignment a list of value indices by node id, for the first solution in
+    search order; with a (node id, set) collector, enumerates all solutions,
+    accumulating the value of that node.
     """
-    parents: dict[Formula, tuple[App, ...]] = {}
-    for f in omega:
-        if isinstance(f, App):
-            for a in set(f.args):
-                parents[a] = parents.get(a, ()) + (f,)
-
-    poss: dict[Formula, set[int]] = {}
-    for f in omega:
-        allowed = set(w)
-        if f in must_designate:
-            allowed &= comp.designated
-        if f in must_not_designate:
-            allowed -= comp.designated
-        if f in fixed:
-            allowed &= {fixed[f]}
-        poss[f] = allowed
-        if not allowed:
-            return None, 0
-
-    if not _propagate(omega, parents, poss, comp):
+    if not all(dom):
         return None, 0
-
-    order = list(omega)
-    n = len(order)
+    if not _propagate(cl, comp, dom):
+        return None, 0
+    n = len(dom)
     if n == 0:
-        return {}, 0
-    assignment: dict[Formula, int] = {}
+        return [], 0
+    heads, args, tables = cl.heads, cl.args, comp.tables
+    assignment = [0] * n
     explored = 0
 
-    def candidates(f: Formula):
-        if isinstance(f, Var):
-            return iter(sorted(poss[f]))
-        entry = comp.tables[f.head][tuple(assignment[a] for a in f.args)]
-        return iter([v for v in entry if v in poss[f]])
+    def candidates(i: int):
+        if heads[i] is None:
+            return iter(_bits(dom[i]))
+        entry = tables[heads[i]][tuple(assignment[a] for a in args[i])]
+        return iter(_bits(entry & dom[i]))
 
-    # depth-first over order, one candidate iterator per assigned position
-    stack = [candidates(order[0])]
+    # depth-first over node ids, one candidate iterator per assigned node
+    stack = [candidates(0)]
     while stack:
         i = len(stack) - 1
-        f = order[i]
         v = next(stack[i], None)
         if v is None:
             stack.pop()
-            assignment.pop(f, None)
             continue
-        assignment[f] = v
+        assignment[i] = v
         explored += 1
         if i + 1 < n:
-            stack.append(candidates(order[i + 1]))
+            stack.append(candidates(i + 1))
         elif collector is None:
-            return dict(assignment), explored
+            return assignment, explored
         else:
             g, acc = collector
             acc.add(assignment[g])
@@ -179,16 +206,21 @@ def decide_multiple(m: PNMatrix, gamma: Iterable[Formula], delta: Iterable[Formu
 
     comp = m.compiled
     omega = subformula_closure(gamma + delta)
-    gset, dset = set(gamma), set(delta)
+    cl = _Closure(omega)
+    premises = [cl.node[f] for f in gamma]
+    conclusions = [cl.node[f] for f in delta]
     explored_total = 0
     for tried, (w_names, w) in enumerate(comp.components, start=1):
-        solution, explored = _search_component(
-            comp, omega, w, gset, dset, fixed={}
-        )
+        dom = [w] * len(omega)
+        for i in premises:
+            dom[i] &= comp.designated
+        for i in conclusions:
+            dom[i] &= ~comp.designated
+        solution, explored = _search_component(comp, cl, dom)
         explored_total += explored
         if solution is not None:
             assignment = tuple(
-                (f, m.values[solution[f]]) for f in omega
+                (f, m.values[x]) for f, x in zip(omega, solution)
             )
             return Verdict(
                 answer="no",
@@ -215,22 +247,22 @@ def possible_values(m: PNMatrix, a: Formula, x: str) -> frozenset[str]:
     """
     if not well_formed(a, m.sig):
         raise ValueError(f"formula {print_formula(a)} not well-formed over the matrix signature")
-    vars_of = {g for g in subformula_closure([a]) if isinstance(g, Var)}
+    omega = subformula_closure([a])
+    vars_of = [g for g in omega if isinstance(g, Var)]
     if len(vars_of) > 1:
         raise ValueError("possible_values expects a formula with at most one variable")
     if x not in m.values:
         raise ValueError(f"unknown value {x!r}")
     comp = m.compiled
-    xi = comp.index[x]
-    omega = subformula_closure([a])
+    cl = _Closure(omega)
     acc: set[int] = set()
     for w_names, w in comp.components:
         if x not in w_names:
             continue
-        fixed = {next(iter(vars_of)): xi} if vars_of else {}
-        _search_component(
-            comp, omega, w, set(), set(), fixed=fixed, collector=(a, acc)
-        )
+        dom = [w] * len(omega)
+        if vars_of:
+            dom[cl.node[vars_of[0]]] &= 1 << comp.index[x]
+        _search_component(comp, cl, dom, collector=(cl.node[a], acc))
     return frozenset(m.values[i] for i in acc)
 
 

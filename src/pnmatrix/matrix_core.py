@@ -93,6 +93,11 @@ def validate(m: PNMatrix) -> list[str]:
     vals = set(m.values)
     if len(m.values) != len(vals):
         errors.append("duplicate value names")
+    for v in m.values:
+        # the file format splits on whitespace, ':' and '#', and reads '-'
+        # and '*' as the empty and the full cell
+        if v in ("", "-", "*") or any(ch.isspace() or ch in ":#" for ch in v):
+            errors.append(f"value name {v!r} cannot be written to a matrix file")
     if not m.designated <= vals:
         errors.append(f"designated values {sorted(m.designated - vals)} not in value set")
     declared = set(m.sig.names())
@@ -355,23 +360,23 @@ def _scan_viability(m: PNMatrix) -> ViabilityReport:
 
 
 class CompiledMatrix:
-    """A matrix over value indices (value i is ``m.values[i]``).
+    """A matrix over value indices: value i is ``m.values[i]`` and bit ``1 << i``.
 
-    Table entries are sorted index tuples; ``components`` pairs each maximal
-    viable set, in ``viable_components`` order, with its index set.
+    Value sets are int bitmasks: ``designated``, every table entry (keyed by
+    its tuple of argument indices), and the mask that ``components`` pairs
+    with each maximal viable set, in ``viable_components`` order.
     """
 
     def __init__(self, m: PNMatrix):
-        self.index = {v: i for i, v in enumerate(m.values)}
-        self.components = tuple(
-            (w, frozenset(self.index[v] for v in w)) for w in viable_components(m).maximal
-        )
-        self.designated = frozenset(self.index[v] for v in m.designated)
+        self.index = index = {v: i for i, v in enumerate(m.values)}
+
+        def mask(vs: Iterable[str]) -> int:
+            return sum(1 << index[v] for v in vs)
+
+        self.components = tuple((w, mask(w)) for w in viable_components(m).maximal)
+        self.designated = mask(m.designated)
         self.tables = {
-            c: {
-                tuple(self.index[x] for x in tup): tuple(sorted(self.index[y] for y in out))
-                for tup, out in table.items()
-            }
+            c: {tuple(index[x] for x in tup): mask(out) for tup, out in table.items()}
             for c, table in m.tables.items()
         }
 

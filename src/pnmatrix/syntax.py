@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 
@@ -45,14 +46,18 @@ class Signature:
     def as_dict(self) -> dict[str, int]:
         return dict(self.connectives)
 
+    @cached_property
+    def _arity(self) -> dict[str, int]:
+        return dict(self.connectives)
+
+    def __getstate__(self) -> dict:
+        return {"connectives": self.connectives}  # without the cached map
+
     def arity(self, name: str) -> int:
-        for n, k in self.connectives:
-            if n == name:
-                return k
-        raise KeyError(name)
+        return self._arity[name]
 
     def __contains__(self, name: str) -> bool:
-        return any(n == name for n, _ in self.connectives)
+        return name in self._arity
 
     def __iter__(self) -> Iterator[tuple[str, int]]:
         return iter(self.connectives)
@@ -127,11 +132,15 @@ def print_formula(f: Formula) -> str:
     return f"{f.head}({', '.join(print_formula(a) for a in f.args)})"
 
 
-@lru_cache(maxsize=None)
 def formula_size(f: Formula) -> int:
-    if isinstance(f, Var):
-        return 1
-    return 1 + sum(formula_size(a) for a in f.args)
+    """Number of nodes in the formula tree (repeated subtrees counted each time)."""
+    size, stack = 0, [f]
+    while stack:
+        g = stack.pop()
+        size += 1
+        if isinstance(g, App):
+            stack.extend(g.args)
+    return size
 
 
 def formula_key(f: Formula) -> tuple[int, str]:
@@ -156,11 +165,38 @@ def variables(f: Formula) -> frozenset[str]:
 
 
 def subformula_closure(formulas: Iterable[Formula]) -> list[Formula]:
-    """All subformulas of the given set, in increasing subformula order."""
-    acc: set[Formula] = set()
-    for f in formulas:
-        acc |= subformulas(f)
-    return sorted(acc, key=formula_key)
+    """All subformulas of the given set, in increasing subformula order.
+
+    The order is that of ``formula_key``.  Each node's key is built once,
+    bottom-up from its arguments' keys, so nothing is measured or printed
+    twice.
+    """
+    roots = list(formulas)  # keeps every node alive, so ids stay unique
+    key_of: dict[int, tuple[int, str]] = {}
+    keys: dict[Formula, tuple[int, str]] = {}
+    for root in roots:
+        stack = [root]
+        while stack:
+            g = stack[-1]
+            if id(g) in key_of:
+                stack.pop()
+                continue
+            if isinstance(g, Var):
+                key = (1, g.name)
+            else:
+                todo = [a for a in g.args if id(a) not in key_of]
+                if todo:
+                    stack.extend(todo)
+                    continue
+                arg_keys = [key_of[id(a)] for a in g.args]
+                key = (
+                    1 + sum(size for size, _ in arg_keys),
+                    f"{g.head}({', '.join(text for _, text in arg_keys)})" if g.args else g.head,
+                )
+            stack.pop()
+            key_of[id(g)] = key
+            keys.setdefault(g, key)
+    return [f for f, _ in sorted(keys.items(), key=itemgetter(1))]
 
 
 def well_formed(f: Formula, sig: Signature) -> bool:

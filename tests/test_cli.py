@@ -7,8 +7,11 @@ from pnmatrix import (
     EXIT_NO,
     EXIT_UNKNOWN,
     EXIT_YES,
+    MatrixError,
+    Signature,
     builtin,
     format_matrix,
+    make_matrix,
     power,
     read_matrix,
     run_cli,
@@ -39,8 +42,16 @@ class TestMatrixFiles:
         assert format_matrix(again) == text
 
     def test_round_trip_through_product(self):
-        p = strict_product(builtin("kleene-imp"), builtin("luk-imp"))
-        assert read_matrix(format_matrix(p)) == p
+        for left, right in (("kleene-imp", "luk-imp"), ("sources", "kleene-ks")):
+            p = strict_product(builtin(left), builtin(right))
+            assert read_matrix(format_matrix(p)) == p
+
+    @pytest.mark.parametrize("bad", ["", "-", "*", "a b", "a\tb", "a:b", "a#b", " a"])
+    def test_unwritable_value_names_are_rejected(self, bad):
+        sig = Signature.of({"neg": 1})
+        table = {("ok",): {bad}, (bad,): {"ok"}}
+        with pytest.raises(MatrixError, match="cannot be written"):
+            make_matrix(sig, ["ok", bad], ["ok"], {"neg": table})
 
     def test_empty_and_full_cells(self):
         ks = builtin("kleene-ks")

@@ -1,27 +1,32 @@
 import copy
 import gc
+import itertools
 import pickle
 import weakref
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from pnmatrix import (
+    App,
     Signature,
     Var,
     builtin,
     check_countermodel,
     decide_multiple,
     decide_single,
+    make_matrix,
     parse_formula,
     parse_formula_list,
     possible_values,
     reduct,
     strict_product,
+    subformula_closure,
     viable_components,
 )
 
 from corpus import random_query, seeded
-from oracle import oracle_decide
+from oracle import brute_viable_sets, oracle_decide
 
 
 def pf(m, s):
@@ -185,3 +190,169 @@ class TestOracleAgreement:
                 decide_multiple(p, gamma, delta).answer
                 == oracle_decide(p, gamma, delta)
             ), (gamma, delta)
+
+
+# ---------------------------------------------------------------------------
+# search order
+# ---------------------------------------------------------------------------
+
+def luk3_split():
+    luk = builtin("luk3")
+    return strict_product(
+        reduct(luk, Signature.of({"neg": 1, "imp": 2})),
+        reduct(luk, Signature.of({"nabla": 1, "imp": 2})),
+    )
+
+
+#: (matrix, premises, conclusions, answer, assignments_explored,
+#:  components_tried, (first countermodel, its component) or None).
+#: Recorded at commit 52a0319, while the search still ran over formula-keyed
+#: dicts and sorted value tuples; the integer closure and the bitmask domains
+#: must reproduce them exactly.
+SEARCH_ORDER = [
+    ('sources', 'p', 'or(p, q)', 'yes', 0, 1, None),
+    ('sources', 'or(p, q)', 'p, q', 'no', 3, 1,
+     ('p -> f, q -> f, or(p, q) -> b', 'b, f, n, t')),
+    ('sources', 'and(p, q)', 'p', 'yes', 0, 1, None),
+    ('sources', 'p', 'and(p, p)', 'yes', 0, 1, None),
+    ('sources', 'or(p, p)', 'p', 'no', 2, 1,
+     ('p -> f, or(p, p) -> b', 'b, f, n, t')),
+    ('sources', 'p, neg(p)', 'q', 'no', 3, 1,
+     ('p -> b, q -> f, neg(p) -> b', 'b, f, n, t')),
+    ('sources', 'neg(and(p, q))', 'or(neg(p), neg(q))', 'no', 7, 1,
+     ('p -> n, q -> n, neg(p) -> n, neg(q) -> n, and(p, q) -> f, neg(and(p, q)) -> t, or(neg(p), neg(q)) -> n', 'b, f, n, t')),
+    ('sources', 'or(p, and(q, r)), neg(q)', 'p, r', 'no', 6, 1,
+     ('p -> f, q -> f, r -> f, neg(q) -> t, and(q, r) -> f, or(p, and(q, r)) -> b', 'b, f, n, t')),
+    ('sources', 'or(and(p, neg(q)), and(q, neg(p)))', 'neg(or(p, q))', 'no', 12, 1,
+     ('p -> f, q -> n, neg(p) -> t, neg(q) -> n, or(p, q) -> n, and(p, neg(q)) -> f, and(q, neg(p)) -> f, neg(or(p, q)) -> n, or(and(p, neg(q)), and(q, neg(p))) -> b', 'b, f, n, t')),
+    ('sources', 'p', 'and(r, neg(q)), and(and(neg(r), p), and(p, p))', 'no', 9, 1,
+     ('p -> b, q -> f, r -> n, neg(q) -> t, neg(r) -> n, and(p, p) -> b, and(neg(r), p) -> f, and(r, neg(q)) -> f, and(and(neg(r), p), and(p, p)) -> f', 'b, f, n, t')),
+    ('sources', 'neg(neg(p))', 'p', 'yes', 0, 1, None),
+    ('sources', '', 'or(p, neg(p))', 'no', 3, 1,
+     ('p -> n, neg(p) -> n, or(p, neg(p)) -> n', 'b, f, n, t')),
+    ('sources', 'and(p, or(q, r))', 'or(and(p, q), and(p, r))', 'no', 8, 1,
+     ('p -> b, q -> f, r -> f, and(p, q) -> f, and(p, r) -> f, or(q, r) -> b, and(p, or(q, r)) -> b, or(and(p, q), and(p, r)) -> f', 'b, f, n, t')),
+    ('luk3', '', 'imp(p, p)', 'yes', 0, 1, None),
+    ('luk3', 'p, imp(p, q)', 'q', 'yes', 0, 1, None),
+    ('luk3', 'nabla(p)', 'imp(neg(p), p)', 'yes', 0, 1, None),
+    ('luk3', 'neg(neg(p))', 'p', 'yes', 0, 1, None),
+    ('luk3', 'imp(p, q), imp(q, r)', 'imp(p, r)', 'yes', 0, 1, None),
+    ('luk3', '', 'imp(imp(p, q), imp(neg(q), neg(p)))', 'yes', 19, 1, None),
+    ('luk3', 'nabla(p)', 'p', 'no', 2, 1,
+     ('p -> h, nabla(p) -> 1', '0, 1, h')),
+    ('luk3', 'p', 'nabla(p)', 'yes', 0, 1, None),
+    ('luk3', 'imp(neg(p), q), neg(q)', 'p, nabla(q)', 'yes', 0, 1, None),
+    ('luk3', '', 'imp(imp(imp(p, q), p), p)', 'no', 12, 1,
+     ('p -> h, q -> 0, imp(p, q) -> h, imp(imp(p, q), p) -> 1, imp(imp(imp(p, q), p), p) -> h', '0, 1, h')),
+    ('luk3', 'imp(nabla(nabla(p)), nabla(nabla(q)))', 'neg(nabla(p))', 'no', 8, 1,
+     ('p -> h, q -> h, nabla(p) -> 1, nabla(q) -> 1, nabla(nabla(p)) -> 1, nabla(nabla(q)) -> 1, neg(nabla(p)) -> 0, imp(nabla(nabla(p)), nabla(nabla(q))) -> 1', '0, 1, h')),
+    ('kleene-ks', 'p, neg(p)', 'q', 'no', 3, 2,
+     ('p -> b, q -> 0, neg(p) -> b', '0, 1, b')),
+    ('kleene-ks', 'or(p, q)', 'and(p, q)', 'no', 8, 1,
+     ('p -> 0, q -> 1, and(p, q) -> 0, or(p, q) -> 1', '0, 1, a')),
+    ('kleene-ks', 'or(p, q)', 'p, q', 'yes', 0, 2, None),
+    ('kleene-ks', '', 'or(p, neg(p))', 'no', 3, 1,
+     ('p -> a, neg(p) -> a, or(p, neg(p)) -> a', '0, 1, a')),
+    ('kleene-ks', 'neg(or(p, q))', 'and(neg(p), neg(q))', 'yes', 0, 2, None),
+    ('kleene-ks', 'and(p, neg(p))', 'or(q, neg(q))', 'yes', 0, 2, None),
+    ('kleene-ks', 'p', 'neg(neg(p))', 'yes', 0, 2, None),
+    ('kleene-ks', 'or(and(p, q), neg(r))', 'or(p, r), neg(q)', 'no', 8, 1,
+     ('p -> 0, q -> a, r -> 0, neg(q) -> a, neg(r) -> 1, and(p, q) -> 0, or(p, r) -> 0, or(and(p, q), neg(r)) -> 1', '0, 1, a')),
+    ('kleene-ks', 'and(or(neg(p), and(q, p)), p)', 'and(or(q, q), r)', 'no', 9, 1,
+     ('p -> 1, q -> 1, r -> 0, neg(p) -> 0, and(q, p) -> 1, or(q, q) -> 1, and(or(q, q), r) -> 0, or(neg(p), and(q, p)) -> 1, and(or(neg(p), and(q, p)), p) -> 1', '0, 1, a')),
+    ('split', 'nabla(p)', 'imp(neg(p), p)', 'no', 4, 2,
+     ('p -> 0|h, nabla(p) -> 1|1, neg(p) -> 1|1, imp(neg(p), p) -> 0|h', '0|h, 1|1')),
+    ('split', 'p, imp(p, q)', 'q', 'yes', 0, 2, None),
+    ('split', '', 'imp(p, p)', 'yes', 0, 2, None),
+    ('split', 'neg(p)', 'imp(p, q)', 'yes', 0, 2, None),
+    ('split', 'nabla(neg(p))', 'neg(p)', 'no', 3, 1,
+     ('p -> h|h, neg(p) -> h|h, nabla(neg(p)) -> 1|1', '0|0, 1|1, h|h')),
+    ('split', 'imp(nabla(p), neg(q))', 'imp(q, neg(p))', 'yes', 0, 2, None),
+    ('split', 'imp(imp(neg(r), neg(p)), r)', 'nabla(r)', 'no', 7, 1,
+     ('p -> 1|1, r -> 0|0, nabla(r) -> 0|0, neg(p) -> 0|0, neg(r) -> 1|1, imp(neg(r), neg(p)) -> 0|0, imp(imp(neg(r), neg(p)), r) -> 1|1', '0|0, 1|1, h|h')),
+]
+
+
+class TestSearchOrder:
+    @pytest.mark.parametrize("name, gamma, delta, answer, explored, tried, first", SEARCH_ORDER)
+    def test_pinned_verdict(self, name, gamma, delta, answer, explored, tried, first):
+        m = luk3_split() if name == "split" else builtin(name)
+        v = decide_multiple(m, parse_formula_list(gamma, m.sig), parse_formula_list(delta, m.sig))
+        assert (v.answer, v.assignments_explored, v.components_tried) == (answer, explored, tried)
+        if first is None:
+            assert v.countermodel is None
+        else:
+            assert (v.countermodel.pretty(), ", ".join(sorted(v.countermodel.component))) == first
+
+
+# ---------------------------------------------------------------------------
+# random small PNmatrices against brute force
+# ---------------------------------------------------------------------------
+
+RANDOM_SIG = Signature.of({"c": 0, "neg": 1, "imp": 2})
+
+
+@st.composite
+def small_matrices(draw):
+    """2-3 values; entries may be empty (partial) or hold several values."""
+    values = ["a", "b", "c"][: draw(st.integers(2, 3))]
+    cells = st.sets(st.sampled_from(values))
+    tables = {
+        name: {tup: draw(cells) for tup in itertools.product(values, repeat=k)}
+        for name, k in RANDOM_SIG
+    }
+    return make_matrix(RANDOM_SIG, values, draw(cells), tables)
+
+
+def random_formulas(variables):
+    leaf = st.sampled_from([Var(v) for v in variables] + [App("c", ())])
+    return st.recursive(
+        leaf,
+        lambda sub: st.one_of(
+            st.builds(lambda a: App("neg", (a,)), sub),
+            st.builds(lambda a, b: App("imp", (a, b)), sub, sub),
+        ),
+        max_leaves=3,
+    )
+
+
+def brute_possible_values(m, a, x):
+    """Values of a over every prevaluation on sub(a) that maps its variable
+    to x and whose image lies in a maximal viable set containing x."""
+    omega = subformula_closure([a])
+    maximal = [w for w in brute_viable_sets(m) if x in w]
+    out = set()
+    for assignment in itertools.product(m.values, repeat=len(omega)):
+        env = dict(zip(omega, assignment))
+        if any(isinstance(f, Var) and env[f] != x for f in omega):
+            continue
+        if any(
+            isinstance(f, App) and env[f] not in m.tables[f.head][tuple(env[g] for g in f.args)]
+            for f in omega
+        ):
+            continue
+        if any(set(assignment) <= w for w in maximal):
+            out.add(env[a])
+    return frozenset(out)
+
+
+class TestRandomMatrices:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        small_matrices(),
+        st.lists(random_formulas("pq"), max_size=2),
+        st.lists(random_formulas("pq"), max_size=2),
+    )
+    def test_decide_agrees_with_oracle(self, m, gamma, delta):
+        assume(len(subformula_closure(gamma + delta)) <= 5)
+        v = decide_multiple(m, gamma, delta)
+        assert v.answer == oracle_decide(m, gamma, delta)
+        if v.answer == "no":
+            assert check_countermodel(m, gamma, delta, v.countermodel) == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_matrices(), random_formulas("p"))
+    def test_possible_values_by_enumeration(self, m, a):
+        assume(len(subformula_closure([a])) <= 5)
+        for x in m.values:
+            assert possible_values(m, a, x) == brute_possible_values(m, a, x)

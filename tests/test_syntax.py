@@ -1,3 +1,7 @@
+import gc
+import pickle
+import weakref
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +15,7 @@ from pnmatrix import (
     apply_substitution,
     compose,
     formula_key,
+    formula_size,
     match_instance,
     parse_formula,
     parse_formula_list,
@@ -57,6 +62,17 @@ class TestSignature:
         assert Signature.of({"neg": 1}).is_subsignature_of(SIG)
         assert not Signature.of({"neg": 2}).is_subsignature_of(SIG)
 
+    def test_lookups_leave_identity_alone(self):
+        fresh = Signature.of({"top": 0, "neg": 1, "and": 2, "imp": 2})
+        cold = pickle.dumps(fresh)
+        assert "and" in fresh and "or" not in fresh
+        assert fresh.arity("imp") == 2
+        with pytest.raises(KeyError):
+            fresh.arity("or")
+        assert fresh == SIG and hash(fresh) == hash(SIG)
+        assert pickle.dumps(fresh) == cold
+        assert pickle.loads(cold) == fresh
+
 
 class TestParsing:
     def test_basic(self):
@@ -92,6 +108,22 @@ class TestSubformulas:
         assert omega == sorted(omega, key=formula_key)
         for g in omega:
             assert subformulas(g) <= set(omega)
+
+    @given(st.lists(formulas(), max_size=4))
+    def test_closure_order_is_formula_key_order(self, fs):
+        assert subformula_closure(fs) == sorted(
+            frozenset().union(*map(subformulas, fs)), key=formula_key
+        )
+
+    def test_size_of_a_deep_chain(self):
+        f = Var("p")
+        for _ in range(5000):
+            f = App("neg", (f,))
+        assert formula_size(f) == 5001
+        ref = weakref.ref(f)
+        del f
+        gc.collect()
+        assert ref() is None  # nothing kept the formula after measuring it
 
     def test_variables(self):
         f = parse_formula("imp(and(p, q), neg(p))", SIG)
