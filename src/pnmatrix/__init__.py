@@ -24,6 +24,7 @@ from .syntax import (
     well_formed,
 )
 from .matrix_core import (
+    FormatError,
     MatrixError,
     PNMatrix,
     ValueMap,
@@ -31,12 +32,14 @@ from .matrix_core import (
     check_strict_hom,
     classify,
     extend,
+    format_matrix,
     inclusion,
     make_matrix,
     pair_name,
     power,
     projection,
     prune,
+    read_matrix,
     reduct,
     rename_connectives,
     restrict,
@@ -92,19 +95,19 @@ from .combine import (
     decide_combined_ctx,
     decide_with_axioms,
 )
-from .cli_io import (
-    EXIT_ERROR,
-    EXIT_NO,
-    EXIT_UNKNOWN,
-    EXIT_YES,
-    FormatError,
-    builtin,
-    builtin_calculus,
-    calculus_names,
-    fixture_names,
-    format_matrix,
-    read_matrix,
-    run_cli,
-)
+from .fixtures import builtin, builtin_calculus, calculus_names, fixture_names
 
 __all__ = [name for name in dir() if not name.startswith("_")]
+
+_CLI_NAMES = ("run_cli", "EXIT_YES", "EXIT_NO", "EXIT_UNKNOWN", "EXIT_ERROR")
+
+
+def __getattr__(name: str):
+    """Load the command line (``cli_io``) only when one of its names is used."""
+    if name == "cli_io" or name in _CLI_NAMES:
+        import importlib
+
+        # `from . import cli_io` would look the name up here again
+        cli_io = importlib.import_module(f"{__name__}.cli_io")
+        return cli_io if name == "cli_io" else getattr(cli_io, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -331,6 +331,8 @@ def split_advice(
     then a separator search over the shared subsignature and a saturation
     refutation on the matrix itself to pick a verdict.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be at least 0, got {samples}")
     union = sig1.union(sig2)
     if not union.is_subsignature_of(m.sig):
         raise ValueError("split signatures must cover a subsignature of the matrix")

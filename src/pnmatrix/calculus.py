@@ -39,12 +39,6 @@ class Calculus:
     sig: Signature
     rules: tuple[Rule, ...]
 
-    def rule(self, name: str) -> Rule:
-        for r in self.rules:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
 
 def parse_rule(line: str, sig: Signature) -> Rule:
     """Parse `name : A1, A2 |- B1, B2`; either side may be `-` or empty."""

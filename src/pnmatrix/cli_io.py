@@ -1,9 +1,9 @@
-"""Matrix and rule file formats, the builtin fixture library, and the CLI.
+"""The ``pnmatrix`` command line: one subcommand per library operation.
 
-Matrix files have a `signature:` block, `values:` and `designated:` lines and
-one `table` block per connective; `-` denotes the empty output set and `*`
-the full value set.  Rule files have one `name : premises |- conclusions`
-line per rule.  The canonical writer and the reader round-trip exactly.
+Run it as ``pnmatrix`` or ``python -m pnmatrix.cli_io``.  ``import pnmatrix``
+does not load this module; ``pnmatrix.run_cli`` and the ``EXIT_*`` codes load
+it on first use.  Each subcommand is a function of the parsed arguments that
+returns the exit code; ``build_parser`` binds it to its subparser.
 """
 
 from __future__ import annotations
@@ -12,10 +12,9 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .analysis import (
-    RefutationBounds,
     SeparatorBounds,
     find_separator,
     monadicity_report,
@@ -33,14 +32,17 @@ from .combine import (
     decide_with_axioms,
 )
 from .engine import decide_multiple, decide_single
+from .fixtures import builtin, builtin_calculus, fixture_names
 from .matrix_core import (
+    FormatError,
     MatrixError,
     PNMatrix,
     classify,
     extend,
-    make_matrix,
+    format_matrix,
     power,
     prune,
+    read_matrix,
     reduct,
     strict_product,
     sum_matrices,
@@ -54,373 +56,14 @@ from .syntax import (
     print_formula,
 )
 
+#: the description ``pnmatrix --help`` prints
+_DESCRIPTION = """Matrix and rule file formats, the builtin fixture library, and the CLI.
 
-# ---------------------------------------------------------------------------
-# matrix files
-# ---------------------------------------------------------------------------
-
-class FormatError(ValueError):
-    def __init__(self, message: str, lineno: int):
-        super().__init__(f"line {lineno}: {message}")
-        self.lineno = lineno
-
-
-def read_matrix(text: str, meta: Optional[dict] = None) -> PNMatrix:
-    lines = text.splitlines()
-    sig_pairs: list[tuple[str, int]] = []
-    values: list[str] = []
-    designated: list[str] = []
-    tables: dict[str, dict[tuple[str, ...], frozenset[str]]] = {}
-    section = None  # None | "signature" | ("table", name)
-    seen_values = seen_designated = False
-
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line == "signature:":
-            section = "signature"
-            continue
-        if line.startswith("values:"):
-            values = line[len("values:"):].split()
-            seen_values = True
-            section = None
-            continue
-        if line.startswith("designated:"):
-            designated = line[len("designated:"):].split()
-            seen_designated = True
-            section = None
-            continue
-        if line.startswith("table ") and line.endswith(":"):
-            name = line[len("table "):-1].strip()
-            if name in tables:
-                raise FormatError(f"duplicate table for {name!r}", lineno)
-            tables[name] = {}
-            section = ("table", name)
-            continue
-        if section == "signature":
-            parts = line.split()
-            if len(parts) != 2 or not parts[1].isdigit():
-                raise FormatError(f"bad signature line {line!r}", lineno)
-            sig_pairs.append((parts[0], int(parts[1])))
-            continue
-        if isinstance(section, tuple):
-            name = section[1]
-            if ":" not in line:
-                raise FormatError(f"table row needs a ':' separator: {line!r}", lineno)
-            left, _, right = line.partition(":")
-            args = tuple(left.split())
-            out_tokens = right.split()
-            if out_tokens == ["-"]:
-                out: frozenset[str] = frozenset()
-            elif out_tokens == ["*"]:
-                out = frozenset(values)
-            else:
-                out = frozenset(out_tokens)
-            if args in tables[name]:
-                raise FormatError(f"duplicate row {' '.join(args)!r}", lineno)
-            tables[name][args] = out
-            continue
-        raise FormatError(f"unexpected line {line!r}", lineno)
-
-    if not sig_pairs:
-        raise FormatError("missing signature block", len(lines))
-    if not seen_values:
-        raise FormatError("missing values line", len(lines))
-    if not seen_designated:
-        raise FormatError("missing designated line", len(lines))
-    names = [n for n, _ in sig_pairs]
-    if len(set(names)) != len(names):
-        raise FormatError("duplicate connective in signature", len(lines))
-    try:
-        sig = Signature.of(sig_pairs)
-        return make_matrix(sig, values, designated, tables, meta=meta)
-    except (ValueError, MatrixError) as e:
-        raise FormatError(str(e), len(lines)) from None
-
-
-def format_matrix(m: PNMatrix) -> str:
-    """Canonical text form; read_matrix(format_matrix(m)) == m."""
-    out = ["signature:"]
-    for name, arity in m.sig:
-        out.append(f"  {name} {arity}")
-    out.append("values: " + " ".join(m.values))
-    out.append("designated: " + " ".join(v for v in m.values if v in m.designated))
-    full = frozenset(m.values)
-    order = {v: i for i, v in enumerate(m.values)}
-    for name, arity in m.sig:
-        out.append(f"table {name}:")
-        rows = sorted(m.tables[name], key=lambda t: tuple(order[x] for x in t))
-        for tup in rows:
-            cell = m.tables[name][tup]
-            if not cell:
-                text = "-"
-            elif cell == full:
-                text = "*"
-            else:
-                text = " ".join(v for v in m.values if v in cell)
-            out.append("  " + " ".join(tup) + " : " + text)
-    return "\n".join(out) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# builtin fixtures
-# ---------------------------------------------------------------------------
-
-def _table(cols: Sequence[str], rows: dict[str, Sequence[str]]):
-    """Binary table from row-major cell strings; '-' empty, spaces separate."""
-    table = {}
-    for a, cells in rows.items():
-        for b, cell in zip(cols, cells):
-            table[(a, b)] = frozenset() if cell == "-" else frozenset(cell.split())
-    return table
-
-
-def _unary(mapping: dict[str, str]):
-    return {(a,): frozenset(out.split()) for a, out in mapping.items()}
-
-
-def _bool2() -> PNMatrix:
-    sig = Signature.of({"top": 0, "neg": 1, "and": 2, "or": 2, "imp": 2})
-    cols = ["0", "1"]
-    tables = {
-        "top": {(): frozenset({"1"})},
-        "neg": _unary({"0": "1", "1": "0"}),
-        "and": _table(cols, {"0": ["0", "0"], "1": ["0", "1"]}),
-        "or": _table(cols, {"0": ["0", "1"], "1": ["1", "1"]}),
-        "imp": _table(cols, {"0": ["1", "1"], "1": ["0", "1"]}),
-    }
-    meta = {"known_saturated": True, "description": "two-valued truth tables"}
-    return make_matrix(sig, cols, ["1"], tables, meta=meta)
-
-
-def _bool2n() -> PNMatrix:
-    sig = Signature.of({"botop": 0, "box": 1, "squig": 2, "pl": 2})
-    cols = ["0", "1"]
-    tables = {
-        "botop": {(): frozenset({"0", "1"})},
-        "box": _unary({"0": "0 1", "1": "1"}),
-        "squig": _table(cols, {"0": ["0 1", "0 1"], "1": ["0", "0 1"]}),
-        "pl": _table(cols, {"0": ["0", "0 1"], "1": ["0 1", "1"]}),
-    }
-    meta = {
-        "known_saturated": False,
-        "description": "two-valued non-deterministic connectives",
-    }
-    return make_matrix(sig, cols, ["1"], tables, meta=meta)
-
-
-def _sources() -> PNMatrix:
-    sig = Signature.of({"and": 2, "or": 2, "neg": 1})
-    cols = ["f", "n", "b", "t"]
-    tables = {
-        "and": _table(
-            cols,
-            {
-                "f": ["f", "f", "f", "f"],
-                "n": ["f", "f n", "f", "f n"],
-                "b": ["f", "f", "b", "b"],
-                "t": ["f", "f n", "b", "b t"],
-            },
-        ),
-        "or": _table(
-            cols,
-            {
-                "f": ["f b", "n t", "b", "t"],
-                "n": ["n t", "n t", "t", "t"],
-                "b": ["b", "t", "b", "t"],
-                "t": ["t", "t", "t", "t"],
-            },
-        ),
-        "neg": _unary({"f": "t", "n": "n", "b": "b", "t": "f"}),
-    }
-    meta = {
-        "known_saturated": True,
-        "description": "four-valued aggregation of unreliable information sources",
-    }
-    return make_matrix(sig, cols, ["b", "t"], tables, meta=meta)
-
-
-def _kleene_ks() -> PNMatrix:
-    sig = Signature.of({"and": 2, "or": 2, "neg": 1})
-    cols = ["0", "a", "b", "1"]
-    tables = {
-        "and": _table(
-            cols,
-            {
-                "0": ["0", "0", "0", "0"],
-                "a": ["0", "a", "-", "a"],
-                "b": ["0", "-", "b", "b"],
-                "1": ["0", "a", "b", "1"],
-            },
-        ),
-        "or": _table(
-            cols,
-            {
-                "0": ["0", "a", "b", "1"],
-                "a": ["a", "a", "-", "1"],
-                "b": ["b", "-", "b", "1"],
-                "1": ["1", "1", "1", "1"],
-            },
-        ),
-        "neg": _unary({"0": "1", "a": "a", "b": "b", "1": "0"}),
-    }
-    meta = {
-        "known_saturated": False,
-        "description": "partial four-valued merge of two three-valued readings",
-    }
-    return make_matrix(sig, cols, ["b", "1"], tables, meta=meta)
-
-
-def _imp_rows(middle: str) -> dict[str, list[str]]:
-    return {"0": ["1", "1", "1"], "h": ["h", middle, "1"], "1": ["0", "h", "1"]}
-
-
-def _kleene_imp() -> PNMatrix:
-    sig = Signature.of({"imp": 2})
-    cols = ["0", "h", "1"]
-    tables = {"imp": _table(cols, _imp_rows("h"))}
-    meta = {"known_saturated": False, "description": "three-valued weak implication"}
-    return make_matrix(sig, cols, ["1"], tables, meta=meta)
-
-
-def _luk_imp() -> PNMatrix:
-    sig = Signature.of({"imp": 2})
-    cols = ["0", "h", "1"]
-    tables = {"imp": _table(cols, _imp_rows("1"))}
-    meta = {"known_saturated": False, "description": "three-valued strong implication"}
-    return make_matrix(sig, cols, ["1"], tables, meta=meta)
-
-
-def _luk3() -> PNMatrix:
-    sig = Signature.of({"neg": 1, "nabla": 1, "imp": 2})
-    cols = ["0", "h", "1"]
-    tables = {
-        "neg": _unary({"0": "1", "h": "h", "1": "0"}),
-        "nabla": _unary({"0": "0", "h": "1", "1": "1"}),
-        "imp": _table(cols, _imp_rows("1")),
-    }
-    meta = {
-        "known_saturated": False,
-        "description": "three-valued logic with possibility operator",
-    }
-    return make_matrix(sig, cols, ["1"], tables, meta=meta)
-
-
-def _neg3() -> PNMatrix:
-    sig = Signature.of({"neg": 1})
-    cols = ["0", "h", "1"]
-    tables = {"neg": _unary({"0": "1", "h": "h", "1": "0"})}
-    meta = {"known_saturated": True, "description": "three-valued negation only"}
-    return make_matrix(sig, cols, ["1"], tables, meta=meta)
-
-
-_FIXTURES = {
-    "bool2": _bool2,
-    "bool2n": _bool2n,
-    "sources": _sources,
-    "kleene-ks": _kleene_ks,
-    "kleene-imp": _kleene_imp,
-    "luk-imp": _luk_imp,
-    "luk3": _luk3,
-    "neg3": _neg3,
-}
-
-_fixture_cache: dict[str, PNMatrix] = {}
-
-
-def fixture_names() -> tuple[str, ...]:
-    return tuple(sorted(_FIXTURES))
-
-
-def builtin(name: str) -> PNMatrix:
-    if name not in _FIXTURES:
-        raise KeyError(
-            f"unknown fixture {name!r}; available: {', '.join(fixture_names())}"
-        )
-    if name not in _fixture_cache:
-        _fixture_cache[name] = _FIXTURES[name]()
-    return _fixture_cache[name]
-
-
-_CALCULI = {
-    "classical": """
-        truth : - |- top
-        non-contradiction : p, neg(p) |- -
-        excluded-middle : - |- p, neg(p)
-        and-elim-1 : and(p, q) |- p
-        and-elim-2 : and(p, q) |- q
-        and-intro : p, q |- and(p, q)
-        or-intro-1 : p |- or(p, q)
-        or-intro-2 : q |- or(p, q)
-        or-elim : or(p, q) |- p, q
-        imp-cases : - |- p, imp(p, q)
-        modus-ponens : p, imp(p, q) |- q
-        imp-intro : q |- imp(p, q)
-    """,
-    "kleene-ks": """
-        and-intro : p, q |- and(p, q)
-        and-elim-1 : and(p, q) |- p
-        and-elim-2 : and(p, q) |- q
-        neg-and-intro-1 : neg(p) |- neg(and(p, q))
-        neg-and-intro-2 : neg(q) |- neg(and(p, q))
-        neg-and-elim : neg(and(p, q)) |- neg(p), neg(q)
-        or-intro-1 : p |- or(p, q)
-        or-intro-2 : q |- or(p, q)
-        neg-or-elim-1 : neg(or(p, q)) |- neg(p)
-        neg-or-elim-2 : neg(or(p, q)) |- neg(q)
-        neg-or-intro : neg(p), neg(q) |- neg(or(p, q))
-        or-elim : or(p, q) |- p, q
-        double-neg-intro : p |- neg(neg(p))
-        double-neg-elim : neg(neg(p)) |- p
-        gap-glut : p, neg(p) |- q, neg(q)
-    """,
-    "sources": """
-        and-intro : p, q |- and(p, q)
-        and-elim-1 : and(p, q) |- p
-        and-elim-2 : and(p, q) |- q
-        neg-and-intro-1 : neg(p) |- neg(and(p, q))
-        neg-and-intro-2 : neg(q) |- neg(and(p, q))
-        or-intro-1 : p |- or(p, q)
-        or-intro-2 : q |- or(p, q)
-        neg-or-elim-1 : neg(or(p, q)) |- neg(p)
-        neg-or-elim-2 : neg(or(p, q)) |- neg(q)
-        neg-or-intro : neg(p), neg(q) |- neg(or(p, q))
-        double-neg-intro : p |- neg(neg(p))
-        double-neg-elim : neg(neg(p)) |- p
-    """,
-    "bool2n": """
-        necessitation : p |- box(p)
-        modus-ponens : p, squig(p, q) |- q
-        pl-intro : p, q |- pl(p, q)
-        pl-elim : pl(p, q) |- p, q
-    """,
-}
-
-_CALC_MATRIX = {
-    "classical": "bool2",
-    "kleene-ks": "kleene-ks",
-    "sources": "sources",
-    "bool2n": "bool2n",
-}
-
-
-def calculus_names() -> tuple[str, ...]:
-    return tuple(sorted(_CALCULI))
-
-
-def builtin_calculus(name: str) -> Calculus:
-    if name not in _CALCULI:
-        raise KeyError(
-            f"unknown calculus {name!r}; available: {', '.join(calculus_names())}"
-        )
-    sig = builtin(_CALC_MATRIX[name]).sig
-    return parse_calculus(_CALCULI[name], sig)
-
-
-# ---------------------------------------------------------------------------
-# command-line interface
-# ---------------------------------------------------------------------------
+Matrix files have a `signature:` block, `values:` and `designated:` lines and
+one `table` block per connective; `-` denotes the empty output set and `*`
+the full value set.  Rule files have one `name : premises |- conclusions`
+line per rule.  The canonical writer and the reader round-trip exactly.
+"""
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -460,7 +103,7 @@ def _parse_sub_sig(spec: str, sig: Signature) -> Signature:
 
 
 def _emit(args, payload: dict, human: str) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(human)
@@ -477,99 +120,409 @@ def _cm_json(v) -> Optional[dict]:
 
 def _output_matrix(args, m: PNMatrix) -> None:
     text = format_matrix(m)
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
+# ---------------------------------------------------------------------------
+# subcommands
+# ---------------------------------------------------------------------------
+
+def _fixtures(args) -> int:
+    rows = []
+    for name in fixture_names():
+        m = builtin(name)
+        rows.append(
+            {
+                "name": name,
+                "kind": classify(m),
+                "values": len(m.values),
+                "known_saturated": bool(m.meta.get("known_saturated")),
+                "description": m.meta.get("description", ""),
+            }
+        )
+    _emit(
+        args,
+        {"verdict": "ok", "components": rows},
+        "\n".join(
+            f"{r['name']:12} {r['kind']:9} {r['values']} values  {r['description']}"
+            for r in rows
+        ),
+    )
+    return EXIT_YES
+
+
+def _parse(args) -> int:
+    m = _load_matrix(args.matrix)
+    f = parse_formula(args.formula, m.sig)
+    _emit(args, {"verdict": "ok", "witness": print_formula(f)}, print_formula(f))
+    return EXIT_YES
+
+
+def _info(args) -> int:
+    m = _load_matrix(args.matrix)
+    report = viable_components(m)
+    payload = {
+        "verdict": classify(m),
+        "components": [sorted(w) for w in report.maximal],
+        "witness": {
+            "values": list(m.values),
+            "designated": sorted(m.designated),
+            "spurious": sorted(report.spurious),
+        },
+    }
+    human = (
+        f"kind: {classify(m)}\n"
+        f"values: {' '.join(m.values)}\n"
+        f"designated: {' '.join(v for v in m.values if v in m.designated)}\n"
+        f"maximal viable: {', '.join('{' + ' '.join(sorted(w)) + '}' for w in report.maximal)}\n"
+        f"spurious: {' '.join(sorted(report.spurious)) or '(none)'}"
+    )
+    _emit(args, payload, human)
+    return EXIT_YES
+
+
+def _writes_matrix(build: Callable[..., PNMatrix]) -> Callable[..., int]:
+    """The subcommand that writes the matrix ``build(args)`` returns."""
+
+    def run(args) -> int:
+        _output_matrix(args, build(args))
+        return EXIT_YES
+
+    return run
+
+
+def _product(args) -> PNMatrix:
+    return strict_product(_load_matrix(args.left), _load_matrix(args.right))
+
+
+def _sum(args) -> PNMatrix:
+    return sum_matrices([_load_matrix(r) for r in args.matrix])
+
+
+def _power(args) -> PNMatrix:
+    return power(_load_matrix(args.matrix), args.exponent)
+
+
+def _extend(args) -> PNMatrix:
+    m = _load_matrix(args.matrix)
+    additions = {}
+    for spec in args.add:
+        if "/" not in spec:
+            raise FormatError(f"--add wants NAME/ARITY, got {spec!r}", 0)
+        name, _, arity = spec.partition("/")
+        if not arity.isdigit():
+            raise FormatError(f"bad arity in {spec!r}", 0)
+        additions[name] = int(arity)
+    return extend(m, m.sig.union(Signature.of(additions)))
+
+
+def _reduct(args) -> PNMatrix:
+    m = _load_matrix(args.matrix)
+    return reduct(m, _parse_sub_sig(args.keep, m.sig))
+
+
+def _prune(args) -> PNMatrix:
+    return prune(_load_matrix(args.matrix))
+
+
+def _decide(args) -> int:
+    m = _load_matrix(args.matrix)
+    gamma = parse_formula_list(args.premises, m.sig)
+    delta = parse_formula_list(args.conclusions, m.sig)
+    if args.mode == "single":
+        if len(delta) != 1:
+            raise FormatError("single mode takes exactly one conclusion", 0)
+        v = decide_single(m, gamma, delta[0])
+    else:
+        v = decide_multiple(m, gamma, delta)
+    payload = {"verdict": v.answer, "witness": _cm_json(v.countermodel)}
+    human = v.answer
+    if v.countermodel is not None:
+        human += "\ncountermodel: " + v.countermodel.pretty()
+    _emit(args, payload, human)
+    return EXIT_YES if v.answer == "yes" else EXIT_NO
+
+
+def _check_rules(args) -> int:
+    m = _load_matrix(args.matrix)
+    if args.rules:
+        with open(args.rules, encoding="utf-8") as fh:
+            cal = parse_calculus(fh.read(), m.sig)
+    else:
+        try:
+            cal = builtin_calculus(args.calculus)
+        except KeyError as e:
+            raise FormatError(str(e), 0) from None
+        cal = Calculus(sig=m.sig, rules=cal.rules)
+    report = calculus_sound(m, cal)
+    payload = {
+        "verdict": "all-sound" if report.all_sound else "unsound",
+        "components": [
+            {"rule": r.name, "sound": v.answer == "yes"}
+            for r, v in report.per_rule
+        ],
+    }
+    lines = [
+        f"{r.name}: {'sound' if v.answer == 'yes' else 'NOT sound'}"
+        for r, v in report.per_rule
+    ]
+    _emit(args, payload, "\n".join(lines))
+    return EXIT_YES if report.all_sound else EXIT_NO
+
+
+def _separators(args) -> int:
+    m = _load_matrix(args.matrix)
+    pair = [x.strip() for x in args.pair.split(",")]
+    if len(pair) != 2:
+        raise FormatError("--pair wants two comma-separated values", 0)
+    target = reduct(m, _parse_sub_sig(args.subsignature, m.sig)) if args.subsignature else m
+    bounds = SeparatorBounds(max_depth=args.max_depth)
+    f = find_separator(target, pair[0], pair[1], bounds=bounds)
+    if f is None:
+        _emit(
+            args,
+            {"verdict": "not-found", "bounds": {"max_depth": args.max_depth}},
+            "not found within bounds",
+        )
+        return EXIT_UNKNOWN
+    _emit(args, {"verdict": "found", "witness": print_formula(f)}, print_formula(f))
+    return EXIT_YES
+
+
+def _monadic(args) -> int:
+    m = _load_matrix(args.matrix)
+    sub_sig = _parse_sub_sig(args.subsignature, m.sig) if args.subsignature else None
+    table = monadicity_report(m, sub_sig, bounds=SeparatorBounds(max_depth=args.max_depth))
+    payload = {
+        "verdict": "monadic" if table.monadic else "not-shown-monadic",
+        "components": [
+            {"pair": list(p), "separator": None if f is None else print_formula(f)}
+            for p, f in table.pairs
+        ],
+        "bounds": {"max_depth": args.max_depth},
+    }
+    lines = [
+        f"{x},{y}: {print_formula(f) if f is not None else 'not found'}"
+        for (x, y), f in table.pairs
+    ]
+    lines.append("monadic" if table.monadic else "not shown monadic within bounds")
+    _emit(args, payload, "\n".join(lines))
+    return EXIT_YES if table.monadic else EXIT_UNKNOWN
+
+
+def _refute_saturation(args) -> int:
+    m = _load_matrix(args.matrix)
+    result = refute_saturation(m)
+    bounds = result.bounds.__dict__
+    if result.refuted:
+        _emit(
+            args,
+            {
+                "verdict": "refuted",
+                "witness": {
+                    "gamma0": [print_formula(f) for f in result.witness.gamma0],
+                    "phi": [print_formula(f) for f in result.witness.phi],
+                },
+                "bounds": bounds,
+            },
+            f"not saturated: {result.witness.pretty()}",
+        )
+        return EXIT_NO
+    _emit(
+        args,
+        {"verdict": "none-found", "witness": None, "bounds": bounds},
+        "no counterexample within bounds",
+    )
+    return EXIT_UNKNOWN
+
+
+def _split_advice(args) -> int:
+    m = _load_matrix(args.matrix)
+    sig1 = _parse_sub_sig(args.first, m.sig)
+    sig2 = _parse_sub_sig(args.second, m.sig)
+    sv = split_advice(m, sig1, sig2, samples=args.samples)
+    payload = {
+        "verdict": sv.verdict,
+        "witness": [d.pretty() for d in sv.divergences],
+        "components": {
+            "monadic": sv.separators.monadic,
+            "saturation_refuted": sv.saturation.refuted,
+            "samples_run": sv.samples_run,
+        },
+        "bounds": {"samples": args.samples},
+    }
+    lines = [f"verdict: {sv.verdict}"]
+    lines += [d.pretty() for d in sv.divergences]
+    _emit(args, payload, "\n".join(lines))
+    if sv.verdict == "unsafe-evidence":
+        return EXIT_NO
+    if sv.verdict == "inconclusive":
+        return EXIT_UNKNOWN
+    return EXIT_YES
+
+
+def _combine(args) -> int:
+    left, right = _load_matrix(args.left), _load_matrix(args.right)
+    if args.mode == "multiple":
+        combined = combine_multiple(left, right)
+    elif args.power:
+        combined = combine_single_power(left, right, args.power)
+    else:
+        try:
+            combined = combine_single_saturated(left, right)
+        except SaturationRefused as e:
+            _emit(args, {"verdict": "refused", "witness": str(e)}, f"refused: {e}")
+            return EXIT_NO
+    if not args.json or args.output:
+        _output_matrix(args, combined.product)
+    if args.json:
+        print(json.dumps({"verdict": combined.status}, indent=2))
+    return EXIT_YES
+
+
+def _decide_combined(args) -> int:
+    left, right = _load_matrix(args.left), _load_matrix(args.right)
+    union = left.sig.union(right.sig)
+    gamma = parse_formula_list(args.premises, union)
+    delta = parse_formula_list(args.conclusions, union)
+    extra = parse_formula_list(args.context, union)
+    decision = decide_combined_ctx(
+        left, right, gamma, delta, mode=args.mode, ctx_extra=extra
+    )
+    payload = {
+        "verdict": decision.answer,
+        "witness": None
+        if decision.failing_partition is None
+        else {
+            "low": [print_formula(f) for f in decision.failing_partition[0]],
+            "high": [print_formula(f) for f in decision.failing_partition[1]],
+        },
+        "components": {"certified": decision.certified},
+    }
+    human = decision.answer + ("" if decision.certified else " (not certified)")
+    if decision.failing_partition is not None:
+        low, high = decision.failing_partition
+        human += (
+            "\nfailing partition: "
+            + ", ".join(print_formula(f) for f in low)
+            + " / "
+            + ", ".join(print_formula(f) for f in high)
+        )
+    _emit(args, payload, human)
+    return EXIT_YES if decision.answer == "yes" else EXIT_NO
+
+
+def _axiom_derive(args) -> int:
+    m = _load_matrix(args.matrix)
+    axioms = AxiomSet(
+        name="cli", axioms=parse_formula_list(args.axioms, m.sig)
+    )
+    gamma = parse_formula_list(args.premises, m.sig)
+    a = parse_formula(args.conclusion, m.sig)
+    decision = decide_with_axioms(m, axioms, gamma, a, max_depth=args.depth)
+    payload = {
+        "verdict": decision.answer,
+        "bounds": {"depth": args.depth, "instances": decision.instances_used},
+    }
+    _emit(args, payload, decision.answer + (f" ({decision.note})" if decision.note else ""))
+    return EXIT_YES if decision.answer == "yes" else EXIT_UNKNOWN
+
+
+# ---------------------------------------------------------------------------
+# parser and entry points
+# ---------------------------------------------------------------------------
+
 def build_parser() -> _Parser:
-    parser = _Parser(prog="pnmatrix", description=__doc__)
+    parser = _Parser(prog="pnmatrix", description=_DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def cmd(name, help_text, **kwargs):
+    def cmd(name, help_text, run, **kwargs):
         p = sub.add_parser(name, help=help_text, **kwargs)
         p.add_argument("--json", action="store_true", help="machine-readable output")
+        p.set_defaults(run=run)
         return p
 
-    p = cmd("fixtures", "list the builtin matrices")
+    cmd("fixtures", "list the builtin matrices", _fixtures)
 
-    p = cmd("parse", "parse a formula and print its canonical form")
+    p = cmd("parse", "parse a formula and print its canonical form", _parse)
     p.add_argument("--matrix", required=True, help="matrix file or fixture (for the signature)")
     p.add_argument("--formula", required=True)
 
-    p = cmd("info", "classification and viability report of a matrix")
+    p = cmd("info", "classification and viability report of a matrix", _info)
     p.add_argument("--matrix", required=True)
 
-    p = cmd("product", "strict product of two matrices")
+    p = cmd("product", "strict product of two matrices", _writes_matrix(_product))
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--output", help="write the result here instead of stdout")
 
-    p = cmd("sum", "sum of matrices over a common signature")
+    p = cmd("sum", "sum of matrices over a common signature", _writes_matrix(_sum))
     p.add_argument("--matrix", action="append", required=True, help="repeatable")
     p.add_argument("--output")
 
-    p = cmd("power", "finite power of a matrix")
+    p = cmd("power", "finite power of a matrix", _writes_matrix(_power))
     p.add_argument("--matrix", required=True)
     p.add_argument("--exponent", type=int, required=True)
     p.add_argument("--output")
 
-    p = cmd("extend", "extend with fully non-deterministic connectives")
+    p = cmd("extend", "extend with fully non-deterministic connectives", _writes_matrix(_extend))
     p.add_argument("--matrix", required=True)
     p.add_argument("--add", action="append", required=True, metavar="NAME/ARITY")
     p.add_argument("--output")
 
-    p = cmd("reduct", "restrict to a subsignature")
+    p = cmd("reduct", "restrict to a subsignature", _writes_matrix(_reduct))
     p.add_argument("--matrix", required=True)
     p.add_argument("--keep", required=True, help="comma-separated connectives")
     p.add_argument("--output")
 
-    p = cmd("prune", "drop values no valuation can use")
+    p = cmd("prune", "drop values no valuation can use", _writes_matrix(_prune))
     p.add_argument("--matrix", required=True)
     p.add_argument("--output")
 
-    p = cmd("decide", "decide a consequence query over a matrix")
+    p = cmd("decide", "decide a consequence query over a matrix", _decide)
     p.add_argument("--matrix", required=True)
     p.add_argument("--mode", choices=["single", "multiple"], default="multiple")
     p.add_argument("--premises", default="-")
     p.add_argument("--conclusions", default="-")
 
-    p = cmd("check-rules", "check every rule of a calculus for soundness")
+    p = cmd("check-rules", "check every rule of a calculus for soundness", _check_rules)
     p.add_argument("--matrix", required=True)
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--rules", help="rule file")
     g.add_argument("--calculus", help="builtin calculus name")
 
-    p = cmd("separators", "search for a formula separating two values")
+    p = cmd("separators", "search for a formula separating two values", _separators)
     p.add_argument("--matrix", required=True)
     p.add_argument("--pair", required=True, metavar="X,Y")
     p.add_argument("--subsignature", help="comma-separated connectives")
     p.add_argument("--max-depth", type=int, default=3)
 
-    p = cmd("monadic", "separator table over all usable value pairs")
+    p = cmd("monadic", "separator table over all usable value pairs", _monadic)
     p.add_argument("--matrix", required=True)
     p.add_argument("--subsignature")
     p.add_argument("--max-depth", type=int, default=3)
 
-    p = cmd("refute-saturation", "bounded search for a saturation counterexample")
+    p = cmd("refute-saturation", "bounded search for a saturation counterexample", _refute_saturation)
     p.add_argument("--matrix", required=True)
 
-    p = cmd("split-advice", "assess splitting a matrix into two reducts")
+    p = cmd("split-advice", "assess splitting a matrix into two reducts", _split_advice)
     p.add_argument("--matrix", required=True)
     p.add_argument("--first", required=True, help="comma-separated connectives")
     p.add_argument("--second", required=True)
     p.add_argument("--samples", type=int, default=200)
 
-    p = cmd("combine", "combine two logics via the strict product")
+    p = cmd("combine", "combine two logics via the strict product", _combine)
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--mode", choices=["single", "multiple"], default="multiple")
     p.add_argument("--power", type=int, help="use finite powers of the inputs (single mode)")
     p.add_argument("--output")
 
-    p = cmd("decide-combined", "decide over a combination using only its parts")
+    p = cmd("decide-combined", "decide over a combination using only its parts", _decide_combined)
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--mode", choices=["single", "multiple"], default="multiple")
@@ -577,7 +530,7 @@ def build_parser() -> _Parser:
     p.add_argument("--conclusions", default="-")
     p.add_argument("--context", default="-", help="extra context formulas")
 
-    p = cmd("axiom-derive", "consequence strengthened by axiom schemata")
+    p = cmd("axiom-derive", "consequence strengthened by axiom schemata", _axiom_derive)
     p.add_argument("--matrix", required=True)
     p.add_argument("--axioms", required=True, help="comma-separated axiom schemata")
     p.add_argument("--premises", default="-")
@@ -587,300 +540,17 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _run(args) -> int:
-    if args.command == "fixtures":
-        rows = []
-        for name in fixture_names():
-            m = builtin(name)
-            rows.append(
-                {
-                    "name": name,
-                    "kind": classify(m),
-                    "values": len(m.values),
-                    "known_saturated": bool(m.meta.get("known_saturated")),
-                    "description": m.meta.get("description", ""),
-                }
-            )
-        _emit(
-            args,
-            {"verdict": "ok", "components": rows},
-            "\n".join(
-                f"{r['name']:12} {r['kind']:9} {r['values']} values  {r['description']}"
-                for r in rows
-            ),
-        )
-        return EXIT_YES
-
-    if args.command == "parse":
-        m = _load_matrix(args.matrix)
-        f = parse_formula(args.formula, m.sig)
-        _emit(args, {"verdict": "ok", "witness": print_formula(f)}, print_formula(f))
-        return EXIT_YES
-
-    if args.command == "info":
-        m = _load_matrix(args.matrix)
-        report = viable_components(m)
-        payload = {
-            "verdict": classify(m),
-            "components": [sorted(w) for w in report.maximal],
-            "witness": {
-                "values": list(m.values),
-                "designated": sorted(m.designated),
-                "spurious": sorted(report.spurious),
-            },
-        }
-        human = (
-            f"kind: {classify(m)}\n"
-            f"values: {' '.join(m.values)}\n"
-            f"designated: {' '.join(v for v in m.values if v in m.designated)}\n"
-            f"maximal viable: {', '.join('{' + ' '.join(sorted(w)) + '}' for w in report.maximal)}\n"
-            f"spurious: {' '.join(sorted(report.spurious)) or '(none)'}"
-        )
-        _emit(args, payload, human)
-        return EXIT_YES
-
-    if args.command == "product":
-        m = strict_product(_load_matrix(args.left), _load_matrix(args.right))
-        _output_matrix(args, m)
-        return EXIT_YES
-
-    if args.command == "sum":
-        m = sum_matrices([_load_matrix(r) for r in args.matrix])
-        _output_matrix(args, m)
-        return EXIT_YES
-
-    if args.command == "power":
-        m = power(_load_matrix(args.matrix), args.exponent)
-        _output_matrix(args, m)
-        return EXIT_YES
-
-    if args.command == "extend":
-        m = _load_matrix(args.matrix)
-        additions = {}
-        for spec in args.add:
-            if "/" not in spec:
-                raise FormatError(f"--add wants NAME/ARITY, got {spec!r}", 0)
-            name, _, arity = spec.partition("/")
-            if not arity.isdigit():
-                raise FormatError(f"bad arity in {spec!r}", 0)
-            additions[name] = int(arity)
-        big = m.sig.union(Signature.of(additions))
-        _output_matrix(args, extend(m, big))
-        return EXIT_YES
-
-    if args.command == "reduct":
-        m = _load_matrix(args.matrix)
-        _output_matrix(args, reduct(m, _parse_sub_sig(args.keep, m.sig)))
-        return EXIT_YES
-
-    if args.command == "prune":
-        _output_matrix(args, prune(_load_matrix(args.matrix)))
-        return EXIT_YES
-
-    if args.command == "decide":
-        m = _load_matrix(args.matrix)
-        gamma = parse_formula_list(args.premises, m.sig)
-        delta = parse_formula_list(args.conclusions, m.sig)
-        if args.mode == "single":
-            if len(delta) != 1:
-                raise FormatError("single mode takes exactly one conclusion", 0)
-            v = decide_single(m, gamma, delta[0])
-        else:
-            v = decide_multiple(m, gamma, delta)
-        payload = {"verdict": v.answer, "witness": _cm_json(v.countermodel)}
-        human = v.answer
-        if v.countermodel is not None:
-            human += "\ncountermodel: " + v.countermodel.pretty()
-        _emit(args, payload, human)
-        return EXIT_YES if v.answer == "yes" else EXIT_NO
-
-    if args.command == "check-rules":
-        m = _load_matrix(args.matrix)
-        if args.rules:
-            with open(args.rules, encoding="utf-8") as fh:
-                cal = parse_calculus(fh.read(), m.sig)
-        else:
-            try:
-                cal = builtin_calculus(args.calculus)
-            except KeyError as e:
-                raise FormatError(str(e), 0) from None
-            cal = Calculus(sig=m.sig, rules=cal.rules)
-        report = calculus_sound(m, cal)
-        payload = {
-            "verdict": "all-sound" if report.all_sound else "unsound",
-            "components": [
-                {"rule": r.name, "sound": v.answer == "yes"}
-                for r, v in report.per_rule
-            ],
-        }
-        lines = [
-            f"{r.name}: {'sound' if v.answer == 'yes' else 'NOT sound'}"
-            for r, v in report.per_rule
-        ]
-        _emit(args, payload, "\n".join(lines))
-        return EXIT_YES if report.all_sound else EXIT_NO
-
-    if args.command == "separators":
-        m = _load_matrix(args.matrix)
-        pair = [x.strip() for x in args.pair.split(",")]
-        if len(pair) != 2:
-            raise FormatError("--pair wants two comma-separated values", 0)
-        target = reduct(m, _parse_sub_sig(args.subsignature, m.sig)) if args.subsignature else m
-        bounds = SeparatorBounds(max_depth=args.max_depth)
-        f = find_separator(target, pair[0], pair[1], bounds=bounds)
-        if f is None:
-            _emit(
-                args,
-                {"verdict": "not-found", "bounds": {"max_depth": args.max_depth}},
-                "not found within bounds",
-            )
-            return EXIT_UNKNOWN
-        _emit(args, {"verdict": "found", "witness": print_formula(f)}, print_formula(f))
-        return EXIT_YES
-
-    if args.command == "monadic":
-        m = _load_matrix(args.matrix)
-        sub_sig = _parse_sub_sig(args.subsignature, m.sig) if args.subsignature else None
-        table = monadicity_report(m, sub_sig, bounds=SeparatorBounds(max_depth=args.max_depth))
-        payload = {
-            "verdict": "monadic" if table.monadic else "not-shown-monadic",
-            "components": [
-                {"pair": list(p), "separator": None if f is None else print_formula(f)}
-                for p, f in table.pairs
-            ],
-            "bounds": {"max_depth": args.max_depth},
-        }
-        lines = [
-            f"{x},{y}: {print_formula(f) if f is not None else 'not found'}"
-            for (x, y), f in table.pairs
-        ]
-        lines.append("monadic" if table.monadic else "not shown monadic within bounds")
-        _emit(args, payload, "\n".join(lines))
-        return EXIT_YES if table.monadic else EXIT_UNKNOWN
-
-    if args.command == "refute-saturation":
-        m = _load_matrix(args.matrix)
-        result = refute_saturation(m)
-        bounds = result.bounds.__dict__
-        if result.refuted:
-            _emit(
-                args,
-                {
-                    "verdict": "refuted",
-                    "witness": {
-                        "gamma0": [print_formula(f) for f in result.witness.gamma0],
-                        "phi": [print_formula(f) for f in result.witness.phi],
-                    },
-                    "bounds": bounds,
-                },
-                f"not saturated: {result.witness.pretty()}",
-            )
-            return EXIT_NO
-        _emit(
-            args,
-            {"verdict": "none-found", "witness": None, "bounds": bounds},
-            "no counterexample within bounds",
-        )
-        return EXIT_UNKNOWN
-
-    if args.command == "split-advice":
-        m = _load_matrix(args.matrix)
-        sig1 = _parse_sub_sig(args.first, m.sig)
-        sig2 = _parse_sub_sig(args.second, m.sig)
-        sv = split_advice(m, sig1, sig2, samples=args.samples)
-        payload = {
-            "verdict": sv.verdict,
-            "witness": [d.pretty() for d in sv.divergences],
-            "components": {
-                "monadic": sv.separators.monadic,
-                "saturation_refuted": sv.saturation.refuted,
-                "samples_run": sv.samples_run,
-            },
-            "bounds": {"samples": args.samples},
-        }
-        lines = [f"verdict: {sv.verdict}"]
-        lines += [d.pretty() for d in sv.divergences]
-        _emit(args, payload, "\n".join(lines))
-        if sv.verdict == "unsafe-evidence":
-            return EXIT_NO
-        if sv.verdict == "inconclusive":
-            return EXIT_UNKNOWN
-        return EXIT_YES
-
-    if args.command == "combine":
-        left, right = _load_matrix(args.left), _load_matrix(args.right)
-        if args.mode == "multiple":
-            combined = combine_multiple(left, right)
-        elif args.power:
-            combined = combine_single_power(left, right, args.power)
-        else:
-            try:
-                combined = combine_single_saturated(left, right)
-            except SaturationRefused as e:
-                _emit(args, {"verdict": "refused", "witness": str(e)}, f"refused: {e}")
-                return EXIT_NO
-        if not getattr(args, "json", False) or args.output:
-            _output_matrix(args, combined.product)
-        if getattr(args, "json", False):
-            print(json.dumps({"verdict": combined.status}, indent=2))
-        return EXIT_YES
-
-    if args.command == "decide-combined":
-        left, right = _load_matrix(args.left), _load_matrix(args.right)
-        union = left.sig.union(right.sig)
-        gamma = parse_formula_list(args.premises, union)
-        delta = parse_formula_list(args.conclusions, union)
-        extra = parse_formula_list(args.context, union)
-        decision = decide_combined_ctx(
-            left, right, gamma, delta, mode=args.mode, ctx_extra=extra
-        )
-        payload = {
-            "verdict": decision.answer,
-            "witness": None
-            if decision.failing_partition is None
-            else {
-                "low": [print_formula(f) for f in decision.failing_partition[0]],
-                "high": [print_formula(f) for f in decision.failing_partition[1]],
-            },
-            "components": {"certified": decision.certified},
-        }
-        human = decision.answer + ("" if decision.certified else " (not certified)")
-        if decision.failing_partition is not None:
-            low, high = decision.failing_partition
-            human += (
-                "\nfailing partition: "
-                + ", ".join(print_formula(f) for f in low)
-                + " / "
-                + ", ".join(print_formula(f) for f in high)
-            )
-        _emit(args, payload, human)
-        return EXIT_YES if decision.answer == "yes" else EXIT_NO
-
-    if args.command == "axiom-derive":
-        m = _load_matrix(args.matrix)
-        axioms = AxiomSet(
-            name="cli", axioms=parse_formula_list(args.axioms, m.sig)
-        )
-        gamma = parse_formula_list(args.premises, m.sig)
-        a = parse_formula(args.conclusion, m.sig)
-        decision = decide_with_axioms(m, axioms, gamma, a, max_depth=args.depth)
-        payload = {
-            "verdict": decision.answer,
-            "bounds": {"depth": args.depth, "instances": decision.instances_used},
-        }
-        _emit(args, payload, decision.answer + (f" ({decision.note})" if decision.note else ""))
-        return EXIT_YES if decision.answer == "yes" else EXIT_UNKNOWN
-
-    raise AssertionError(f"unhandled command {args.command!r}")
-
-
 def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _run(args)
+        return args.run(args)
     except (FormatError, ParseError, MatrixError, OSError, ValueError) as e:
         print(f"pnmatrix: error: {e}", file=sys.stderr)
+        return EXIT_ERROR
+    except RecursionError:
+        # formulas are parsed, printed and hashed recursively
+        print("pnmatrix: error: formula nested too deeply", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -6,6 +6,12 @@ values.  This module provides the matrix algebra: classification, reducts,
 fully non-deterministic extensions, strict products, sums, finite powers,
 viability analysis (spurious-value detection), pruning, and strict
 homomorphism checking.
+
+It also owns the matrix file format.  A file has a `signature:` block,
+`values:` and `designated:` lines and one `table` block per connective; `-`
+denotes the empty output set and `*` the full value set.  The canonical
+writer and the reader round-trip exactly, and `validate` rejects any name the
+format cannot carry.
 """
 
 from __future__ import annotations
@@ -87,6 +93,11 @@ def make_matrix(
     return m
 
 
+def _writable(name: str) -> bool:
+    """A matrix file splits its lines on whitespace, ':' and '#'."""
+    return bool(name) and not any(ch.isspace() or ch in ":#" for ch in name)
+
+
 def validate(m: PNMatrix) -> list[str]:
     """Check all structural invariants; return an itemized list of failures."""
     errors: list[str] = []
@@ -94,10 +105,12 @@ def validate(m: PNMatrix) -> list[str]:
     if len(m.values) != len(vals):
         errors.append("duplicate value names")
     for v in m.values:
-        # the file format splits on whitespace, ':' and '#', and reads '-'
-        # and '*' as the empty and the full cell
-        if v in ("", "-", "*") or any(ch.isspace() or ch in ":#" for ch in v):
+        # a table cell reads '-' and '*' as the empty and the full set
+        if v in ("-", "*") or not _writable(v):
             errors.append(f"value name {v!r} cannot be written to a matrix file")
+    for name in m.sig.names():
+        if not _writable(name):
+            errors.append(f"connective name {name!r} cannot be written to a matrix file")
     if not m.designated <= vals:
         errors.append(f"designated values {sorted(m.designated - vals)} not in value set")
     declared = set(m.sig.names())
@@ -134,6 +147,114 @@ def classify(m: PNMatrix) -> str:
     if det:
         return "Pmatrix"
     return "PNmatrix"
+
+
+# ---------------------------------------------------------------------------
+# Matrix files
+# ---------------------------------------------------------------------------
+
+class FormatError(ValueError):
+    def __init__(self, message: str, lineno: int):
+        super().__init__(f"line {lineno}: {message}")
+        self.lineno = lineno
+
+
+def read_matrix(text: str, meta: Optional[dict] = None) -> PNMatrix:
+    lines = text.splitlines()
+    sig_pairs: list[tuple[str, int]] = []
+    values: list[str] = []
+    designated: list[str] = []
+    tables: dict[str, dict[tuple[str, ...], frozenset[str]]] = {}
+    section = None  # None | "signature" | ("table", name)
+    seen_values = seen_designated = False
+
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line == "signature:":
+            section = "signature"
+            continue
+        if line.startswith("values:"):
+            values = line[len("values:"):].split()
+            seen_values = True
+            section = None
+            continue
+        if line.startswith("designated:"):
+            designated = line[len("designated:"):].split()
+            seen_designated = True
+            section = None
+            continue
+        if line.startswith("table ") and line.endswith(":"):
+            name = line[len("table "):-1].strip()
+            if name in tables:
+                raise FormatError(f"duplicate table for {name!r}", lineno)
+            tables[name] = {}
+            section = ("table", name)
+            continue
+        if section == "signature":
+            parts = line.split()
+            if len(parts) != 2 or not parts[1].isdigit():
+                raise FormatError(f"bad signature line {line!r}", lineno)
+            sig_pairs.append((parts[0], int(parts[1])))
+            continue
+        if isinstance(section, tuple):
+            name = section[1]
+            if ":" not in line:
+                raise FormatError(f"table row needs a ':' separator: {line!r}", lineno)
+            left, _, right = line.partition(":")
+            args = tuple(left.split())
+            out_tokens = right.split()
+            if out_tokens == ["-"]:
+                out: frozenset[str] = frozenset()
+            elif out_tokens == ["*"]:
+                out = frozenset(values)
+            else:
+                out = frozenset(out_tokens)
+            if args in tables[name]:
+                raise FormatError(f"duplicate row {' '.join(args)!r}", lineno)
+            tables[name][args] = out
+            continue
+        raise FormatError(f"unexpected line {line!r}", lineno)
+
+    if not sig_pairs:
+        raise FormatError("missing signature block", len(lines))
+    if not seen_values:
+        raise FormatError("missing values line", len(lines))
+    if not seen_designated:
+        raise FormatError("missing designated line", len(lines))
+    names = [n for n, _ in sig_pairs]
+    if len(set(names)) != len(names):
+        raise FormatError("duplicate connective in signature", len(lines))
+    try:
+        sig = Signature.of(sig_pairs)
+        return make_matrix(sig, values, designated, tables, meta=meta)
+    except (ValueError, MatrixError) as e:
+        raise FormatError(str(e), len(lines)) from None
+
+
+def format_matrix(m: PNMatrix) -> str:
+    """Canonical text form; read_matrix(format_matrix(m)) == m."""
+    out = ["signature:"]
+    for name, arity in m.sig:
+        out.append(f"  {name} {arity}")
+    out.append("values: " + " ".join(m.values))
+    out.append("designated: " + " ".join(v for v in m.values if v in m.designated))
+    full = frozenset(m.values)
+    order = {v: i for i, v in enumerate(m.values)}
+    for name, arity in m.sig:
+        out.append(f"table {name}:")
+        rows = sorted(m.tables[name], key=lambda t: tuple(order[x] for x in t))
+        for tup in rows:
+            cell = m.tables[name][tup]
+            if not cell:
+                text = "-"
+            elif cell == full:
+                text = "*"
+            else:
+                text = " ".join(v for v in m.values if v in cell)
+            out.append("  " + " ".join(tup) + " : " + text)
+    return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,7 @@ class Signature:
 
     @staticmethod
     def of(mapping: Mapping[str, int] | Iterable[tuple[str, int]]) -> "Signature":
-        items = dict(mapping).items() if isinstance(mapping, Mapping) else dict(mapping).items()
-        return Signature(tuple(sorted(items)))
+        return Signature(tuple(sorted(dict(mapping).items())))
 
     def as_dict(self) -> dict[str, int]:
         return dict(self.connectives)

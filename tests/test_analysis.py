@@ -1,3 +1,5 @@
+import pytest
+
 from pnmatrix import (
     RefutationBounds,
     SeparatorBounds,
@@ -107,3 +109,10 @@ class TestSplitAdvice:
         sv = split_advice(luk, sub_sig(luk, ["neg", "imp"]), sub_sig(luk, ["nabla"]))
         d = sv.divergences[0]
         assert decide_multiple(luk, [d.premise], [d.conclusion]).answer == "yes"
+
+    def test_negative_samples_are_rejected(self):
+        luk = builtin("luk3")
+        first, second = sub_sig(luk, ["neg", "imp"]), sub_sig(luk, ["nabla", "imp"])
+        with pytest.raises(ValueError, match="samples"):
+            split_advice(luk, first, second, samples=-1)
+        assert split_advice(luk, first, second, samples=0).samples_run == 0

@@ -53,6 +53,13 @@ class TestMatrixFiles:
         with pytest.raises(MatrixError, match="cannot be written"):
             make_matrix(sig, ["ok", bad], ["ok"], {"neg": table})
 
+    @pytest.mark.parametrize("bad", ["", "a b", "a\tb", "a:b", "x#y", "values:x", " a"])
+    def test_unwritable_connective_names_are_rejected(self, bad):
+        sig = Signature.of({bad: 1})
+        table = {("0",): {"1"}, ("1",): {"0"}}
+        with pytest.raises(MatrixError, match="cannot be written"):
+            make_matrix(sig, ["0", "1"], ["1"], {bad: table})
+
     def test_empty_and_full_cells(self):
         ks = builtin("kleene-ks")
         text = format_matrix(ks)
@@ -122,6 +129,17 @@ class TestExitCodes:
     def test_refute_saturation_codes(self):
         assert run_cli(["refute-saturation", "--matrix", "kleene-imp"]) == EXIT_NO
         assert run_cli(["refute-saturation", "--matrix", "neg3"]) == EXIT_UNKNOWN
+
+    def test_negative_samples_is_an_error(self, capsys):
+        argv = ["split-advice", "--matrix", "luk3", "--first", "neg,imp", "--second", "nabla,imp"]
+        assert run_cli(argv + ["--samples", "-1"]) == EXIT_ERROR
+        assert "samples" in capsys.readouterr().err
+
+    def test_deeply_nested_formula_is_an_error(self, capsys):
+        deep = "neg(" * 1200 + "p" + ")" * 1200
+        assert run_cli(["decide", "--matrix", "bool2", "--conclusions", deep]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("pnmatrix: error:") and err.count("\n") == 1
 
     def test_missing_subcommand_is_an_error(self):
         with pytest.raises(SystemExit) as e:
