@@ -9,17 +9,14 @@ from .syntax import (
     Substitution,
     Var,
     apply_substitution,
-    compose,
     formula_key,
     formula_size,
-    match_instance,
     parse_formula,
     parse_formula_list,
     print_formula,
     skeleton,
     subformula_closure,
     subformulas,
-    unskeleton,
     variables,
     well_formed,
 )

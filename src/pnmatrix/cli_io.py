@@ -54,6 +54,7 @@ from .syntax import (
     parse_formula,
     parse_formula_list,
     print_formula,
+    print_formulas,
 )
 
 #: the description ``pnmatrix --help`` prints
@@ -112,8 +113,9 @@ def _emit(args, payload: dict, human: str) -> None:
 def _cm_json(v) -> Optional[dict]:
     if v is None:
         return None
+    texts = print_formulas(f for f, _ in v.assignment)
     return {
-        "assignment": {print_formula(f): x for f, x in v.assignment},
+        "assignment": {t: x for t, (_, x) in zip(texts, v.assignment)},
         "component": sorted(v.component),
     }
 
@@ -547,10 +549,6 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
         return args.run(args)
     except (FormatError, ParseError, MatrixError, OSError, ValueError) as e:
         print(f"pnmatrix: error: {e}", file=sys.stderr)
-        return EXIT_ERROR
-    except RecursionError:
-        # formulas are parsed, printed and hashed recursively
-        print("pnmatrix: error: formula nested too deeply", file=sys.stderr)
         return EXIT_ERROR
 
 

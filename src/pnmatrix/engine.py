@@ -31,10 +31,12 @@ from .matrix_core import CompiledMatrix, PNMatrix, viable_components
 from .syntax import (
     App,
     Formula,
+    Signature,
     Var,
     print_formula,
+    print_formulas,
     subformula_closure,
-    well_formed,
+    well_formed_node,
 )
 
 
@@ -47,9 +49,8 @@ class Countermodel:
         return dict(self.assignment)
 
     def pretty(self) -> str:
-        return ", ".join(
-            f"{print_formula(f)} -> {v}" for f, v in self.assignment
-        )
+        texts = print_formulas(f for f, _ in self.assignment)
+        return ", ".join(f"{t} -> {v}" for t, (_, v) in zip(texts, self.assignment))
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,7 @@ class Verdict:
 # ---------------------------------------------------------------------------
 
 class _Closure:
-    """A subformula closure indexed by integers.
+    """A subformula closure, checked against a signature and indexed by integers.
 
     Node i is the i-th formula given (``node`` maps formulas to ids), and
     arguments precede the nodes that use them.  ``heads[i]`` is its
@@ -80,10 +81,13 @@ class _Closure:
     arguments.
     """
 
-    def __init__(self, formulas: Sequence[Formula]):
+    def __init__(self, formulas: Sequence[Formula], sig: Signature):
+        for f in formulas:  # each node once; the first bad one is named
+            if not well_formed_node(f, sig):
+                raise ValueError(f"formula {print_formula(f)} not well-formed over the matrix signature")
         self.node = node = {f: i for i, f in enumerate(formulas)}
-        self.heads = [f.head if isinstance(f, App) else None for f in formulas]
-        self.args = [tuple(node[a] for a in f.args) if isinstance(f, App) else () for f in formulas]
+        self.heads = [f.head for f in formulas]
+        self.args = [tuple(node[a] for a in f.args) for f in formulas]
         self.distinct = [tuple(dict.fromkeys(args)) for args in self.args]
         self.positions = [
             None if len(d) == len(args) else tuple(d.index(a) for a in args)
@@ -200,13 +204,9 @@ def decide_multiple(m: PNMatrix, gamma: Iterable[Formula], delta: Iterable[Formu
     """Does every valuation designating all of gamma designate some of delta?"""
     gamma = tuple(dict.fromkeys(gamma))
     delta = tuple(dict.fromkeys(delta))
-    for f in gamma + delta:
-        if not well_formed(f, m.sig):
-            raise ValueError(f"formula {print_formula(f)} not well-formed over the matrix signature")
-
-    comp = m.compiled
     omega = subformula_closure(gamma + delta)
-    cl = _Closure(omega)
+    cl = _Closure(omega, m.sig)
+    comp = m.compiled
     premises = [cl.node[f] for f in gamma]
     conclusions = [cl.node[f] for f in delta]
     explored_total = 0
@@ -245,16 +245,14 @@ def possible_values(m: PNMatrix, a: Formula, x: str) -> frozenset[str]:
     Enumerates prevaluations on sub(a) within each viable component containing
     x; empty when x is spurious.
     """
-    if not well_formed(a, m.sig):
-        raise ValueError(f"formula {print_formula(a)} not well-formed over the matrix signature")
     omega = subformula_closure([a])
+    cl = _Closure(omega, m.sig)
     vars_of = [g for g in omega if isinstance(g, Var)]
     if len(vars_of) > 1:
         raise ValueError("possible_values expects a formula with at most one variable")
     if x not in m.values:
         raise ValueError(f"unknown value {x!r}")
     comp = m.compiled
-    cl = _Closure(omega)
     acc: set[int] = set()
     for w_names, w in comp.components:
         if x not in w_names:

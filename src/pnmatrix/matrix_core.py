@@ -284,14 +284,14 @@ def extend(m: PNMatrix, big_sig: Signature) -> PNMatrix:
             tables[name] = {
                 tup: full for tup in itertools.product(m.values, repeat=arity)
             }
-    return PNMatrix(sig=big_sig, values=m.values, designated=m.designated, tables=tables)
+    return make_matrix(big_sig, m.values, m.designated, tables)  # rejects unwritable new names
 
 
 def rename_connectives(m: PNMatrix, renaming: Mapping[str, str]) -> PNMatrix:
     """Rename connectives (used e.g. to make two copies of a signature disjoint)."""
     sig = Signature.of({renaming.get(n, n): k for n, k in m.sig})
     tables = {renaming.get(c, c): t for c, t in m.tables.items()}
-    return PNMatrix(sig=sig, values=m.values, designated=m.designated, tables=tables, meta=dict(m.meta))
+    return make_matrix(sig, m.values, m.designated, tables, meta=m.meta)  # rejects unwritable names
 
 
 def restrict(m: PNMatrix, keep: Iterable[str]) -> PNMatrix:

@@ -4,15 +4,21 @@ Formulas are finite trees built from a countable pool of propositional
 variables and the connectives declared by a signature.  Any identifier not
 declared in the ambient signature is a variable; declared nullary connectives
 parse as applications with zero arguments.
+
+Formulas are hash-consed (Filliâtre and Conchon, "Type-safe modular
+hash-consing", 2006): ``Var``/``App`` return the one live node for their
+formula, so ``==`` is identity.  No function here recurses on formula depth.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+import threading
+import weakref
+from collections import Counter
+from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 
 class ParseError(ValueError):
@@ -42,9 +48,6 @@ class Signature:
     def of(mapping: Mapping[str, int] | Iterable[tuple[str, int]]) -> "Signature":
         return Signature(tuple(sorted(dict(mapping).items())))
 
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.connectives)
-
     @cached_property
     def _arity(self) -> dict[str, int]:
         return dict(self.connectives)
@@ -61,40 +64,28 @@ class Signature:
     def __iter__(self) -> Iterator[tuple[str, int]]:
         return iter(self.connectives)
 
-    def __len__(self) -> int:
-        return len(self.connectives)
-
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.connectives)
 
     def union(self, other: "Signature") -> "Signature":
-        merged = self.as_dict()
+        merged = dict(self._arity)
         for name, k in other.connectives:
-            if name in merged and merged[name] != k:
+            if merged.setdefault(name, k) != k:
                 raise ValueError(
                     f"connective {name!r} declared with arities {merged[name]} and {k}"
                 )
-            merged[name] = k
         return Signature.of(merged)
 
     def intersection(self, other: "Signature") -> "Signature":
-        mine, theirs = self.as_dict(), other.as_dict()
-        common = {}
-        for name, k in mine.items():
-            if name in theirs:
-                if theirs[name] != k:
-                    raise ValueError(
-                        f"connective {name!r} declared with arities {k} and {theirs[name]}"
-                    )
-                common[name] = k
-        return Signature.of(common)
+        self.union(other)  # raises on a connective declared with two arities
+        return Signature.of({n: k for n, k in self.connectives if n in other})
 
     def difference(self, other: "Signature") -> "Signature":
         theirs = other.names()
         return Signature.of({n: k for n, k in self.connectives if n not in theirs})
 
     def is_subsignature_of(self, other: "Signature") -> bool:
-        theirs = other.as_dict()
+        theirs = other._arity
         return all(theirs.get(n) == k for n, k in self.connectives)
 
 
@@ -102,109 +93,181 @@ class Signature:
 # Formulas
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+#: the live nodes, under (name,) for a variable and (head, args) for an
+#: application; weakly held, so a formula nothing else uses is freed
+_nodes: "weakref.WeakValueDictionary[tuple, Formula]" = weakref.WeakValueDictionary()
+#: one look-up-and-insert at a time; reentrant, as a collection inside may run any code
+_intern_lock = threading.RLock()
+#: larger nodes print their text when asked, so that a deep formula keeps no text per node
+_TEXT_SIZE = 64
+
+
+class _Node:
+    """What variables and applications share: one immutable node per formula,
+    which copies and pickles give back.  ``size`` counts the nodes of the
+    formula tree; ``_text`` is its printed form, or None above ``_TEXT_SIZE``."""
+
+    __slots__ = ("_text", "__weakref__")
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __copy__(self, memo=None):
+        return self
+
+    __delattr__ = __setattr__
+    __deepcopy__ = __copy__
 
     def __repr__(self) -> str:
-        return f"Var({self.name!r})"
+        return f"<{type(self).__name__} {print_formula(self)}>"
+
+    @classmethod
+    def _intern(cls, key: tuple, **fields) -> "Formula":
+        with _intern_lock:
+            node = _nodes.get(key)
+            if node is None:
+                node = object.__new__(cls)
+                for name, value in fields.items():
+                    object.__setattr__(node, name, value)
+                _nodes[key] = node
+        return node
 
 
-@dataclass(frozen=True)
-class App:
-    head: str
-    args: tuple["Formula", ...] = ()
+class Var(_Node):
+    __slots__ = ("name",)
+    head, args, size = None, (), 1  # so that formula walks need no case for variables
 
-    def __repr__(self) -> str:
-        return f"App({self.head!r}, {list(self.args)!r})"
+    def __new__(cls, name: str) -> "Var":
+        return _nodes.get((name,)) or cls._intern((name,), name=name, _text=name)
+
+    def __reduce__(self):
+        return Var, (self.name,)
+
+
+class App(_Node):
+    __slots__ = ("head", "args", "size")
+
+    def __new__(cls, head: str, args: Iterable["Formula"] = ()) -> "App":
+        args = tuple(args)
+        node = _nodes.get((head, args))
+        if node is None:
+            size = 1 + sum(a.size for a in args)
+            text = None
+            if size <= _TEXT_SIZE:  # and so are the arguments
+                text = f"{head}({', '.join(a._text for a in args)})" if args else head
+            node = cls._intern((head, args), head=head, args=args, size=size, _text=text)
+        return node
+
+    def __reduce__(self):
+        return App, (self.head, self.args)
 
 
 Formula = Union[Var, App]
 
 
+def _walk(roots: Iterable[Formula]) -> dict[Formula, None]:
+    """The distinct nodes of the roots, without recursion (a dict keeps their order fixed)."""
+    nodes: dict[Formula, None] = {}
+    stack = list(roots)
+    while stack:
+        g = stack.pop()
+        if g not in nodes:
+            nodes[g] = None
+            stack.extend(g.args)
+    return nodes
+
+
+def _rebuild(f: Formula, leaf, keep=None) -> Formula:
+    """f with each maximal subformula g that is a variable, or whose head
+    fails keep(g), replaced by leaf(g).  Post-order without recursion, so
+    leaf sees the replaced subformulas left to right."""
+    out: dict[Formula, Formula] = {}
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        kept = g.head is not None and (keep is None or keep(g))
+        todo = [a for a in g.args if a not in out] if kept else ()
+        if todo:
+            stack.extend(reversed(todo))
+            continue
+        stack.pop()
+        if g not in out:
+            out[g] = App(g.head, tuple(out[a] for a in g.args)) if kept else leaf(g)
+    return out[f]
+
+
 def print_formula(f: Formula) -> str:
     """Canonical textual form; inverse of parse_formula."""
-    if isinstance(f, Var):
-        return f.name
-    if not f.args:
-        return f.head
-    return f"{f.head}({', '.join(print_formula(a) for a in f.args)})"
+    return f._text if f._text is not None else print_formulas([f])[0]
+
+
+def print_formulas(fs: Iterable[Formula]) -> list[str]:
+    """The text of each of fs, without recursion.  A formula among fs is
+    printed once and its text reused inside the larger ones, so a closure
+    prints in linear time."""
+    fs = list(fs)
+    texts: dict[Formula, str] = {}
+    for f in sorted(set(fs), key=formula_size):
+        out, stack = [], [f]  # text pieces, and nodes and pieces still to write
+        while stack:
+            g = stack.pop()
+            text = g if isinstance(g, str) else texts.get(g, g._text)
+            if text is not None:
+                out.append(text)
+                continue
+            stack.append(")")
+            for i, a in enumerate(reversed(g.args)):
+                stack += (", ", a) if i else (a,)
+            stack.append(f"{g.head}(")
+        texts[f] = "".join(out)
+    return [texts[f] for f in fs]
 
 
 def formula_size(f: Formula) -> int:
     """Number of nodes in the formula tree (repeated subtrees counted each time)."""
-    size, stack = 0, [f]
-    while stack:
-        g = stack.pop()
-        size += 1
-        if isinstance(g, App):
-            stack.extend(g.args)
-    return size
+    return f.size
 
 
 def formula_key(f: Formula) -> tuple[int, str]:
     """Deterministic ordering key: smaller first, ties broken textually."""
-    return (formula_size(f), print_formula(f))
+    return f.size, print_formula(f)
 
 
 def subformulas(f: Formula) -> frozenset[Formula]:
-    acc: set[Formula] = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if g not in acc:
-            acc.add(g)
-            if isinstance(g, App):
-                stack.extend(g.args)
-    return frozenset(acc)
+    return frozenset(_walk([f]))
 
 
 def variables(f: Formula) -> frozenset[str]:
-    return frozenset(g.name for g in subformulas(f) if isinstance(g, Var))
+    return frozenset(g.name for g in _walk([f]) if g.head is None)
 
 
 def subformula_closure(formulas: Iterable[Formula]) -> list[Formula]:
     """All subformulas of the given set, in increasing subformula order.
 
-    The order is that of ``formula_key``.  Each node's key is built once,
-    bottom-up from its arguments' keys, so nothing is measured or printed
-    twice.
+    The order is that of ``formula_key``.  Nodes above ``_TEXT_SIZE`` are
+    printed only where another one has the same size, since only then does
+    the text decide their order.
     """
-    roots = list(formulas)  # keeps every node alive, so ids stay unique
-    key_of: dict[int, tuple[int, str]] = {}
-    keys: dict[Formula, tuple[int, str]] = {}
-    for root in roots:
-        stack = [root]
-        while stack:
-            g = stack[-1]
-            if id(g) in key_of:
-                stack.pop()
-                continue
-            if isinstance(g, Var):
-                key = (1, g.name)
-            else:
-                todo = [a for a in g.args if id(a) not in key_of]
-                if todo:
-                    stack.extend(todo)
-                    continue
-                arg_keys = [key_of[id(a)] for a in g.args]
-                key = (
-                    1 + sum(size for size, _ in arg_keys),
-                    f"{g.head}({', '.join(text for _, text in arg_keys)})" if g.args else g.head,
-                )
-            stack.pop()
-            key_of[id(g)] = key
-            keys.setdefault(g, key)
-    return [f for f, _ in sorted(keys.items(), key=itemgetter(1))]
+    nodes = _walk(formulas)
+    text: dict[Formula, str] = {}
+    big = [g for g in nodes if g._text is None]
+    if big:
+        sizes = Counter(g.size for g in big)
+        tied = [g for g in big if sizes[g.size] > 1]
+        text = dict(zip(tied, print_formulas(tied)))
+    return sorted(nodes, key=lambda g: (g.size, g._text or text.get(g, "")))
+
+
+def well_formed_node(g: Formula, sig: Signature) -> bool:
+    """True iff node g itself, not counting its arguments, fits the signature."""
+    if g.head is None:
+        return g.name not in sig
+    return g.head in sig and sig.arity(g.head) == len(g.args)
 
 
 def well_formed(f: Formula, sig: Signature) -> bool:
     """True iff every App node uses a declared connective at its declared arity."""
-    if isinstance(f, Var):
-        return f.name not in sig
-    if f.head not in sig or sig.arity(f.head) != len(f.args):
-        return False
-    return all(well_formed(a, sig) for a in f.args)
+    return all(well_formed_node(g, sig) for g in _walk([f]))
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +306,19 @@ def parse_formula(text: str, sig: Signature) -> Formula:
     Bare identifiers that are declared nullary connectives become
     zero-argument applications; undeclared identifiers become variables.
     """
+    return _parse(text, sig, many=False)[0]
+
+
+def parse_formula_list(text: str, sig: Signature) -> tuple[Formula, ...]:
+    """Parse a comma-separated (possibly empty, or `-`) list of formulas."""
+    return () if text.strip() in ("", "-") else tuple(_parse(text, sig, many=True))
+
+
+def _parse(text: str, sig: Signature, many: bool) -> list[Formula]:
+    """The formulas of text, a comma-separated list of them if many.  Open
+    applications wait on an explicit stack, so depth costs no recursion."""
     tokens = _tokenize(text)
     pos = 0
-
-    def peek():
-        return tokens[pos]
 
     def take(kind: str):
         nonlocal pos
@@ -257,58 +328,37 @@ def parse_formula(text: str, sig: Signature) -> Formula:
         pos += 1
         return tok
 
-    def formula() -> Formula:
-        kind, name, off = take("ident")
-        if peek()[0] == "(":
-            take("(")
-            args = [formula()]
-            while peek()[0] == ",":
-                take(",")
-                args.append(formula())
+    def app(name: str, args: list[Formula], off: int) -> App:
+        if name not in sig:
+            raise ParseError(f"undeclared connective {name!r}", off)
+        if sig.arity(name) != len(args):
+            raise ParseError(
+                f"connective {name!r} expects {sig.arity(name)} arguments, got {len(args)}", off
+            )
+        return App(name, args)
+
+    # (head, offset, arguments so far) of each open application, above a
+    # root entry that collects the formulas read
+    stack: list[tuple[str, int, list[Formula]]] = [("", 0, [])]
+    while True:
+        _, name, off = take("ident")
+        if tokens[pos][0] == "(":
+            pos += 1
+            stack.append((name, off, []))
+            continue
+        stack[-1][2].append(app(name, [], off) if name in sig else Var(name))
+        while len(stack) > 1 and tokens[pos][0] != ",":  # the argument ends an application
             take(")")
-            if name not in sig:
-                raise ParseError(f"undeclared connective {name!r}", off)
-            if sig.arity(name) != len(args):
-                raise ParseError(
-                    f"connective {name!r} expects {sig.arity(name)} arguments, got {len(args)}",
-                    off,
-                )
-            return App(name, tuple(args))
-        if name in sig:
-            if sig.arity(name) != 0:
-                raise ParseError(
-                    f"connective {name!r} expects {sig.arity(name)} arguments, got 0", off
-                )
-            return App(name, ())
-        return Var(name)
-
-    result = formula()
-    take("eof")
-    return result
-
-
-def parse_formula_list(text: str, sig: Signature) -> tuple[Formula, ...]:
-    """Parse a comma-separated (possibly empty) list of formulas."""
-    if not text.strip() or text.strip() == "-":
-        return ()
-    # split at top level: reuse the tokenizer to find commas at depth 0
-    tokens = _tokenize(text)
-    parts, depth, start = [], 0, 0
-    for kind, _val, off in tokens:
-        if kind == "(":
-            depth += 1
-        elif kind == ")":
-            depth -= 1
-        elif kind == "," and depth == 0:
-            parts.append(text[start:off])
-            start = off + 1
-        elif kind == "eof":
-            parts.append(text[start:])
-    return tuple(parse_formula(p, sig) for p in parts)
+            head, head_off, args = stack.pop()
+            stack[-1][2].append(app(head, args, head_off))
+        if len(stack) == 1 and not (many and tokens[pos][0] == ","):
+            take("eof")
+            return stack[0][2]
+        pos += 1  # the ',' before the next argument or formula
 
 
 # ---------------------------------------------------------------------------
-# Substitution and matching
+# Substitution
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -321,9 +371,6 @@ class Substitution:
     def of(mapping: Mapping[str, Formula]) -> "Substitution":
         return Substitution(tuple(sorted(mapping.items(), key=lambda kv: kv[0])))
 
-    def as_dict(self) -> dict[str, Formula]:
-        return dict(self.mapping)
-
     def __call__(self, name: str) -> Formula:
         for k, v in self.mapping:
             if k == name:
@@ -332,32 +379,7 @@ class Substitution:
 
 
 def apply_substitution(f: Formula, s: Substitution) -> Formula:
-    if isinstance(f, Var):
-        return s(f.name)
-    return App(f.head, tuple(apply_substitution(a, s) for a in f.args))
-
-
-def compose(tau: Substitution, sigma: Substitution) -> Substitution:
-    """(tau . sigma)(p) = tau applied to sigma(p); support is the union."""
-    support = {k for k, _ in sigma.mapping} | {k for k, _ in tau.mapping}
-    return Substitution.of({p: apply_substitution(sigma(p), tau) for p in support})
-
-
-def match_instance(candidate: Formula, schema: Formula) -> Optional[Substitution]:
-    """First-order matching: find s with apply_substitution(schema, s) == candidate."""
-    binding: dict[str, Formula] = {}
-
-    def go(c: Formula, s: Formula) -> bool:
-        if isinstance(s, Var):
-            if s.name in binding:
-                return binding[s.name] == c
-            binding[s.name] = c
-            return True
-        if isinstance(c, Var) or c.head != s.head or len(c.args) != len(s.args):
-            return False
-        return all(go(ca, sa) for ca, sa in zip(c.args, s.args))
-
-    return Substitution.of(binding) if go(candidate, schema) else None
+    return _rebuild(f, lambda g: s(g.name))
 
 
 # ---------------------------------------------------------------------------
@@ -393,22 +415,7 @@ def skeleton(f: Formula, sub_sig: Signature, mm: MonolithMap) -> tuple[Formula, 
     Connectives of sub_sig are kept; variables p are renamed to v_p; any other
     subformula is a monolith and is replaced by its fresh variable from mm.
     """
-    def go(g: Formula) -> Formula:
-        if isinstance(g, Var):
-            return Var(f"v_{g.name}")
-        if g.head in sub_sig:
-            return App(g.head, tuple(go(a) for a in g.args))
-        return Var(mm.fresh_for(g))
+    def leaf(g: Formula) -> Var:
+        return Var(f"v_{g.name}") if g.head is None else Var(mm.fresh_for(g))
 
-    return go(f), mm
-
-
-def unskeleton(f: Formula, mm: MonolithMap) -> Formula:
-    """Invert skeleton: restore monoliths and original variable names."""
-    if isinstance(f, Var):
-        if f.name in mm.monolith_of_var:
-            return mm.monolith_of_var[f.name]
-        if f.name.startswith("v_"):
-            return Var(f.name[2:])
-        raise KeyError(f"variable {f.name!r} unknown to this MonolithMap")
-    return App(f.head, tuple(unskeleton(a, mm) for a in f.args))
+    return _rebuild(f, leaf, lambda g: g.head in sub_sig), mm

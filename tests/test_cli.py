@@ -10,10 +10,12 @@ from pnmatrix import (
     MatrixError,
     Signature,
     builtin,
+    extend,
     format_matrix,
     make_matrix,
     power,
     read_matrix,
+    rename_connectives,
     run_cli,
     strict_product,
     sum_matrices,
@@ -59,6 +61,14 @@ class TestMatrixFiles:
         table = {("0",): {"1"}, ("1",): {"0"}}
         with pytest.raises(MatrixError, match="cannot be written"):
             make_matrix(sig, ["0", "1"], ["1"], {bad: table})
+
+    @pytest.mark.parametrize("bad", ["", "a b", "x#y", "values:x"])
+    def test_extend_and_rename_reject_unwritable_names(self, bad):
+        m = builtin("bool2")
+        with pytest.raises(MatrixError, match="cannot be written"):
+            extend(m, m.sig.union(Signature.of({bad: 1})))
+        with pytest.raises(MatrixError, match="cannot be written"):
+            rename_connectives(m, {"neg": bad})
 
     def test_empty_and_full_cells(self):
         ks = builtin("kleene-ks")
@@ -135,11 +145,23 @@ class TestExitCodes:
         assert run_cli(argv + ["--samples", "-1"]) == EXIT_ERROR
         assert "samples" in capsys.readouterr().err
 
-    def test_deeply_nested_formula_is_an_error(self, capsys):
+    def test_deeply_nested_formula_decides(self, capsys):
         deep = "neg(" * 1200 + "p" + ")" * 1200
-        assert run_cli(["decide", "--matrix", "bool2", "--conclusions", deep]) == EXIT_ERROR
-        err = capsys.readouterr().err
-        assert err.startswith("pnmatrix: error:") and err.count("\n") == 1
+        argv = ["decide", "--matrix", "bool2", "--conclusions", deep]
+        assert run_cli(argv) == EXIT_NO
+        capsys.readouterr()
+        assert run_cli(argv + ["--json"]) == EXIT_NO
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload["witness"]["assignment"]) == 1201
+        assert payload["witness"]["assignment"][deep] == "0"
+
+    @pytest.mark.parametrize("spec", ["x#y/1", "/1", "a b/2"])
+    def test_extend_rejects_unwritable_names(self, tmp_path, capsys, spec):
+        out = tmp_path / "f"
+        argv = ["extend", "--matrix", "bool2", "--add", spec, "--output", str(out)]
+        assert run_cli(argv) == EXIT_ERROR
+        assert "cannot be written" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_subcommand_is_an_error(self):
         with pytest.raises(SystemExit) as e:

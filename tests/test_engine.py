@@ -113,6 +113,13 @@ class TestCountermodels:
         assert v.answer == "no"
         assert check_countermodel(m, gamma, delta, v.countermodel) == []
 
+    def test_deep_formula_decides(self):
+        m = builtin("bool2")
+        delta = [parse_formula("neg(" * 1200 + "p" + ")" * 1200, m.sig)]
+        v = decide_multiple(m, [], delta)
+        assert v.answer == "no" and len(v.countermodel.assignment) == 1201
+        assert check_countermodel(m, [], delta, v.countermodel) == []
+
 
 class TestDerivedState:
     """A matrix's viability report and compiled form live on the matrix."""

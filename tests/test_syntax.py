@@ -1,6 +1,11 @@
+import copy
 import gc
+import importlib.util
 import pickle
+import sys
+import threading
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,22 +18,32 @@ from pnmatrix import (
     Substitution,
     Var,
     apply_substitution,
-    compose,
+    builtin,
+    decide_multiple,
     formula_key,
     formula_size,
-    match_instance,
     parse_formula,
     parse_formula_list,
     print_formula,
     skeleton,
     subformula_closure,
     subformulas,
-    unskeleton,
     variables,
     well_formed,
 )
 
 SIG = Signature.of({"top": 0, "neg": 1, "and": 2, "imp": 2})
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def unskeleton(f, mm):
+    """Undo skeleton: restore the monoliths and the original variable names."""
+    if isinstance(f, Var):
+        if f.name in mm.monolith_of_var:
+            return mm.monolith_of_var[f.name]
+        assert f.name.startswith("v_")
+        return Var(f.name[2:])
+    return App(f.head, tuple(unskeleton(a, mm) for a in f.args))
 
 
 def formulas(max_depth=3):
@@ -135,30 +150,6 @@ class TestSubformulas:
         assert not well_formed(Var("neg"), SIG)
 
 
-class TestSubstitution:
-    @given(formulas(), formulas())
-    def test_composition_agrees_with_sequential_application(self, f, g):
-        sigma = Substitution.of({"p": g, "q": Var("p")})
-        tau = Substitution.of({"p": Var("q"), "r": g})
-        assert apply_substitution(f, compose(tau, sigma)) == apply_substitution(
-            apply_substitution(f, sigma), tau
-        )
-
-    @given(formulas())
-    def test_matching_recovers_the_instance(self, f):
-        schema = parse_formula("imp(p, q)", SIG)
-        candidate = App("imp", (f, App("neg", (f,))))
-        s = match_instance(candidate, schema)
-        assert s is not None
-        assert apply_substitution(schema, s) == candidate
-
-    def test_matching_rejects_mismatch(self):
-        assert match_instance(Var("p"), parse_formula("neg(p)", SIG)) is None
-        # non-linear schema: both occurrences must agree
-        schema = parse_formula("and(p, p)", SIG)
-        assert match_instance(parse_formula("and(p, q)", SIG), schema) is None
-
-
 class TestSkeleton:
     def test_monoliths_share_fresh_variables(self):
         sub = Signature.of({"neg": 1})
@@ -178,8 +169,142 @@ class TestSkeleton:
         sub = Signature.of({"imp": 2, "neg": 1})
         mm = MonolithMap()
         s, _ = skeleton(f, sub, mm)
-        assert unskeleton(s, mm) == f
+        assert unskeleton(s, mm) is f
 
-    def test_unknown_variable_rejected(self):
-        with pytest.raises(KeyError):
-            unskeleton(Var("m7"), MonolithMap())
+
+class TestInterning:
+    """Var and App return the one live node for their formula."""
+
+    @given(formulas())
+    def test_equal_formulas_are_one_node(self, f):
+        assert parse_formula(print_formula(f), SIG) is f
+        if isinstance(f, App):
+            assert App(f.head, f.args) is f
+            assert App(f.head, list(f.args)) is f
+        assert copy.copy(f) is f
+        assert copy.deepcopy(f) is f
+        assert pickle.loads(pickle.dumps(f)) is f
+
+    def test_identity_is_equality(self):
+        for cls in (Var, App):
+            assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls)
+        assert Var("p") is Var("p") and Var("p") is not Var("q")
+        assert App("top") is App("top", ()) and App("top", ()) is not Var("top")
+        assert App("neg", (Var("p"),)) is not App("neg", (Var("q"),))
+
+    def test_nodes_are_immutable(self):
+        f = App("neg", (Var("p"),))
+        with pytest.raises(AttributeError):
+            f.head = "and"
+        with pytest.raises(AttributeError):
+            del Var("p").name
+
+    def test_table_holds_nodes_weakly(self):
+        from pnmatrix.syntax import _nodes
+
+        gc.collect()
+        before = len(_nodes)
+        fresh = [App("and", (Var(f"fresh{i}"), App("neg", (Var("p"),)))) for i in range(10_000)]
+        assert len(_nodes) >= before + 20_000
+        del fresh
+        gc.collect()
+        assert len(_nodes) == before
+
+    def test_threads_share_nodes(self):
+        def build(out):
+            out.extend(App("imp", (Var(f"t{i}"), App("neg", (Var(f"t{i}"),)))) for i in range(2000))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = [[] for _ in range(4)]
+            threads = [threading.Thread(target=build, args=(out,)) for out in results]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(len(out) == 2000 for out in results)
+        assert all(a is b for out in results[1:] for a, b in zip(results[0], out))
+
+    def test_clearing_the_benchmark_caches_keeps_nodes(self, monkeypatch):
+        # perfbench empties every module-level cache of the library before each pass
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+        spec.loader.exec_module(workloads)
+        m = builtin("bool2")
+        text = "imp(and(p, neg(q)), or(q, p))"
+        f = parse_formula(text, m.sig)
+        first = decide_multiple(m, [f], [Var("p")])
+        workloads.clear_library_caches()
+        g = parse_formula(text, m.sig)
+        assert g is f
+        again = decide_multiple(m, [g], [Var("p")])
+        assert again.countermodel == first.countermodel is not None
+
+
+DEPTH = 5000
+
+
+def nested(head, depth, leaf="p"):
+    """The text of head applied `depth` times, right-nested, around `leaf`."""
+    opening = f"{head}(" if head == "neg" else f"{head}(q, "
+    return opening * depth + leaf + ")" * depth
+
+
+class TestDeepFormulas:
+    """No formula walk recurses, so depth is bounded by memory alone."""
+
+    @pytest.fixture(autouse=True)
+    def recursion_limit_unchanged(self):
+        limit = sys.getrecursionlimit()
+        yield
+        assert sys.getrecursionlimit() == limit
+
+    @pytest.mark.parametrize("head", ["neg", "and"])
+    def test_parse_and_print(self, head):
+        text = nested(head, DEPTH)
+        f = parse_formula(text, SIG)
+        assert formula_size(f) == (DEPTH + 1 if head == "neg" else 2 * DEPTH + 1)
+        assert print_formula(f) == text
+        assert repr(f) == f"<App {text}>"
+        assert parse_formula(text, SIG) is f
+
+    def test_parse_errors_are_parse_errors(self):
+        with pytest.raises(ParseError) as e:
+            parse_formula(nested("neg", DEPTH)[:-1], SIG)
+        assert e.value.offset == len(nested("neg", DEPTH)) - 1
+        with pytest.raises(ParseError):
+            parse_formula(nested("neg", DEPTH, leaf="and(p)"), SIG)
+
+    @pytest.mark.parametrize("head", ["neg", "and"])
+    def test_walks(self, head):
+        f = parse_formula(nested(head, DEPTH), SIG)
+        assert well_formed(f, SIG)
+        assert not well_formed(f, SIG.union(Signature.of({"p": 0})))  # the innermost node
+        assert variables(f) == ({"p"} if head == "neg" else {"p", "q"})
+        assert len(subformula_closure([f])) == len(subformulas(f))
+        s = Substitution.of({"p": App("top", ())})
+        assert apply_substitution(f, s) is parse_formula(nested(head, DEPTH, leaf="top"), SIG)
+
+    def test_large_nodes_of_equal_size_are_ordered_by_text(self):
+        p, q = (parse_formula(nested("neg", 300, leaf=v), SIG) for v in ("p", "q"))
+        for roots in ([p, q], [q, p]):
+            omega = subformula_closure(roots)
+            assert omega == sorted(omega, key=formula_key)
+            assert omega[-2:] == [p, q]
+
+    def test_skeleton(self):
+        f = parse_formula(nested("neg", DEPTH, leaf="and(p, q)"), SIG)
+        mm = MonolithMap()
+        s, _ = skeleton(f, Signature.of({"neg": 1}), mm)
+        assert s is parse_formula(nested("neg", DEPTH, leaf="m1"), SIG)
+        assert print_formula(mm.monolith_of_var["m1"]) == "and(p, q)"
+        assert skeleton(f, SIG, MonolithMap())[0] is parse_formula(
+            nested("neg", DEPTH, leaf="and(v_p, v_q)"), SIG
+        )
