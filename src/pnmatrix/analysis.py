@@ -250,7 +250,7 @@ def refute_saturation(
     no witness exists within these bounds.
     """
     variables = ("p", "q", "r", "s", "t")[: bounds.max_vars]
-    pool = formula_pool(m.sig, variables, bounds.max_depth, cap=10 ** 6)[: bounds.max_pool]
+    pool = formula_pool(m.sig, variables, bounds.max_depth, cap=bounds.max_pool)
     bases: list[tuple[Formula, ...]] = []
     for size in range(bounds.max_premises + 1):
         bases.extend(itertools.combinations(pool, size))

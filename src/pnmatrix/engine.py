@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Optional, Sequence
 
-from .matrix_core import CompiledMatrix, PNMatrix, viable_components
+from .matrix_core import CompiledMatrix, PNMatrix, mask_bits, viable_components
 from .syntax import (
     App,
     Formula,
@@ -59,7 +59,6 @@ class Verdict:
     countermodel: Optional[Countermodel] = None
     components_tried: int = 0
     assignments_explored: int = 0
-    note: str = ""
 
     def __bool__(self) -> bool:
         return self.answer == "yes"
@@ -99,16 +98,6 @@ class _Closure:
                 self.parents[a].append(i)
 
 
-def _bits(mask: int) -> list[int]:
-    """The set bits of a mask (value indices), in ascending order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _propagate(cl: _Closure, comp: CompiledMatrix, dom: list[int]) -> bool:
     """Arc consistency over the closure; False if some domain empties.
 
@@ -128,7 +117,7 @@ def _propagate(cl: _Closure, comp: CompiledMatrix, dom: list[int]) -> bool:
         distinct, positions = cl.distinct[i], cl.positions[i]
         out = 0
         support = [0] * len(distinct)
-        for combo in product(*(_bits(dom[g]) for g in distinct)):
+        for combo in product(*(mask_bits(dom[g]) for g in distinct)):
             hit = table[combo if positions is None else tuple(combo[k] for k in positions)] & own
             if hit:
                 out |= hit
@@ -176,9 +165,9 @@ def _search_component(comp: CompiledMatrix, cl: _Closure, dom: list[int], collec
 
     def candidates(i: int):
         if heads[i] is None:
-            return iter(_bits(dom[i]))
+            return iter(mask_bits(dom[i]))
         entry = tables[heads[i]][tuple(assignment[a] for a in args[i])]
-        return iter(_bits(entry & dom[i]))
+        return iter(mask_bits(entry & dom[i]))
 
     # depth-first over node ids, one candidate iterator per assigned node
     stack = [candidates(0)]

@@ -4,8 +4,9 @@ A PNMatrix carries a finite ordered value set, a designated subset and, for
 each connective, a total table from value tuples to (possibly empty) sets of
 values.  This module provides the matrix algebra: classification, reducts,
 fully non-deterministic extensions, strict products, sums, finite powers,
-viability analysis (spurious-value detection), pruning, and strict
-homomorphism checking.
+viability analysis (maximal viable sets, found once per matrix in its
+``CompiledMatrix`` by branching on violated table entries, with no carrier
+cap beyond ``VALUE_CAP``), pruning, and strict homomorphism checking.
 
 It also owns the matrix file format.  A file has a `signature:` block,
 `values:` and `designated:` lines and one `table` block per connective; `-`
@@ -23,8 +24,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .syntax import Signature
 
-#: caps guarding the exponential constructions
-VIABILITY_CAP = 16
+#: cap guarding the exponential constructions
 VALUE_CAP = 4096
 
 Table = Mapping[tuple[str, ...], frozenset[str]]
@@ -46,10 +46,6 @@ class PNMatrix:
     def entry(self, conn: str, args: tuple[str, ...]) -> frozenset[str]:
         return self.tables[conn][args]
 
-    @property
-    def undesignated(self) -> frozenset[str]:
-        return frozenset(self.values) - self.designated
-
     def is_total(self) -> bool:
         return all(e for t in self.tables.values() for e in t.values())
 
@@ -61,10 +57,6 @@ class PNMatrix:
 
     def __getstate__(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @cached_property
-    def _viability(self) -> "ViabilityReport":
-        return _scan_viability(self)
 
     @cached_property
     def compiled(self) -> "CompiledMatrix":
@@ -289,8 +281,12 @@ def extend(m: PNMatrix, big_sig: Signature) -> PNMatrix:
 
 def rename_connectives(m: PNMatrix, renaming: Mapping[str, str]) -> PNMatrix:
     """Rename connectives (used e.g. to make two copies of a signature disjoint)."""
-    sig = Signature.of({renaming.get(n, n): k for n, k in m.sig})
-    tables = {renaming.get(c, c): t for c, t in m.tables.items()}
+    new = {n: renaming.get(n, n) for n in m.sig.names()}
+    for a, b in itertools.combinations(new, 2):
+        if new[a] == new[b]:
+            raise MatrixError(f"renaming gives {a!r} and {b!r} the same name {new[a]!r}")
+    sig = Signature.of({new[n]: k for n, k in m.sig})
+    tables = {new[c]: t for c, t in m.tables.items()}
     return make_matrix(sig, m.values, m.designated, tables, meta=m.meta)  # rejects unwritable names
 
 
@@ -438,46 +434,22 @@ class ViabilityReport:
     spurious: frozenset[str]
 
 
-def _is_viable(m: PNMatrix, w: frozenset[str]) -> bool:
-    for name, arity in m.sig:
-        table = m.tables[name]
-        for tup in itertools.product(sorted(w), repeat=arity):
-            if not table[tup] & w:
-                return False
-    return True
-
-
 def viable_components(m: PNMatrix) -> ViabilityReport:
-    """Exhaustive subset scan for the maximal viable value sets.
+    """The viability report of m, computed once per matrix object.
 
-    Output order: by descending size, then lexicographically on the sorted
-    member list.  The scan runs once per matrix object.
+    Maximal sets come by descending size, then by the sorted member list.
     """
-    return m._viability
+    return m.compiled.viability
 
 
-def _scan_viability(m: PNMatrix) -> ViabilityReport:
-    if len(m.values) > VIABILITY_CAP:
-        raise MatrixError(
-            f"viability scan over {len(m.values)} values exceeds cap {VIABILITY_CAP}"
-        )
-    n = len(m.values)
-    maximal: list[frozenset[str]] = []
-    # scan subsets from large to small so maximality is a simple containment check
-    for size in range(n, 0, -1):
-        for combo in itertools.combinations(m.values, size):
-            w = frozenset(combo)
-            if any(w <= big for big in maximal):
-                continue
-            if _is_viable(m, w):
-                maximal.append(w)
-    maximal.sort(key=lambda w: (-len(w), sorted(w)))
-    usable = frozenset().union(*maximal) if maximal else frozenset()
-    return ViabilityReport(
-        maximal=tuple(maximal),
-        usable=usable,
-        spurious=frozenset(m.values) - usable,
-    )
+def mask_bits(mask: int) -> list[int]:
+    """The set bits of a mask (value indices), in ascending order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 class CompiledMatrix:
@@ -485,7 +457,7 @@ class CompiledMatrix:
 
     Value sets are int bitmasks: ``designated``, every table entry (keyed by
     its tuple of argument indices), and the mask that ``components`` pairs
-    with each maximal viable set, in ``viable_components`` order.
+    with each maximal viable set of ``viability``, in its order.
     """
 
     def __init__(self, m: PNMatrix):
@@ -494,12 +466,47 @@ class CompiledMatrix:
         def mask(vs: Iterable[str]) -> int:
             return sum(1 << index[v] for v in vs)
 
-        self.components = tuple((w, mask(w)) for w in viable_components(m).maximal)
         self.designated = mask(m.designated)
         self.tables = {
             c: {tuple(index[x] for x in tup): mask(out) for tup, out in table.items()}
             for c, table in m.tables.items()
         }
+        maximal = sorted(
+            (frozenset(m.values[i] for i in mask_bits(w))
+             for w in self._maximal_viable(m.sig, len(m.values))),
+            key=lambda w: (-len(w), sorted(w)),
+        )
+        usable = frozenset().union(*maximal)
+        self.viability = ViabilityReport(tuple(maximal), usable, frozenset(m.values) - usable)
+        self.components = tuple((w, mask(w)) for w in maximal)
+
+    def _maximal_viable(self, sig: Signature, n: int) -> list[int]:
+        """The maximal viable sets as masks, by branching on violated entries.
+
+        W is not viable when some tuple over W has an entry that misses W.
+        A viable subset of W leaves out a value of that tuple (else the
+        entry misses the subset too), so the search goes on with W minus
+        each value of the tuple; a nullary violation ends the branch.
+        """
+        found: list[int] = []
+        seen: set[int] = set()
+        stack = [(1 << n) - 1]
+        while stack:
+            w = stack.pop()
+            if not w or w in seen or any(w & ~v == 0 for v in found):
+                continue
+            seen.add(w)
+            xs = mask_bits(w)
+            tuples = itertools.chain(
+                ((c, (x,) * k) for c, k in sig for x in xs),  # diagonal: no branching
+                ((c, t) for c, k in sig for t in itertools.product(xs, repeat=k)),
+            )
+            bad = next((t for c, t in tuples if not self.tables[c][t] & w), None)
+            if bad is None:
+                found.append(w)
+            else:
+                stack.extend(w & ~(1 << x) for x in set(bad))
+        return [w for w in found if not any(w != v and w & ~v == 0 for v in found)]
 
 
 def prune(m: PNMatrix) -> PNMatrix:

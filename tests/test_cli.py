@@ -257,6 +257,16 @@ class TestFileCommands:
         expected = sum_matrices([builtin("neg3"), builtin("neg3")])
         assert read_matrix(out.read_text()) == expected
 
+    def test_power_combination_then_info(self, tmp_path, capsys):
+        out = tmp_path / "combined.matrix"
+        argv = ["combine", "--left", "kleene-imp", "--right", "luk-imp"]
+        rc = run_cli(argv + ["--mode", "single", "--power", "2", "--output", str(out)])
+        assert rc == EXIT_YES
+        assert run_cli(["info", "--matrix", str(out), "--json"]) == EXIT_YES
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload["witness"]["values"]) == 65
+        assert len(payload["components"]) == 20
+
     def test_reduct_and_prune(self, tmp_path, capsys):
         rc = run_cli(["reduct", "--matrix", "luk3", "--keep", "imp"])
         assert rc == EXIT_YES

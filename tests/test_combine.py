@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from pnmatrix import (
@@ -14,9 +16,11 @@ from pnmatrix import (
     decide_with_axioms,
     parse_formula,
     parse_formula_list,
+    prune,
     reduct,
     strict_product,
     subformula_closure,
+    viable_components,
 )
 
 
@@ -58,6 +62,21 @@ class TestCombinators:
         assert c.status == "finite-power-approximation"
         # compatible pairs only: 1 designated pair plus 3x3 undesignated pairs
         assert len(c.product.values) == 10
+
+    def test_power_combination_decides(self):
+        p = combine_single_power(builtin("kleene-imp"), builtin("luk-imp"), 2).product
+        assert len(p.values) == 65
+        maximal = viable_components(p).maximal
+        assert len(maximal) == 20
+        for w in maximal:
+            assert all(
+                p.tables[name][tup] & w
+                for name, arity in p.sig
+                for tup in itertools.product(sorted(w), repeat=arity)
+            )
+        assert set(prune(p).values) == set().union(*maximal)
+        f = parse_formula("imp(p, p)", p.sig)
+        assert decide_multiple(p, [], [f]).answer == "yes"
 
 
 def reduct_with_meta(m, names):

@@ -1,4 +1,7 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pnmatrix import (
     MatrixError,
@@ -16,6 +19,7 @@ from pnmatrix import (
     projection,
     prune,
     reduct,
+    rename_connectives,
     restrict,
     strict_product,
     sum_matrices,
@@ -80,6 +84,19 @@ class TestClassification:
             assert classify(builtin(name)) == kind, name
 
 
+@st.composite
+def random_pnmatrices(draw):
+    """0-7 values; entries may be empty (partial) or hold several values."""
+    values = [f"v{i}" for i in range(draw(st.integers(0, 7)))]
+    cells = st.sets(st.sampled_from(values)) if values else st.just(set())
+    sig = draw(st.sampled_from([{"c": 0, "neg": 1, "imp": 2}, {"neg": 1, "imp": 2}, {"imp": 2}]))
+    tables = {
+        name: {tup: draw(cells) for tup in itertools.product(values, repeat=k)}
+        for name, k in sig.items()
+    }
+    return make_matrix(Signature.of(sig), values, draw(cells), tables)
+
+
 class TestViability:
     def test_matches_brute_force_on_all_fixtures(self):
         for name in ("bool2", "bool2n", "sources", "kleene-ks", "kleene-imp", "luk-imp", "luk3", "neg3"):
@@ -99,6 +116,39 @@ class TestViability:
         pruned = prune(p)
         assert set(pruned.values) == {"0|0", "0|h", "1|1"}
         assert brute_viable_sets(p) == [set(w) for w in rep.maximal]
+
+    def test_largest_cases_of_the_subset_scan(self):
+        """Components of the 16-value matrices, as the exhaustive scan gave them."""
+        ks, sources = builtin("kleene-ks"), builtin("sources")
+        rep = viable_components(power(ks, 2))
+        assert [" ".join(sorted(w)) for w in rep.maximal] == [
+            "0&0 0&1 0&a 1&0 1&1 1&a a&0 a&1 a&a",
+            "0&0 0&1 0&a 1&0 1&1 1&a b&0 b&1 b&a",
+            "0&0 0&1 0&b 1&0 1&1 1&b a&0 a&1 a&b",
+            "0&0 0&1 0&b 1&0 1&1 1&b b&0 b&1 b&b",
+        ]
+        assert rep.spurious == frozenset()
+        rep = viable_components(sum_matrices([sources, ks, sources, ks]))
+        assert [" ".join(sorted(w)) for w in rep.maximal] == [
+            "0.b 0.f 0.n 0.t",
+            "2.b 2.f 2.n 2.t",
+            "1.0 1.1 1.a",
+            "1.0 1.1 1.b",
+            "3.0 3.1 3.a",
+            "3.0 3.1 3.b",
+        ]
+        assert rep.spurious == frozenset()
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_pnmatrices())
+    def test_matches_brute_force_on_random_matrices(self, m):
+        rep = viable_components(m)
+        brute = brute_viable_sets(m)
+        assert len(rep.maximal) == len(brute)
+        assert set(rep.maximal) == {frozenset(w) for w in brute}
+        assert list(rep.maximal) == sorted(rep.maximal, key=lambda w: (-len(w), sorted(w)))
+        assert rep.usable == frozenset().union(*brute)
+        assert rep.spurious == frozenset(m.values) - rep.usable
 
     def test_prune_preserves_decisions(self):
         p = strict_product(builtin("kleene-imp"), builtin("luk-imp"))
@@ -158,6 +208,19 @@ class TestCombinators:
                 decide_multiple(summed, gamma, delta).answer
                 == decide_multiple(ks, gamma, delta).answer
             )
+
+    def test_rename_rejects_a_clash(self):
+        m = builtin("bool2")
+        for renaming in ({"imp": "and"}, {"imp": "neg"}):
+            with pytest.raises(MatrixError, match="same name"):
+                rename_connectives(m, renaming)
+
+    def test_rename_swaps_connectives(self):
+        m = builtin("bool2")
+        swapped = rename_connectives(m, {"and": "or", "or": "and"})
+        assert swapped.sig == m.sig
+        assert swapped.tables["or"] == m.tables["and"]
+        assert swapped.tables["and"] == m.tables["or"]
 
     def test_power_designation_and_size(self):
         m = builtin("bool2")
