@@ -49,8 +49,10 @@ from .engine import (
     Countermodel,
     Verdict,
     check_countermodel,
+    decide_batch,
     decide_multiple,
     decide_single,
+    possible_value_vector,
     possible_values,
 )
 from .calculus import (

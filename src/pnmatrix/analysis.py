@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .engine import Verdict, decide_multiple, decide_single, possible_values
+from .engine import Verdict, decide_batch, decide_multiple, decide_single, possible_value_vector
 from .matrix_core import PNMatrix, reduct, strict_product, viable_components
 from .syntax import (
     App,
@@ -43,27 +43,37 @@ def one_variable_formulas(
 def formula_pool(
     sig: Signature, variables: Sequence[str], max_depth: int, cap: int
 ) -> list[Formula]:
-    """Formulas over the given variables up to the given depth, size-ordered."""
-    base: list[Formula] = [Var(v) for v in variables]
-    base += [App(c, ()) for c, k in sig if k == 0]
-    frontier = set(base)
-    everything = set(base)
-    for _ in range(max_depth):
-        new: set[Formula] = set()
-        pool = list(everything)
-        for c, k in sig:
-            if k == 0:
-                continue
-            for args in itertools.product(pool, repeat=k):
-                if any(a in frontier for a in args):
-                    f = App(c, tuple(args))
-                    if f not in everything:
-                        new.add(f)
-        if not new:
-            break
-        everything |= new
-        frontier = new
-    return sorted(everything, key=formula_key)[:cap]
+    """The first `cap` formulas over the given variables up to the given
+    depth, in ``formula_key`` order.
+
+    Built size by size: a formula of size s applies a connective to
+    arguments whose sizes sum to s - 1, so each size needs only smaller
+    ones, and the pool stops at the size that reaches the cap.
+    """
+    connectives = [(c, k) for c, k in sig if k > 0]
+    leaves = list(dict.fromkeys(
+        [Var(v) for v in variables] + [App(c, ()) for c, k in sig if k == 0]
+    ))
+    depth = dict.fromkeys(leaves, 0)
+    by_size: list[list[Formula]] = [[], leaves]  # formulas of each size
+    widest = max((k for _, k in connectives), default=0)
+    largest = sum(widest**d for d in range(max_depth + 1))  # of a formula this deep
+    out = sorted(leaves, key=formula_key)[:cap]
+    size = 1
+    while len(out) < cap and size < largest:
+        size += 1
+        level = []
+        for c, k in connectives:
+            for cuts in itertools.combinations(range(1, size - 1), k - 1):
+                parts = [b - a for a, b in zip((0,) + cuts, cuts + (size - 1,))]
+                choices = [[a for a in by_size[p] if depth[a] < max_depth] for p in parts]
+                for args in itertools.product(*choices):
+                    f = App(c, args)
+                    depth[f] = 1 + max(depth[a] for a in args)
+                    level.append(f)
+        by_size.append(level)
+        out += sorted(level, key=formula_key)[: cap - len(out)]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -77,26 +87,28 @@ class SeparatorBounds:
 
 
 def _candidate_vectors(m: PNMatrix, var: str, bounds: SeparatorBounds):
-    """One-variable formulas with their possible-value vectors, level-wise.
+    """One-variable formulas with their possible-value vectors, level-wise,
+    generated as they are asked for.
 
     Formulas whose vector duplicates an earlier one still appear as
     candidates but are never used to build deeper formulas, which keeps the
     level growth bounded by the number of distinct vectors.
     """
-    out: list[tuple[Formula, tuple[frozenset[str], ...]]] = []
+    given = 0
     seen: set[tuple[frozenset[str], ...]] = set()
     generators: list[Formula] = []
     level: list[Formula] = sorted(
         [Var(var)] + [App(c, ()) for c, k in m.sig if k == 0], key=formula_key
     )
     depth = 0
-    while level and len(out) < bounds.max_candidates:
+    while level and given < bounds.max_candidates:
         fresh: list[Formula] = []
         for f in level:
-            if len(out) >= bounds.max_candidates:
+            if given >= bounds.max_candidates:
                 break
-            vec = tuple(possible_values(m, f, x) for x in m.values)
-            out.append((f, vec))
+            vec = possible_value_vector(m, f)
+            given += 1
+            yield f, vec
             if vec not in seen:
                 seen.add(vec)
                 fresh.append(f)
@@ -113,7 +125,6 @@ def _candidate_vectors(m: PNMatrix, var: str, bounds: SeparatorBounds):
                     nxt.add(App(c, tuple(args)))
         level = sorted(nxt, key=formula_key)
         depth += 1
-    return out
 
 
 def _separates(vec_x, vec_y, designated) -> bool:
@@ -167,7 +178,7 @@ def monadicity_report(
     mr = reduct(m, sub_sig) if sub_sig is not None else m
     report = viable_components(mr)
     usable = [v for v in mr.values if v in report.usable]
-    candidates = _candidate_vectors(mr, var, bounds)
+    candidates = list(_candidate_vectors(mr, var, bounds))
     index = {v: i for i, v in enumerate(mr.values)}
     pairs = []
     for x, y in itertools.combinations(usable, 2):
@@ -264,11 +275,9 @@ def refute_saturation(
     for gamma0 in bases:
         checked += 1
         g = list(gamma0)
-        n = [
-            a
-            for a in pool
-            if a not in gamma0 and decide_single(m, g, a).answer == "no"
-        ]
+        targets = [a for a in pool if a not in gamma0]
+        verdicts = decide_batch(m, g, [[a] for a in targets])
+        n = [a for a, v in zip(targets, verdicts) if v.answer == "no"]
         if not n or decide_multiple(m, g, n).answer != "yes":
             continue
         for size in range(1, bounds.max_phi + 1):
@@ -347,10 +356,17 @@ def split_advice(
             print_formula(ab[1]),
         ),
     )[:samples]
+    conclusions: dict[Formula, list[Formula]] = {}
+    for a, b in pairs:
+        conclusions.setdefault(a, []).append(b)
+    verdicts = {}  # (premise, conclusion): (matrix verdict, product verdict)
+    for a, bs in conclusions.items():
+        queries = [[b] for b in bs]
+        both = zip(decide_batch(m, [a], queries), decide_batch(product, [a], queries))
+        verdicts.update(((a, b), vs) for b, vs in zip(bs, both))
     divergences = []
     for a, b in pairs:
-        vm = decide_multiple(m, [a], [b])
-        vp = decide_multiple(product, [a], [b])
+        vm, vp = verdicts[a, b]
         if vm.answer != vp.answer:
             divergences.append(Divergence(a, b, vm, vp))
     separators = monadicity_report(m, shared, bounds=sep_bounds)

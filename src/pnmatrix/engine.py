@@ -19,12 +19,25 @@ that are in its domain; both in ascending value index.  That order is a
 contract: it fixes the first countermodel and ``assignments_explored``.
 Propagation removes only values that belong to no prevaluation, so it
 changes neither; its queue order is free, since the fixpoint is unique.
+
+``decide_batch`` answers many queries with one premise set.  It indexes one
+closure over the premises and every conclusion, and per component runs the
+fixpoint once, with only the premises narrowed.  A query then starts from
+those domains on its own sub-closure (the ids its formulas reach, ascending,
+which is its own closure order), narrows its conclusions and revises only
+the arcs at them.  That is sound because the component is viable: every
+entry over it meets it, so a node outside the sub-closure can always take a
+value, never removes one from a node inside, and the query reaches the same
+fixpoint, first countermodel and ``assignments_explored`` as on its own.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .matrix_core import CompiledMatrix, PNMatrix, mask_bits, viable_components
@@ -85,30 +98,62 @@ class _Closure:
             if not well_formed_node(f, sig):
                 raise ValueError(f"formula {print_formula(f)} not well-formed over the matrix signature")
         self.node = node = {f: i for i, f in enumerate(formulas)}
-        self.heads = [f.head for f in formulas]
-        self.args = [tuple(node[a] for a in f.args) for f in formulas]
-        self.distinct = [tuple(dict.fromkeys(args)) for args in self.args]
+        self._index([f.head for f in formulas], [tuple(node[a] for a in f.args) for f in formulas])
+
+    def _index(self, heads: list[Optional[str]], args: list[tuple[int, ...]]) -> None:
+        self.heads, self.args = heads, args
+        self.distinct = [tuple(dict.fromkeys(a)) for a in args]
         self.positions = [
-            None if len(d) == len(args) else tuple(d.index(a) for a in args)
-            for args, d in zip(self.args, self.distinct)
+            None if len(d) == len(a) else tuple(d.index(x) for x in a)
+            for a, d in zip(args, self.distinct)
         ]
-        self.parents: list[list[int]] = [[] for _ in formulas]
+        self.parents: list[list[int]] = [[] for _ in args]
         for i, d in enumerate(self.distinct):
             for a in d:
                 self.parents[a].append(i)
 
+    def reach(self, roots: Iterable[int], known: Iterable[int] = ()) -> set[int]:
+        """The ids the roots reach through arguments, together with known,
+        which must be closed under arguments already."""
+        out = set(known)
+        stack = [i for i in roots if i not in out]
+        while stack:
+            i = stack.pop()
+            if i not in out:
+                out.add(i)
+                stack.extend(a for a in self.distinct[i] if a not in out)
+        return out
 
-def _propagate(cl: _Closure, comp: CompiledMatrix, dom: list[int]) -> bool:
+    def sub(self, ids: Sequence[int]) -> "_Closure":
+        """The sub-closure on ids (ascending, closed under arguments),
+        renumbered from 0 in that order; it has no ``node`` map."""
+        local = dict(zip(ids, range(len(ids))))
+        view = object.__new__(_Closure)
+        view._index(
+            [self.heads[g] for g in ids], [tuple([local[a] for a in self.args[g]]) for g in ids]
+        )
+        return view
+
+
+def _propagate(cl: _Closure, comp: CompiledMatrix, dom: list[int], pending=None) -> bool:
     """Arc consistency over the closure; False if some domain empties.
 
     Revising node i keeps the values of i, and of each of its arguments,
     that occur in some combination of argument values whose table entry
     meets i's domain.  Only values that occur in no prevaluation compatible
     with the current domains are removed, so the solution set is untouched.
+    ``pending`` lists the compound nodes whose arcs may be violated, without
+    repeats; by default all of them.
     """
     heads, parents = cl.heads, cl.parents
-    pending = [i for i, h in enumerate(heads) if h is not None]
-    queued = [h is not None for h in heads]
+    if pending is None:
+        pending = [i for i, h in enumerate(heads) if h is not None]
+        queued = [h is not None for h in heads]
+    else:
+        pending = list(pending)
+        queued = [False] * len(heads)
+        for i in pending:
+            queued[i] = True
     while pending:
         i = pending.pop()
         queued[i] = False
@@ -143,18 +188,21 @@ def _propagate(cl: _Closure, comp: CompiledMatrix, dom: list[int]) -> bool:
     return True
 
 
-def _search_component(comp: CompiledMatrix, cl: _Closure, dom: list[int], collector=None):
+def _search_component(
+    comp: CompiledMatrix, cl: _Closure, dom: list[int], collector=None, pending=None
+):
     """Backtracking search for prevaluations within the given domains.
 
-    ``dom`` holds each node's initial value mask and is narrowed in place.
-    With collector=None, returns (assignment or None, explored-count), the
-    assignment a list of value indices by node id, for the first solution in
-    search order; with a (node id, set) collector, enumerates all solutions,
-    accumulating the value of that node.
+    ``dom`` holds each node's initial value mask and is narrowed in place;
+    ``pending`` is passed on to ``_propagate``.  With collector=None,
+    returns (assignment or None, explored-count), the assignment a list of
+    value indices by node id, for the first solution in search order; with a
+    (key, set) collector, enumerates all solutions, adding key(assignment)
+    of each to the set.
     """
     if not all(dom):
         return None, 0
-    if not _propagate(cl, comp, dom):
+    if not _propagate(cl, comp, dom, pending):
         return None, 0
     n = len(dom)
     if n == 0:
@@ -184,8 +232,8 @@ def _search_component(comp: CompiledMatrix, cl: _Closure, dom: list[int], collec
         elif collector is None:
             return assignment, explored
         else:
-            g, acc = collector
-            acc.add(assignment[g])
+            key, acc = collector
+            acc.add(key(assignment))
     return None, explored
 
 
@@ -228,17 +276,89 @@ def decide_single(m: PNMatrix, gamma: Iterable[Formula], a: Formula) -> Verdict:
     return decide_multiple(m, gamma, [a])
 
 
+def decide_batch(
+    m: PNMatrix, gamma: Iterable[Formula], deltas: Iterable[Iterable[Formula]]
+) -> list[Verdict]:
+    """``[decide_multiple(m, gamma, delta) for delta in deltas]``, verdicts
+    and their counts included, with one premise fixpoint per component
+    shared by all the queries (see the module docstring)."""
+    gamma = tuple(dict.fromkeys(gamma))
+    deltas = [tuple(dict.fromkeys(delta)) for delta in deltas]
+    if not deltas:
+        return []
+    omega = subformula_closure(gamma + tuple(f for delta in deltas for f in delta))
+    cl = _Closure(omega, m.sig)
+    comp = m.compiled
+    undesignated = ~comp.designated
+    premises = [cl.node[f] for f in gamma]
+    premise_closure = cl.reach(premises)
+    conclusions = [[cl.node[f] for f in delta] for delta in deltas]
+    # per query, built when first searched: sub-closure ids, their view, and
+    # the conclusions with the arcs at them in the view's numbering
+    plans: list = [None] * len(deltas)
+    explored = [0] * len(deltas)
+    verdicts: list[Optional[Verdict]] = [None] * len(deltas)
+    open_queries = list(range(len(deltas)))
+    for tried, (w_names, w) in enumerate(comp.components, start=1):
+        shared = [w] * len(omega)
+        for i in premises:
+            shared[i] &= comp.designated
+        if not all(shared) or not _propagate(cl, comp, shared):
+            continue  # every query's own fixpoint empties a domain as well
+        for q in open_queries:
+            if not all(shared[c] & undesignated for c in conclusions[q]):
+                continue
+            if plans[q] is None:
+                ids = sorted(cl.reach(conclusions[q], premise_closure))
+                view = cl.sub(ids)
+                local = [bisect_left(ids, c) for c in conclusions[q]]
+                arcs = [h for c in local for h in view.parents[c]]
+                arcs += [c for c in local if view.heads[c] is not None]
+                plans[q] = ids, view, local, tuple(dict.fromkeys(arcs))
+            ids, view, local, arcs = plans[q]
+            dom = [shared[g] for g in ids]
+            for c in local:
+                dom[c] &= undesignated
+            solution, n = _search_component(comp, view, dom, pending=arcs)
+            explored[q] += n
+            if solution is None:
+                continue
+            assignment = tuple((omega[g], m.values[x]) for g, x in zip(ids, solution))
+            verdicts[q] = Verdict(
+                answer="no",
+                countermodel=Countermodel(assignment=assignment, component=w_names),
+                components_tried=tried,
+                assignments_explored=explored[q],
+            )
+        open_queries = [q for q in open_queries if verdicts[q] is None]
+        if not open_queries:
+            break
+    for q in open_queries:
+        verdicts[q] = Verdict(
+            answer="yes",
+            components_tried=len(comp.components),
+            assignments_explored=explored[q],
+        )
+    return verdicts
+
+
+def _one_variable_closure(m: PNMatrix, a: Formula) -> tuple[_Closure, Optional[int]]:
+    """The indexed closure of a, and the id of its variable (None without one)."""
+    omega = subformula_closure([a])
+    cl = _Closure(omega, m.sig)
+    vars_of = [g for g in omega if isinstance(g, Var)]
+    if len(vars_of) > 1:
+        raise ValueError("possible_values expects a formula with at most one variable")
+    return cl, cl.node[vars_of[0]] if vars_of else None
+
+
 def possible_values(m: PNMatrix, a: Formula, x: str) -> frozenset[str]:
     """Exact set of values a one-variable formula can take when its variable is x.
 
     Enumerates prevaluations on sub(a) within each viable component containing
     x; empty when x is spurious.
     """
-    omega = subformula_closure([a])
-    cl = _Closure(omega, m.sig)
-    vars_of = [g for g in omega if isinstance(g, Var)]
-    if len(vars_of) > 1:
-        raise ValueError("possible_values expects a formula with at most one variable")
+    cl, var = _one_variable_closure(m, a)
     if x not in m.values:
         raise ValueError(f"unknown value {x!r}")
     comp = m.compiled
@@ -246,11 +366,32 @@ def possible_values(m: PNMatrix, a: Formula, x: str) -> frozenset[str]:
     for w_names, w in comp.components:
         if x not in w_names:
             continue
-        dom = [w] * len(omega)
-        if vars_of:
-            dom[cl.node[vars_of[0]]] &= 1 << comp.index[x]
-        _search_component(comp, cl, dom, collector=(cl.node[a], acc))
+        dom = [w] * len(cl.heads)
+        if var is not None:
+            dom[var] &= 1 << comp.index[x]
+        _search_component(comp, cl, dom, collector=(itemgetter(cl.node[a]), acc))
     return frozenset(m.values[i] for i in acc)
+
+
+def possible_value_vector(m: PNMatrix, a: Formula) -> tuple[frozenset[str], ...]:
+    """``tuple(possible_values(m, a, x) for x in m.values)``, from one
+    enumeration per component with the variable left free."""
+    cl, var = _one_variable_closure(m, a)
+    comp = m.compiled
+    out: list[set[int]] = [set() for _ in m.values]
+    # with a variable, (variable value, value of a) pairs; else values of a,
+    # the same under every value of the component
+    key = itemgetter(cl.node[a]) if var is None else itemgetter(var, cl.node[a])
+    for _, w in comp.components:
+        acc: set = set()
+        _search_component(comp, cl, [w] * len(cl.heads), collector=(key, acc))
+        if var is None:
+            for x in mask_bits(w):
+                out[x] |= acc
+        else:
+            for x, v in acc:
+                out[x].add(v)
+    return tuple(frozenset(m.values[i] for i in s) for s in out)
 
 
 def check_countermodel(
@@ -263,6 +404,11 @@ def check_countermodel(
     gamma, delta = tuple(gamma), tuple(delta)
     violations: list[str] = []
     assignment = cm.as_dict()
+    if len(assignment) != len(cm.assignment):
+        counts = Counter(f for f, _ in cm.assignment)
+        violations += [
+            f"{print_formula(f)} is assigned {k} times" for f, k in counts.items() if k > 1
+        ]
     omega = set(subformula_closure(gamma + delta))
     if set(assignment) != omega:
         violations.append("assignment domain is not the subformula closure of the query")

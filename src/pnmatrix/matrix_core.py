@@ -442,8 +442,14 @@ def viable_components(m: PNMatrix) -> ViabilityReport:
     return m.compiled.viability
 
 
-def mask_bits(mask: int) -> list[int]:
+#: the bits of each mask below 2 ** 8, so that small carriers need no loop
+_SMALL_MASK_BITS = tuple(tuple(i for i in range(8) if mask >> i & 1) for mask in range(256))
+
+
+def mask_bits(mask: int) -> Sequence[int]:
     """The set bits of a mask (value indices), in ascending order."""
+    if mask < 256:
+        return _SMALL_MASK_BITS[mask]
     out = []
     while mask:
         low = mask & -mask

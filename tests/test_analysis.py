@@ -1,13 +1,19 @@
+import itertools
+
 import pytest
 
 from pnmatrix import (
+    App,
     RefutationBounds,
     SeparatorBounds,
     Signature,
+    Var,
     builtin,
     check_saturation_witness,
     decide_multiple,
     find_separator,
+    fixture_names,
+    formula_key,
     formula_pool,
     monadicity_report,
     one_variable_formulas,
@@ -42,6 +48,37 @@ class TestEnumeration:
         assert "neg(neg(p))" not in names
 
 
+def all_formulas(sig, variables, max_depth):
+    """Every formula over the variables up to the depth, by brute force."""
+    level = [Var(v) for v in variables] + [App(c, ()) for c, k in sig if k == 0]
+    found = set(level)
+    for _ in range(max_depth):
+        pool = list(found)
+        found |= {
+            App(c, args) for c, k in sig if k > 0 for args in itertools.product(pool, repeat=k)
+        }
+    return found
+
+
+class TestFormulaPool:
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_prefix_of_the_sorted_enumeration(self, name):
+        sig = builtin(name).sig
+        cases = [(("p",), 0), (("p", "q"), 1), (("p", "q", "r"), 2)]
+        if name in ("kleene-ks", "luk3", "neg3"):  # small enough to enumerate at depth 3
+            cases.append((("p",), 3))
+        for variables, depth in cases:
+            everything = sorted(all_formulas(sig, variables, depth), key=formula_key)
+            for cap in (1, 5, 24, 100, len(everything) + 1):
+                assert formula_pool(sig, variables, depth, cap) == everything[:cap]
+
+    def test_cap_inside_one_size(self):
+        sig = builtin("bool2").sig
+        pool = formula_pool(sig, ("p", "q", "r"), 2, 6)
+        # three variables and top, then two of the three size-2 negations
+        assert [print_formula(f) for f in pool] == ["p", "q", "r", "top", "neg(p)", "neg(q)"]
+
+
 class TestSeparators:
     def test_two_valued_matrix_separated_by_variable_alone(self):
         m = builtin("bool2")
@@ -52,6 +89,24 @@ class TestSeparators:
         assert table.monadic
         assert print_formula(table.separator("b", "1")) == "neg(p)"
         assert print_formula(table.separator("0", "b")) == "p"
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_first_and_last_values(self, name):
+        m = builtin(name)
+        x, y = m.values[0], m.values[-1]
+        assert print_formula(find_separator(m, x, y)) == "p"
+        assert find_separator(m, x, y) == monadicity_report(m).separator(x, y)
+
+    def test_search_stops_at_the_first_separator(self, monkeypatch):
+        import pnmatrix.analysis as analysis
+
+        calls = []
+        vector = analysis.possible_value_vector
+        monkeypatch.setattr(
+            analysis, "possible_value_vector", lambda m, f: calls.append(f) or vector(m, f)
+        )
+        assert print_formula(find_separator(builtin("sources"), "f", "t")) == "p"
+        assert [print_formula(f) for f in calls] == ["p"]
 
     def test_depth_bound_matters(self):
         luk = builtin("luk3")

@@ -9,15 +9,19 @@ from hypothesis import assume, given, settings, strategies as st
 
 from pnmatrix import (
     App,
+    Countermodel,
     Signature,
     Var,
     builtin,
     check_countermodel,
+    decide_batch,
     decide_multiple,
     decide_single,
+    formula_pool,
     make_matrix,
     parse_formula,
     parse_formula_list,
+    possible_value_vector,
     possible_values,
     reduct,
     strict_product,
@@ -96,6 +100,14 @@ class TestCountermodels:
         )
         assert check_countermodel(m, gamma, delta, bad)
 
+    def test_repeated_formula_is_rejected(self):
+        m = builtin("bool2")
+        p = pf(m, "p")
+        # as_dict keeps the last entry, so the first, which designates the
+        # conclusion, would go unchecked
+        cm = Countermodel(assignment=((p, "1"), (p, "0")), component=frozenset(m.values))
+        assert check_countermodel(m, [], [p], cm) == ["p is assigned 2 times"]
+
     def test_determinism(self):
         ks = builtin("kleene-ks")
         gamma = parse_formula_list("or(p, q)", ks.sig)
@@ -151,6 +163,48 @@ class TestDerivedState:
             assert v.countermodel == warm.countermodel
 
 
+class TestBatch:
+    """decide_batch against one decide_multiple per query, counts included."""
+
+    @pytest.mark.parametrize("name", ["sources", "kleene-ks"])
+    def test_refuter_bases(self, name):
+        m = builtin(name)
+        pool = formula_pool(m.sig, ("p", "q", "r"), 2, 24)
+        bases = [g for size in range(3) for g in itertools.combinations(pool, size)]
+        for gamma in bases[::13]:
+            deltas = [[a] for a in pool] + [pool[i : i + 3] for i in range(0, 24, 3)] + [[]]
+            assert decide_batch(m, gamma, deltas) == [
+                decide_multiple(m, gamma, delta) for delta in deltas
+            ], gamma
+
+    def test_empty_batch_and_ill_formed_query(self):
+        m = builtin("bool2")
+        assert decide_batch(m, [pf(m, "p")], []) == []
+        with pytest.raises(ValueError):
+            decide_batch(m, [pf(m, "p")], [[pf(m, "q")], [pf(builtin("luk3"), "nabla(q)")]])
+
+    def test_formulas_above_the_text_size(self):
+        # formulas of one size above 64 nodes are ordered by their printed text
+        m = builtin("bool2")
+        deep = {v: parse_formula("neg(" * 69 + v + ")" * 69, m.sig) for v in "pqr"}
+        gamma = [deep["q"]]
+        deltas = [[deep["r"]], [deep["p"], Var("q")], [deep["q"]], []]
+        assert decide_batch(m, gamma, deltas) == [
+            decide_multiple(m, gamma, delta) for delta in deltas
+        ]
+
+    def test_split_product(self):
+        m = luk3_split()
+        gamma = parse_formula_list("nabla(p)", m.sig)
+        deltas = [parse_formula_list(t, m.sig) for t in ("imp(neg(p), p)", "p", "-", "nabla(p)")]
+        verdicts = decide_batch(m, gamma, deltas)
+        # the first query stays open into the second component
+        assert [(v.answer, v.components_tried) for v in verdicts] == [
+            ("no", 2), ("no", 1), ("no", 1), ("yes", 2)
+        ]
+        assert verdicts == [decide_multiple(m, gamma, delta) for delta in deltas]
+
+
 class TestPossibleValues:
     def test_ks_negation_fixes_b(self):
         assert possible_values(builtin("kleene-ks"), parse_formula("neg(p)", builtin("kleene-ks").sig), "b") == {"b"}
@@ -171,6 +225,17 @@ class TestPossibleValues:
     def test_spurious_value_yields_empty_set(self):
         p = strict_product(builtin("kleene-imp"), builtin("luk-imp"))
         assert possible_values(p, parse_formula("p", p.sig), "h|0") == frozenset()
+
+    def test_vector_on_a_product(self):
+        p = strict_product(builtin("kleene-ks"), builtin("kleene-ks"))
+        for text in ("p", "neg(p)", "or(p, neg(p))", "and(neg(p), p)"):
+            a = parse_formula(text, p.sig)
+            assert possible_value_vector(p, a) == tuple(possible_values(p, a, x) for x in p.values)
+
+    def test_vector_of_a_closed_formula(self):
+        m = builtin("bool2n")
+        a = parse_formula("botop", m.sig)
+        assert possible_value_vector(m, a) == (frozenset({"0", "1"}),) * 2
 
 
 class TestOracleAgreement:
@@ -363,3 +428,20 @@ class TestRandomMatrices:
         assume(len(subformula_closure([a])) <= 5)
         for x in m.values:
             assert possible_values(m, a, x) == brute_possible_values(m, a, x)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        small_matrices(),
+        st.lists(random_formulas("pq"), max_size=2),
+        st.lists(st.lists(random_formulas("pq"), max_size=3), max_size=4),
+    )
+    def test_batch_equals_single_queries(self, m, gamma, deltas):
+        deltas += deltas[:1]  # a repeated query
+        assert decide_batch(m, gamma, deltas) == [
+            decide_multiple(m, gamma, delta) for delta in deltas
+        ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_matrices(), random_formulas("p"))
+    def test_value_vector_equals_possible_values(self, m, a):
+        assert possible_value_vector(m, a) == tuple(possible_values(m, a, x) for x in m.values)
