@@ -32,7 +32,6 @@ from .matrix_core import (
     format_matrix,
     inclusion,
     make_matrix,
-    pair_name,
     power,
     projection,
     prune,
@@ -77,7 +76,6 @@ from .analysis import (
     find_separator,
     formula_pool,
     monadicity_report,
-    one_variable_formulas,
     refute_saturation,
     split_advice,
 )

@@ -12,7 +12,7 @@ battery comparing a matrix against the strict product of two of its reducts.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .engine import Verdict, decide_batch, decide_multiple, decide_single, possible_value_vector
@@ -31,14 +31,6 @@ from .syntax import (
 # ---------------------------------------------------------------------------
 # one-variable formula enumeration
 # ---------------------------------------------------------------------------
-
-def one_variable_formulas(
-    sig: Signature, var: str = "p", max_depth: int = 2, cap: int = 5000
-) -> list[Formula]:
-    """All formulas over `sig` in the single variable `var` up to `max_depth`,
-    in increasing subformula order, truncated at `cap`."""
-    return formula_pool(sig, (var,), max_depth, cap)
-
 
 def formula_pool(
     sig: Signature, variables: Sequence[str], max_depth: int, cap: int
@@ -86,9 +78,9 @@ class SeparatorBounds:
     max_candidates: int = 5000
 
 
-def _candidate_vectors(m: PNMatrix, var: str, bounds: SeparatorBounds):
-    """One-variable formulas with their possible-value vectors, level-wise,
-    generated as they are asked for.
+def _candidate_vectors(m: PNMatrix, bounds: SeparatorBounds):
+    """Formulas in the variable p with their possible-value vectors,
+    level-wise, generated as they are asked for.
 
     Formulas whose vector duplicates an earlier one still appear as
     candidates but are never used to build deeper formulas, which keeps the
@@ -98,7 +90,7 @@ def _candidate_vectors(m: PNMatrix, var: str, bounds: SeparatorBounds):
     seen: set[tuple[frozenset[str], ...]] = set()
     generators: list[Formula] = []
     level: list[Formula] = sorted(
-        [Var(var)] + [App(c, ()) for c, k in m.sig if k == 0], key=formula_key
+        [Var("p")] + [App(c, ()) for c, k in m.sig if k == 0], key=formula_key
     )
     depth = 0
     while level and given < bounds.max_candidates:
@@ -136,11 +128,10 @@ def find_separator(
     x: str,
     y: str,
     bounds: SeparatorBounds = SeparatorBounds(),
-    var: str = "p",
 ) -> Optional[Formula]:
     """First one-variable formula (in enumeration order) separating x from y."""
     ix, iy = m.values.index(x), m.values.index(y)
-    for f, vec in _candidate_vectors(m, var, bounds):
+    for f, vec in _candidate_vectors(m, bounds):
         if _separates(vec[ix], vec[iy], m.designated):
             return f
     return None
@@ -168,7 +159,6 @@ def monadicity_report(
     m: PNMatrix,
     sub_sig: Optional[Signature] = None,
     bounds: SeparatorBounds = SeparatorBounds(),
-    var: str = "p",
 ) -> SeparatorTable:
     """Separator search for every pair of distinct usable values.
 
@@ -178,7 +168,7 @@ def monadicity_report(
     mr = reduct(m, sub_sig) if sub_sig is not None else m
     report = viable_components(mr)
     usable = [v for v in mr.values if v in report.usable]
-    candidates = list(_candidate_vectors(mr, var, bounds))
+    candidates = list(_candidate_vectors(mr, bounds))
     index = {v: i for i, v in enumerate(mr.values)}
     pairs = []
     for x, y in itertools.combinations(usable, 2):
@@ -328,9 +318,6 @@ def split_advice(
     sig1: Signature,
     sig2: Signature,
     samples: int = 200,
-    battery_depth: int = 2,
-    sep_bounds: SeparatorBounds = SeparatorBounds(),
-    ref_bounds: RefutationBounds = RefutationBounds(),
 ) -> SplitVerdict:
     """Assess splitting a matrix into its sig1/sig2 reducts.
 
@@ -347,7 +334,7 @@ def split_advice(
         raise ValueError("split signatures must cover a subsignature of the matrix")
     shared = sig1.intersection(sig2)
     product = strict_product(reduct(m, sig1), reduct(m, sig2))
-    forms = one_variable_formulas(union, max_depth=battery_depth)
+    forms = formula_pool(union, ("p",), max_depth=2, cap=5000)
     pairs = sorted(
         ((a, b) for a in forms for b in forms if a != b),
         key=lambda ab: (
@@ -369,8 +356,8 @@ def split_advice(
         vm, vp = verdicts[a, b]
         if vm.answer != vp.answer:
             divergences.append(Divergence(a, b, vm, vp))
-    separators = monadicity_report(m, shared, bounds=sep_bounds)
-    saturation = refute_saturation(m, bounds=ref_bounds)
+    separators = monadicity_report(m, shared)
+    saturation = refute_saturation(m)
     if divergences:
         verdict = "unsafe-evidence"
     elif separators.monadic:

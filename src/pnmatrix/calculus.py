@@ -9,7 +9,6 @@ certifies soundness, never completeness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from .engine import Verdict, decide_multiple
 from .matrix_core import PNMatrix

@@ -12,10 +12,10 @@ treating maximal foreign subformulas as fresh variables.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .analysis import RefutationBounds, RefutationResult, refute_saturation
+from .analysis import RefutationResult, refute_saturation
 from .engine import decide_multiple, decide_single
 from .matrix_core import PNMatrix, power, strict_product
 from .syntax import (
@@ -24,8 +24,6 @@ from .syntax import (
     Signature,
     Substitution,
     apply_substitution,
-    formula_key,
-    print_formula,
     skeleton,
     subformula_closure,
     variables,
@@ -65,11 +63,7 @@ def combine_multiple(m1: PNMatrix, m2: PNMatrix) -> CombinedLogic:
     )
 
 
-def combine_single_saturated(
-    m1: PNMatrix,
-    m2: PNMatrix,
-    bounds: RefutationBounds = RefutationBounds(),
-) -> CombinedLogic:
+def combine_single_saturated(m1: PNMatrix, m2: PNMatrix) -> CombinedLogic:
     """Single-conclusion join via the product, guarded by saturation checks.
 
     Refuses when either input is provably unsaturated within the refuter's
@@ -78,7 +72,7 @@ def combine_single_saturated(
     """
     for side, m in (("left", m1), ("right", m2)):
         if not m.meta.get("known_saturated"):
-            result = refute_saturation(m, bounds)
+            result = refute_saturation(m)
             if result.refuted:
                 raise SaturationRefused(side, result)
     both_known = bool(m1.meta.get("known_saturated")) and bool(
@@ -266,7 +260,6 @@ def decide_with_axioms(
     gamma: Iterable[Formula],
     a: Formula,
     max_depth: int = 2,
-    instance_cap: int = INSTANCE_CAP,
 ) -> AxiomDecision:
     """Semi-decision of consequence strengthened by axiom schemata.
 
@@ -281,7 +274,7 @@ def decide_with_axioms(
     instances: list[Formula] = []
     for depth in range(1, max_depth + 1):
         try:
-            instances = axiom_instances(axioms.axioms, universe, cap=instance_cap)
+            instances = axiom_instances(axioms.axioms, universe, cap=INSTANCE_CAP)
         except ValueError as e:
             return AxiomDecision(
                 answer="unknown", depth_used=depth, instances_used=0, note=str(e)

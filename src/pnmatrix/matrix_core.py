@@ -8,6 +8,13 @@ viability analysis (maximal viable sets, found once per matrix in its
 ``CompiledMatrix`` by branching on violated table entries, with no carrier
 cap beyond ``VALUE_CAP``), pruning, and strict homomorphism checking.
 
+Products, powers and sums share one builder.  It names the pair (x, y)
+"x|y", the tuple (x1, ..., xk) "x1&...&xk" and value x of summand i "i.x",
+and records each value's structure in ``meta["parts"]``.  `restrict`,
+`prune`, `reduct`, `extend` and `rename_connectives` keep the parts of the
+values they keep; `projection` and `inclusion` read them, and refuse a matrix
+without them, such as one read from a file.
+
 It also owns the matrix file format.  A file has a `signature:` block,
 `values:` and `designated:` lines and one `table` block per connective; `-`
 denotes the empty output set and `*` the full value set.  The canonical
@@ -20,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .syntax import Signature
 
@@ -40,7 +47,8 @@ class PNMatrix:
     values: tuple[str, ...]
     designated: frozenset[str]
     tables: Mapping[str, Table]
-    #: free-form metadata (fixture provenance, saturation flags); not part of identity
+    #: free-form metadata (fixture provenance, saturation flags, the structure
+    #: of combined values under "parts"); not part of identity
     meta: Mapping[str, object] = field(default_factory=dict, compare=False, hash=False)
 
     def entry(self, conn: str, args: tuple[str, ...]) -> frozenset[str]:
@@ -115,6 +123,9 @@ def validate(m: PNMatrix) -> list[str]:
             errors.append(f"tables for undeclared connectives {sorted(extra)}")
     for name, arity in m.sig:
         table = m.tables.get(name)
+        if arity < 0:
+            errors.append(f"connective {name!r} has negative arity {arity}")
+            continue
         if table is None:
             continue
         expected = set(itertools.product(m.values, repeat=arity))
@@ -261,7 +272,7 @@ def reduct(m: PNMatrix, sub_sig: Signature) -> PNMatrix:
         values=m.values,
         designated=m.designated,
         tables={c: m.tables[c] for c in sub_sig.names()},
-        meta={},
+        meta=_parts_meta(m, m.values),
     )
 
 
@@ -276,7 +287,8 @@ def extend(m: PNMatrix, big_sig: Signature) -> PNMatrix:
             tables[name] = {
                 tup: full for tup in itertools.product(m.values, repeat=arity)
             }
-    return make_matrix(big_sig, m.values, m.designated, tables)  # rejects unwritable new names
+    # make_matrix rejects unwritable new names
+    return make_matrix(big_sig, m.values, m.designated, tables, meta=_parts_meta(m, m.values))
 
 
 def rename_connectives(m: PNMatrix, renaming: Mapping[str, str]) -> PNMatrix:
@@ -307,15 +319,46 @@ def restrict(m: PNMatrix, keep: Iterable[str]) -> PNMatrix:
         values=values,
         designated=m.designated & keep_set,
         tables=tables,
+        meta=_parts_meta(m, values),
     )
+
+
+def _parts_meta(m: PNMatrix, values: Iterable[str]) -> dict:
+    """The metadata a matrix derived from m keeps: the parts of its values."""
+    parts = m.meta.get("parts")
+    return {} if parts is None else {"parts": {v: parts[v] for v in values}}
 
 
 # ---------------------------------------------------------------------------
 # Combinations of matrices
 # ---------------------------------------------------------------------------
 
-def pair_name(x: str, y: str) -> str:
-    return f"{x}|{y}"
+def _combination(
+    sig: Signature, parts: Sequence[tuple], name: Callable[[tuple], str],
+    designated: Iterable[tuple], entry: Callable[[str, tuple], Iterable[tuple]],
+) -> PNMatrix:
+    """The matrix over the structured values `parts`, part p named `name(p)`.
+
+    `entry(c, combo)` gives the parts that connective c outputs on a tuple of
+    parts.  ``meta["parts"]`` maps each value name back to its part.
+    """
+    names = {p: name(p) for p in parts}
+    if len(set(names.values())) != len(names):
+        raise MatrixError("two combined values would get the same name")
+    tables = {
+        c: {
+            tuple(names[p] for p in combo): frozenset(names[q] for q in entry(c, combo))
+            for combo in itertools.product(parts, repeat=arity)
+        }
+        for c, arity in sig
+    }
+    return PNMatrix(
+        sig=sig,
+        values=tuple(names.values()),
+        designated=frozenset(names[p] for p in designated),
+        tables=tables,
+        meta={"parts": {v: p for p, v in names.items()}},
+    )
 
 
 def strict_product(m1: PNMatrix, m2: PNMatrix) -> PNMatrix:
@@ -327,32 +370,20 @@ def strict_product(m1: PNMatrix, m2: PNMatrix) -> PNMatrix:
     only; shared connectives constrain both.
     """
     sig = m1.sig.union(m2.sig)  # raises on arity clash
-    pairs = [
-        (x, y)
-        for x in m1.values
-        for y in m2.values
-        if (x in m1.designated) == (y in m2.designated)
-    ]
+    d1, d2 = m1.designated, m2.designated
+    pairs = [(x, y) for x in m1.values for y in m2.values if (x in d1) == (y in d2)]
     if len(pairs) > VALUE_CAP:
         raise MatrixError(f"strict product would have {len(pairs)} values (cap {VALUE_CAP})")
-    values = tuple(pair_name(x, y) for x, y in pairs)
-    designated = frozenset(
-        pair_name(x, y) for x, y in pairs if x in m1.designated
+    full1, full2 = frozenset(m1.values), frozenset(m2.values)
+
+    def entry(c, combo):
+        left = m1.entry(c, tuple(x for x, _ in combo)) if c in m1.sig else full1
+        right = m2.entry(c, tuple(y for _, y in combo)) if c in m2.sig else full2
+        return [(x, y) for x in left for y in right if (x in d1) == (y in d2)]
+
+    return _combination(
+        sig, pairs, lambda p: f"{p[0]}|{p[1]}", [p for p in pairs if p[0] in d1], entry
     )
-    tables: dict[str, dict[tuple[str, ...], frozenset[str]]] = {}
-    for name, arity in sig:
-        table: dict[tuple[str, ...], frozenset[str]] = {}
-        for combo in itertools.product(pairs, repeat=arity):
-            xs = tuple(x for x, _ in combo)
-            ys = tuple(y for _, y in combo)
-            left = m1.entry(name, xs) if name in m1.sig else frozenset(m1.values)
-            right = m2.entry(name, ys) if name in m2.sig else frozenset(m2.values)
-            out = frozenset(
-                pair_name(x, y) for x, y in pairs if x in left and y in right
-            )
-            table[tuple(pair_name(x, y) for x, y in combo)] = out
-        tables[name] = table
-    return PNMatrix(sig=sig, values=values, designated=designated, tables=tables)
 
 
 def sum_matrices(ms: Sequence[PNMatrix]) -> PNMatrix:
@@ -360,35 +391,22 @@ def sum_matrices(ms: Sequence[PNMatrix]) -> PNMatrix:
     if not ms:
         raise MatrixError("sum of zero matrices")
     sig = ms[0].sig
-    for m in ms[1:]:
-        if m.sig != sig:
-            raise MatrixError("sum requires identical signatures")
-    tag = lambda i, x: f"{i}.{x}"
-    values = tuple(tag(i, x) for i, m in enumerate(ms) for x in m.values)
-    if len(values) > VALUE_CAP:
-        raise MatrixError(f"sum would have {len(values)} values (cap {VALUE_CAP})")
-    designated = frozenset(tag(i, x) for i, m in enumerate(ms) for x in m.designated)
-    origin = {tag(i, x): (i, x) for i, m in enumerate(ms) for x in m.values}
-    tables: dict[str, dict[tuple[str, ...], frozenset[str]]] = {}
-    for name, arity in sig:
-        table: dict[tuple[str, ...], frozenset[str]] = {}
-        for combo in itertools.product(values, repeat=arity):
-            indices = {origin[v][0] for v in combo}
-            if arity > 0 and len(indices) > 1:
-                table[combo] = frozenset()
-            else:
-                i = indices.pop() if indices else None
-                if i is None:
-                    # nullary connective: union of the tagged outputs
-                    out = frozenset(
-                        tag(j, x) for j, m in enumerate(ms) for x in m.entry(name, ())
-                    )
-                    table[combo] = out
-                else:
-                    raw = ms[i].entry(name, tuple(origin[v][1] for v in combo))
-                    table[combo] = frozenset(tag(i, x) for x in raw)
-        tables[name] = table
-    return PNMatrix(sig=sig, values=values, designated=designated, tables=tables)
+    if any(m.sig != sig for m in ms):
+        raise MatrixError("sum requires identical signatures")
+    tagged = [(i, x) for i, m in enumerate(ms) for x in m.values]
+    if len(tagged) > VALUE_CAP:
+        raise MatrixError(f"sum would have {len(tagged)} values (cap {VALUE_CAP})")
+
+    def entry(c, combo):
+        if not combo:  # a nullary entry is the union of the summands' entries
+            return [(i, x) for i, m in enumerate(ms) for x in m.entry(c, ())]
+        i = combo[0][0]
+        if any(j != i for j, _ in combo):
+            return ()
+        return [(i, x) for x in ms[i].entry(c, tuple(x for _, x in combo))]
+
+    designated = [(i, x) for i, x in tagged if x in ms[i].designated]
+    return _combination(sig, tagged, lambda p: f"{p[0]}.{p[1]}", designated, entry)
 
 
 def power(m: PNMatrix, k: int) -> PNMatrix:
@@ -401,20 +419,12 @@ def power(m: PNMatrix, k: int) -> PNMatrix:
     if len(m.values) ** k > VALUE_CAP:
         raise MatrixError(f"power would have {len(m.values) ** k} values (cap {VALUE_CAP})")
     tuples = list(itertools.product(m.values, repeat=k))
-    name_of = {t: "&".join(t) for t in tuples}
-    values = tuple(name_of[t] for t in tuples)
-    designated = frozenset(
-        name_of[t] for t in tuples if all(x in m.designated for x in t)
-    )
-    tables: dict[str, dict[tuple[str, ...], frozenset[str]]] = {}
-    for conn, arity in m.sig:
-        table: dict[tuple[str, ...], frozenset[str]] = {}
-        for combo in itertools.product(tuples, repeat=arity):
-            per_coord = [m.entry(conn, tuple(t[i] for t in combo)) for i in range(k)]
-            out = frozenset(name_of[t] for t in itertools.product(*per_coord))
-            table[tuple(name_of[t] for t in combo)] = out
-        tables[conn] = table
-    return PNMatrix(sig=m.sig, values=values, designated=designated, tables=tables)
+
+    def entry(c, combo):
+        return itertools.product(*(m.entry(c, tuple(t[i] for t in combo)) for i in range(k)))
+
+    designated = [t for t in tuples if all(x in m.designated for x in t)]
+    return _combination(m.sig, tuples, "&".join, designated, entry)
 
 
 # ---------------------------------------------------------------------------
@@ -557,8 +567,9 @@ def check_strict_hom(h: ValueMap, m: PNMatrix, m0: PNMatrix) -> Optional[str]:
         images = {x: h(x) for x in m.values}
     except KeyError as e:
         return f"map not total: missing {e.args[0]!r}"
+    targets = set(m0.values)
     for x, hx in images.items():
-        if hx not in set(m0.values):
+        if hx not in targets:
             return f"value {x!r} maps to unknown value {hx!r}"
         if (x in m.designated) != (hx in m0.designated):
             return f"strictness violated at {x!r} -> {hx!r}"
@@ -574,17 +585,24 @@ def check_strict_hom(h: ValueMap, m: PNMatrix, m0: PNMatrix) -> Optional[str]:
     return None
 
 
+def _parts(m: PNMatrix) -> Mapping[str, tuple]:
+    parts = m.meta.get("parts")
+    if parts is None:
+        raise MatrixError("the matrix records no value structure (one read from a file has none)")
+    return parts
+
+
 def projection(m_product: PNMatrix, side: int) -> ValueMap:
     """The coordinate projection out of a strict product (side 1 or 2)."""
-    mapping = {}
-    for v in m_product.values:
-        x, y = v.split("|", 1)
-        mapping[v] = x if side == 1 else y
-    return ValueMap.of(mapping)
+    if side not in (1, 2):
+        raise MatrixError(f"a strict product has sides 1 and 2, not {side!r}")
+    return ValueMap.of({v: p[side - 1] for v, p in _parts(m_product).items()})
 
 
 def inclusion(m_sum: PNMatrix, index: int) -> ValueMap:
-    """The tagged inclusion of summand `index` into a sum (partial inverse)."""
-    return ValueMap.of(
-        {x.split(".", 1)[1]: x for x in m_sum.values if x.startswith(f"{index}.")}
-    )
+    """The inclusion of summand `index` into a sum, as a map from the
+    summand's values to the sum's."""
+    mapping = {p[1]: v for v, p in _parts(m_sum).items() if p[0] == index}
+    if not mapping:
+        raise MatrixError(f"no value of the sum comes from summand {index!r}")
+    return ValueMap.of(mapping)

@@ -1,11 +1,8 @@
 """End-to-end acceptance checks, one test per headline behavior."""
 
-import itertools
-
 import pytest
 
 from pnmatrix import (
-    AxiomSet,
     Signature,
     builtin,
     builtin_calculus,
@@ -28,7 +25,6 @@ from pnmatrix import (
     skeleton,
     split_advice,
     strict_product,
-    viable_components,
     MonolithMap,
     SeparatorBounds,
     apply_substitution,

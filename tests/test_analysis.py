@@ -16,7 +16,6 @@ from pnmatrix import (
     formula_key,
     formula_pool,
     monadicity_report,
-    one_variable_formulas,
     print_formula,
     reduct,
     refute_saturation,
@@ -31,14 +30,14 @@ def sub_sig(m, names):
 class TestEnumeration:
     def test_size_order_and_cap(self):
         sig = Signature.of({"neg": 1})
-        fs = one_variable_formulas(sig, max_depth=3)
+        fs = formula_pool(sig, ("p",), max_depth=3, cap=5000)
         assert [print_formula(f) for f in fs] == [
             "p",
             "neg(p)",
             "neg(neg(p))",
             "neg(neg(neg(p)))",
         ]
-        assert len(one_variable_formulas(sig, max_depth=3, cap=2)) == 2
+        assert len(formula_pool(sig, ("p",), max_depth=3, cap=2)) == 2
 
     def test_pool_respects_variables_and_depth(self):
         sig = builtin("bool2").sig

@@ -18,7 +18,6 @@ from pnmatrix import (
     parse_formula_list,
     prune,
     reduct,
-    strict_product,
     subformula_closure,
     viable_components,
 )

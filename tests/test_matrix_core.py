@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pnmatrix import (
     MatrixError,
@@ -12,12 +12,14 @@ from pnmatrix import (
     classify,
     decide_multiple,
     extend,
+    format_matrix,
     inclusion,
     make_matrix,
     parse_formula,
     power,
     projection,
     prune,
+    read_matrix,
     reduct,
     rename_connectives,
     restrict,
@@ -60,6 +62,10 @@ class TestValidation:
             },
         )
         assert validate(m) == []
+
+    def test_negative_arity_reported(self):
+        with pytest.raises(MatrixError, match="negative arity -1"):
+            make_matrix(Signature.of({"x": -1}), ["a"], ["a"], {"x": {}})
 
     def test_empty_carrier_is_legal(self):
         m = make_matrix(Signature.of({"neg": 1}), [], [], {"neg": {}})
@@ -251,3 +257,122 @@ class TestStrictHoms:
         m = builtin("bool2")
         bad = ValueMap.of({"0": "1", "1": "1"})
         assert "strictness" in check_strict_hom(bad, m, m)
+
+    def test_projections_of_nested_products(self):
+        k, l = builtin("kleene-imp"), builtin("luk-imp")
+        kl = strict_product(k, l)
+        for left, right in ((kl, k), (k, kl)):
+            p = strict_product(left, right)
+            assert check_strict_hom(projection(p, 1), p, left) is None
+            assert check_strict_hom(projection(p, 2), p, right) is None
+
+    def test_derived_matrices_keep_the_parts(self):
+        p = strict_product(builtin("kleene-imp"), builtin("luk-imp"))
+        bigger = p.sig.union(Signature.of({"neg": 1}))
+        for q in (reduct(p, p.sig), extend(p, bigger), rename_connectives(p, {"imp": "to"})):
+            assert projection(q, 1) == projection(p, 1)
+            assert projection(q, 2) == projection(p, 2)
+
+    def test_matrix_from_a_file_has_no_structure(self):
+        p = strict_product(builtin("kleene-imp"), builtin("luk-imp"))
+        s = sum_matrices([builtin("neg3"), builtin("neg3")])
+        with pytest.raises(MatrixError, match="no value structure"):
+            projection(read_matrix(format_matrix(p)), 1)
+        with pytest.raises(MatrixError, match="no value structure"):
+            inclusion(read_matrix(format_matrix(s)), 0)
+
+    def test_bad_side_or_index(self):
+        p = strict_product(builtin("kleene-imp"), builtin("luk-imp"))
+        for side in (0, 3):
+            with pytest.raises(MatrixError, match="sides 1 and 2"):
+                projection(p, side)
+        with pytest.raises(MatrixError, match="summand 5"):
+            inclusion(sum_matrices([builtin("neg3"), builtin("neg3")]), 5)
+
+    def test_colliding_names_rejected(self):
+        sig = Signature.of({"neg": 1})
+        a = make_matrix(sig, ["a|b", "a"], [], {"neg": {("a|b",): {"a"}, ("a",): {"a"}}})
+        b = make_matrix(sig, ["c", "b|c"], [], {"neg": {("c",): {"c"}, ("b|c",): {"c"}}})
+        with pytest.raises(MatrixError, match="same name"):
+            strict_product(a, b)  # ("a|b", "c") and ("a", "b|c") are both "a|b|c"
+
+
+RANDOM_SIG = Signature.of({"c": 0, "neg": 1, "imp": 2})
+tiny_pnmatrices = random_pnmatrices().filter(lambda m: len(m.values) <= 3)
+
+
+class TestCombinationProperties:
+    """Products, powers and sums of random PNmatrices against their definitions."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(tiny_pnmatrices, tiny_pnmatrices, tiny_pnmatrices)
+    @example(builtin("luk3"), builtin("neg3"), builtin("kleene-imp"))  # imp, nabla foreign to neg3
+    @example(builtin("neg3"), builtin("luk3"), builtin("neg3"))
+    def test_products(self, a, b, c):
+        p = strict_product(a, b)
+        parts = p.meta["parts"]
+        compatible = [
+            (x, y) for x in a.values for y in b.values
+            if (x in a.designated) == (y in b.designated)
+        ]
+        assert p.values == tuple(f"{x}|{y}" for x, y in compatible)
+        assert [parts[v] for v in p.values] == compatible
+        assert p.designated == {f"{x}|{y}" for x, y in compatible if x in a.designated}
+        for conn, k in p.sig:
+            for args, out in p.tables[conn].items():
+                xs, ys = zip(*(parts[v] for v in args)) if k else ((), ())
+                left = a.entry(conn, xs) if conn in a.sig else set(a.values)
+                right = b.entry(conn, ys) if conn in b.sig else set(b.values)
+                assert out == {v for v, (x, y) in parts.items() if x in left and y in right}
+        for left, right in ((p, c), (c, p)):
+            nested = strict_product(left, right)
+            assert read_matrix(format_matrix(nested)) == nested
+            for q in (nested, prune(nested)):
+                assert check_strict_hom(projection(q, 1), q, left) is None
+                assert check_strict_hom(projection(q, 2), q, right) is None
+
+    @settings(max_examples=50, deadline=None)
+    @given(tiny_pnmatrices, st.integers(1, 3))
+    def test_powers(self, m, k):
+        p = power(m, k)
+        assert read_matrix(format_matrix(p)) == p
+        parts = p.meta["parts"]
+        assert [parts[v] for v in p.values] == list(itertools.product(m.values, repeat=k))
+        assert all(v == "&".join(t) for v, t in parts.items())
+        assert p.designated == {v for v, t in parts.items() if set(t) <= m.designated}
+        for conn, _ in p.sig:
+            for args, out in p.tables[conn].items():
+                coords = [m.entry(conn, tuple(parts[v][i] for v in args)) for i in range(k)]
+                assert out == {
+                    v for v, t in parts.items() if all(t[i] in coords[i] for i in range(k))
+                }
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(tiny_pnmatrices, min_size=1, max_size=3), tiny_pnmatrices)
+    def test_sums(self, ms, extra):
+        summands = [extend(m, RANDOM_SIG) for m in ms + [strict_product(ms[0], extra)]]
+        s = sum_matrices(summands)
+        assert read_matrix(format_matrix(s)) == s
+        parts = s.meta["parts"]
+        tagged = [(i, x) for i, m in enumerate(summands) for x in m.values]
+        assert [parts[v] for v in s.values] == tagged
+        assert all(v == f"{i}.{x}" for v, (i, x) in parts.items())
+        assert s.designated == {v for v, (i, x) in parts.items() if x in summands[i].designated}
+        assert s.entry("c", ()) == {
+            v for v, (i, x) in parts.items() if x in summands[i].entry("c", ())
+        }
+        for conn in ("neg", "imp"):
+            for args, out in s.tables[conn].items():
+                tags = {parts[v][0] for v in args}
+                if len(tags) > 1:
+                    assert out == frozenset()
+                else:
+                    (i,) = tags
+                    inner = summands[i].entry(conn, tuple(parts[v][1] for v in args))
+                    assert out == {f"{i}.{x}" for x in inner}
+        for i, m in enumerate(summands):
+            if m.values:
+                assert check_strict_hom(inclusion(s, i), m, s) is None
+            else:  # an empty summand leaves no value to read its index from
+                with pytest.raises(MatrixError, match=f"summand {i}"):
+                    inclusion(s, i)
