@@ -20,15 +20,19 @@ contract: it fixes the first countermodel and ``assignments_explored``.
 Propagation removes only values that belong to no prevaluation, so it
 changes neither; its queue order is free, since the fixpoint is unique.
 
-``decide_batch`` answers many queries with one premise set.  It indexes one
+``decide_batch`` is the one driver: it answers a list of queries with one
+premise set, and ``decide_multiple`` is its one-query case.  It indexes one
 closure over the premises and every conclusion, and per component runs the
-fixpoint once, with only the premises narrowed.  A query then starts from
-those domains on its own sub-closure (the ids its formulas reach, ascending,
-which is its own closure order), narrows its conclusions and revises only
-the arcs at them.  That is sound because the component is viable: every
-entry over it meets it, so a node outside the sub-closure can always take a
-value, never removes one from a node inside, and the query reaches the same
-fixpoint, first countermodel and ``assignments_explored`` as on its own.
+fixpoint once, with the premises and the conclusions that every query shares
+narrowed.  A query then starts from those domains on its own sub-closure (the
+ids its formulas reach, ascending, which is its own closure order), narrows
+its other conclusions and revises only the arcs at them.  That is sound
+because the component is viable: every entry over it meets it, so a node
+outside the sub-closure can always take a value, never removes one from a
+node inside, and the query reaches the same fixpoint, first countermodel and
+``assignments_explored`` as on its own.  The shared conclusions lie in every
+sub-closure, so the argument covers them.  With one query, the sub-closure
+is the whole closure and the shared fixpoint is the query's own.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
@@ -98,17 +102,17 @@ class _Closure:
             if not well_formed_node(f, sig):
                 raise ValueError(f"formula {print_formula(f)} not well-formed over the matrix signature")
         self.node = node = {f: i for i, f in enumerate(formulas)}
-        self._index([f.head for f in formulas], [tuple(node[a] for a in f.args) for f in formulas])
+        self._index([f.head for f in formulas], [tuple([node[a] for a in f.args]) for f in formulas])
 
     def _index(self, heads: list[Optional[str]], args: list[tuple[int, ...]]) -> None:
         self.heads, self.args = heads, args
-        self.distinct = [tuple(dict.fromkeys(a)) for a in args]
+        self.distinct = distinct = [tuple(dict.fromkeys(a)) for a in args]
         self.positions = [
             None if len(d) == len(a) else tuple(d.index(x) for x in a)
-            for a, d in zip(args, self.distinct)
+            for a, d in zip(args, distinct)
         ]
         self.parents: list[list[int]] = [[] for _ in args]
-        for i, d in enumerate(self.distinct):
+        for i, d in enumerate(distinct):
             for a in d:
                 self.parents[a].append(i)
 
@@ -135,25 +139,27 @@ class _Closure:
         return view
 
 
-def _propagate(cl: _Closure, comp: CompiledMatrix, dom: list[int], pending=None) -> bool:
+def _propagate(cl: _Closure, comp: CompiledMatrix, dom: list[int], narrowed=None) -> bool:
     """Arc consistency over the closure; False if some domain empties.
 
     Revising node i keeps the values of i, and of each of its arguments,
     that occur in some combination of argument values whose table entry
     meets i's domain.  Only values that occur in no prevaluation compatible
     with the current domains are removed, so the solution set is untouched.
-    ``pending`` lists the compound nodes whose arcs may be violated, without
-    repeats; by default all of them.
+    With ``narrowed``, the domains are at a fixpoint except at those nodes,
+    so only the arcs at them are revised first; by default every arc is.
     """
     heads, parents = cl.heads, cl.parents
-    if pending is None:
+    if narrowed is None:
         pending = [i for i, h in enumerate(heads) if h is not None]
         queued = [h is not None for h in heads]
     else:
-        pending = list(pending)
-        queued = [False] * len(heads)
-        for i in pending:
-            queued[i] = True
+        pending, queued = [], [False] * len(heads)
+        for g in narrowed:
+            for h in parents[g] if heads[g] is None else parents[g] + [g]:
+                if not queued[h]:
+                    queued[h] = True
+                    pending.append(h)
     while pending:
         i = pending.pop()
         queued[i] = False
@@ -162,7 +168,7 @@ def _propagate(cl: _Closure, comp: CompiledMatrix, dom: list[int], pending=None)
         distinct, positions = cl.distinct[i], cl.positions[i]
         out = 0
         support = [0] * len(distinct)
-        for combo in product(*(mask_bits(dom[g]) for g in distinct)):
+        for combo in product(*[mask_bits(dom[g]) for g in distinct]):
             hit = table[combo if positions is None else tuple(combo[k] for k in positions)] & own
             if hit:
                 out |= hit
@@ -188,22 +194,16 @@ def _propagate(cl: _Closure, comp: CompiledMatrix, dom: list[int], pending=None)
     return True
 
 
-def _search_component(
-    comp: CompiledMatrix, cl: _Closure, dom: list[int], collector=None, pending=None
-):
+def _search_component(comp: CompiledMatrix, cl: _Closure, dom: list[int], collector=None):
     """Backtracking search for prevaluations within the given domains.
 
-    ``dom`` holds each node's initial value mask and is narrowed in place;
-    ``pending`` is passed on to ``_propagate``.  With collector=None,
-    returns (assignment or None, explored-count), the assignment a list of
-    value indices by node id, for the first solution in search order; with a
+    ``dom`` holds each node's value mask, at the arc-consistency fixpoint
+    (``_propagate``); it is only read.  With collector=None, returns
+    (assignment or None, explored-count), the assignment a list of value
+    indices by node id, for the first solution in search order; with a
     (key, set) collector, enumerates all solutions, adding key(assignment)
     of each to the set.
     """
-    if not all(dom):
-        return None, 0
-    if not _propagate(cl, comp, dom, pending):
-        return None, 0
     n = len(dom)
     if n == 0:
         return [], 0
@@ -214,7 +214,7 @@ def _search_component(
     def candidates(i: int):
         if heads[i] is None:
             return iter(mask_bits(dom[i]))
-        entry = tables[heads[i]][tuple(assignment[a] for a in args[i])]
+        entry = tables[heads[i]][tuple([assignment[a] for a in args[i]])]
         return iter(mask_bits(entry & dom[i]))
 
     # depth-first over node ids, one candidate iterator per assigned node
@@ -239,37 +239,7 @@ def _search_component(
 
 def decide_multiple(m: PNMatrix, gamma: Iterable[Formula], delta: Iterable[Formula]) -> Verdict:
     """Does every valuation designating all of gamma designate some of delta?"""
-    gamma = tuple(dict.fromkeys(gamma))
-    delta = tuple(dict.fromkeys(delta))
-    omega = subformula_closure(gamma + delta)
-    cl = _Closure(omega, m.sig)
-    comp = m.compiled
-    premises = [cl.node[f] for f in gamma]
-    conclusions = [cl.node[f] for f in delta]
-    explored_total = 0
-    for tried, (w_names, w) in enumerate(comp.components, start=1):
-        dom = [w] * len(omega)
-        for i in premises:
-            dom[i] &= comp.designated
-        for i in conclusions:
-            dom[i] &= ~comp.designated
-        solution, explored = _search_component(comp, cl, dom)
-        explored_total += explored
-        if solution is not None:
-            assignment = tuple(
-                (f, m.values[x]) for f, x in zip(omega, solution)
-            )
-            return Verdict(
-                answer="no",
-                countermodel=Countermodel(assignment=assignment, component=w_names),
-                components_tried=tried,
-                assignments_explored=explored_total,
-            )
-    return Verdict(
-        answer="yes",
-        components_tried=len(comp.components),
-        assignments_explored=explored_total,
-    )
+    return decide_batch(m, gamma, [delta])[0]
 
 
 def decide_single(m: PNMatrix, gamma: Iterable[Formula], a: Formula) -> Verdict:
@@ -279,118 +249,108 @@ def decide_single(m: PNMatrix, gamma: Iterable[Formula], a: Formula) -> Verdict:
 def decide_batch(
     m: PNMatrix, gamma: Iterable[Formula], deltas: Iterable[Iterable[Formula]]
 ) -> list[Verdict]:
-    """``[decide_multiple(m, gamma, delta) for delta in deltas]``, verdicts
-    and their counts included, with one premise fixpoint per component
-    shared by all the queries (see the module docstring)."""
-    gamma = tuple(dict.fromkeys(gamma))
-    deltas = [tuple(dict.fromkeys(delta)) for delta in deltas]
+    """``[decide_multiple(m, gamma, delta) for delta in deltas]``, with one
+    fixpoint per component shared by all the queries (see the module
+    docstring)."""
+    gamma = tuple(gamma)
+    deltas = [tuple(delta) for delta in deltas]
     if not deltas:
         return []
-    omega = subformula_closure(gamma + tuple(f for delta in deltas for f in delta))
+    omega = subformula_closure([*gamma, *chain.from_iterable(deltas)])
+    n = len(omega)
     cl = _Closure(omega, m.sig)
-    comp = m.compiled
-    undesignated = ~comp.designated
-    premises = [cl.node[f] for f in gamma]
-    premise_closure = cl.reach(premises)
-    conclusions = [[cl.node[f] for f in delta] for delta in deltas]
-    # per query, built when first searched: sub-closure ids, their view, and
-    # the conclusions with the arcs at them in the view's numbering
-    plans: list = [None] * len(deltas)
-    explored = [0] * len(deltas)
-    verdicts: list[Optional[Verdict]] = [None] * len(deltas)
-    open_queries = list(range(len(deltas)))
-    for tried, (w_names, w) in enumerate(comp.components, start=1):
-        shared = [w] * len(omega)
-        for i in premises:
-            shared[i] &= comp.designated
-        if not all(shared) or not _propagate(cl, comp, shared):
-            continue  # every query's own fixpoint empties a domain as well
-        for q in open_queries:
-            if not all(shared[c] & undesignated for c in conclusions[q]):
+    node, comp = cl.node, m.compiled
+    designated, undesignated = comp.designated, ~comp.designated
+    common = set(deltas[0]).intersection(*deltas[1:])
+    premises = [node[f] for f in gamma]
+    owns = [[node[f] for f in delta if f not in common] for delta in deltas]
+    # every sub-closure holds the premises and the shared conclusions; when no
+    # query has conclusions of its own, that is the whole closure
+    base = cl.reach(premises + [node[f] for f in common]) if any(owns) else None
+    fixpoints: list[Optional[list[int]]] = []  # per component reached: domains, or None
+    verdicts = []
+    for own in owns:
+        view = None
+        explored = 0
+        for tried, (w_names, w) in enumerate(comp.components, start=1):
+            if tried > len(fixpoints):
+                dom = [w] * n
+                for i in premises:
+                    dom[i] &= designated
+                for f in common:
+                    dom[node[f]] &= undesignated
+                fixpoints.append(dom if all(dom) and _propagate(cl, comp, dom) else None)
+            dom = fixpoints[tried - 1]
+            # an empty domain empties one in the query's own fixpoint as well
+            if dom is None or not all(dom[c] & undesignated for c in own):
                 continue
-            if plans[q] is None:
-                ids = sorted(cl.reach(conclusions[q], premise_closure))
-                view = cl.sub(ids)
-                local = [bisect_left(ids, c) for c in conclusions[q]]
-                arcs = [h for c in local for h in view.parents[c]]
-                arcs += [c for c in local if view.heads[c] is not None]
-                plans[q] = ids, view, local, tuple(dict.fromkeys(arcs))
-            ids, view, local, arcs = plans[q]
-            dom = [shared[g] for g in ids]
-            for c in local:
-                dom[c] &= undesignated
-            solution, n = _search_component(comp, view, dom, pending=arcs)
-            explored[q] += n
-            if solution is None:
-                continue
-            assignment = tuple((omega[g], m.values[x]) for g, x in zip(ids, solution))
-            verdicts[q] = Verdict(
-                answer="no",
-                countermodel=Countermodel(assignment=assignment, component=w_names),
-                components_tried=tried,
-                assignments_explored=explored[q],
-            )
-        open_queries = [q for q in open_queries if verdicts[q] is None]
-        if not open_queries:
-            break
-    for q in open_queries:
-        verdicts[q] = Verdict(
-            answer="yes",
-            components_tried=len(comp.components),
-            assignments_explored=explored[q],
-        )
+            if view is None:  # the query's sub-closure, renumbered unless it is all of cl
+                ids = range(n) if base is None else sorted(cl.reach(own, base))
+                view = cl if len(ids) == n else cl.sub(ids)
+                local = own if view is cl else [bisect_left(ids, c) for c in own]
+            if local or view is not cl:
+                dom = [dom[g] for g in ids]
+                for c in local:
+                    dom[c] &= undesignated
+                if local and not _propagate(view, comp, dom, local):
+                    continue
+            solution, k = _search_component(comp, view, dom)
+            explored += k
+            if solution is not None:
+                assignment = tuple((omega[g], m.values[x]) for g, x in zip(ids, solution))
+                verdicts.append(Verdict(
+                    answer="no",
+                    countermodel=Countermodel(assignment=assignment, component=w_names),
+                    components_tried=tried,
+                    assignments_explored=explored,
+                ))
+                break
+        else:
+            verdicts.append(Verdict(
+                answer="yes",
+                components_tried=len(comp.components),
+                assignments_explored=explored,
+            ))
     return verdicts
 
 
-def _one_variable_closure(m: PNMatrix, a: Formula) -> tuple[_Closure, Optional[int]]:
-    """The indexed closure of a, and the id of its variable (None without one)."""
-    omega = subformula_closure([a])
-    cl = _Closure(omega, m.sig)
-    vars_of = [g for g in omega if isinstance(g, Var)]
-    if len(vars_of) > 1:
-        raise ValueError("possible_values expects a formula with at most one variable")
-    return cl, cl.node[vars_of[0]] if vars_of else None
-
-
 def possible_values(m: PNMatrix, a: Formula, x: str) -> frozenset[str]:
-    """Exact set of values a one-variable formula can take when its variable is x.
-
-    Enumerates prevaluations on sub(a) within each viable component containing
-    x; empty when x is spurious.
-    """
-    cl, var = _one_variable_closure(m, a)
+    """Exact set of values a one-variable formula can take when its variable
+    is x; empty when x is spurious.  Read from ``possible_value_vector``."""
+    vector = possible_value_vector(m, a)
     if x not in m.values:
         raise ValueError(f"unknown value {x!r}")
-    comp = m.compiled
-    acc: set[int] = set()
-    for w_names, w in comp.components:
-        if x not in w_names:
-            continue
-        dom = [w] * len(cl.heads)
-        if var is not None:
-            dom[var] &= 1 << comp.index[x]
-        _search_component(comp, cl, dom, collector=(itemgetter(cl.node[a]), acc))
-    return frozenset(m.values[i] for i in acc)
+    return vector[m.values.index(x)]
 
 
 def possible_value_vector(m: PNMatrix, a: Formula) -> tuple[frozenset[str], ...]:
-    """``tuple(possible_values(m, a, x) for x in m.values)``, from one
-    enumeration per component with the variable left free."""
-    cl, var = _one_variable_closure(m, a)
+    """For each value x of m in order, the exact set of values a one-variable
+    formula can take when its variable is x.
+
+    Enumerates the prevaluations on sub(a) within each viable component, with
+    the variable free; the set of a spurious x is empty.
+    """
+    omega = subformula_closure([a])
+    cl = _Closure(omega, m.sig)
+    variables = [cl.node[g] for g in omega if isinstance(g, Var)]
+    if len(variables) > 1:
+        raise ValueError("possible_values expects a formula with at most one variable")
     comp = m.compiled
     out: list[set[int]] = [set() for _ in m.values]
     # with a variable, (variable value, value of a) pairs; else values of a,
     # the same under every value of the component
-    key = itemgetter(cl.node[a]) if var is None else itemgetter(var, cl.node[a])
+    key = itemgetter(*variables, cl.node[a])
     for _, w in comp.components:
+        dom = [w] * len(omega)
         acc: set = set()
-        _search_component(comp, cl, [w] * len(cl.heads), collector=(key, acc))
-        if var is None:
-            for x in mask_bits(w):
-                out[x] |= acc
-        else:
+        if _propagate(cl, comp, dom):
+            _search_component(comp, cl, dom, collector=(key, acc))
+        if variables:
             for x, v in acc:
                 out[x].add(v)
+        else:
+            for x in mask_bits(w):
+                out[x] |= acc
     return tuple(frozenset(m.values[i] for i in s) for s in out)
 
 

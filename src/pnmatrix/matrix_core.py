@@ -284,9 +284,9 @@ def extend(m: PNMatrix, big_sig: Signature) -> PNMatrix:
     tables = dict(m.tables)
     for name, arity in big_sig:
         if name not in m.sig:
-            tables[name] = {
-                tup: full for tup in itertools.product(m.values, repeat=arity)
-            }
+            # an empty table for a negative arity, which make_matrix rejects
+            cells = itertools.product(m.values, repeat=arity) if arity >= 0 else ()
+            tables[name] = {tup: full for tup in cells}
     # make_matrix rejects unwritable new names
     return make_matrix(big_sig, m.values, m.designated, tables, meta=_parts_meta(m, m.values))
 
@@ -547,11 +547,12 @@ class ValueMap:
     def of(mapping: Mapping[str, str]) -> "ValueMap":
         return ValueMap(tuple(sorted(mapping.items())))
 
+    @cached_property
+    def _images(self) -> dict[str, str]:
+        return dict(self.mapping)
+
     def __call__(self, x: str) -> str:
-        for k, v in self.mapping:
-            if k == x:
-                return v
-        raise KeyError(x)
+        return self._images[x]  # KeyError(x) on a value outside the domain
 
 
 def check_strict_hom(h: ValueMap, m: PNMatrix, m0: PNMatrix) -> Optional[str]:

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -66,6 +67,11 @@ class TestValidation:
     def test_negative_arity_reported(self):
         with pytest.raises(MatrixError, match="negative arity -1"):
             make_matrix(Signature.of({"x": -1}), ["a"], ["a"], {"x": {}})
+
+    def test_extend_reports_a_negative_arity(self):
+        m = builtin("bool2")
+        with pytest.raises(MatrixError, match="negative arity -1"):
+            extend(m, m.sig.union(Signature.of({"x": -1})))
 
     def test_empty_carrier_is_legal(self):
         m = make_matrix(Signature.of({"neg": 1}), [], [], {"neg": {}})
@@ -257,6 +263,16 @@ class TestStrictHoms:
         m = builtin("bool2")
         bad = ValueMap.of({"0": "1", "1": "1"})
         assert "strictness" in check_strict_hom(bad, m, m)
+
+    def test_value_map_is_a_value_object(self):
+        h = ValueMap.of({"b": "0", "a": "1"})
+        assert h.mapping == (("a", "1"), ("b", "0"))
+        assert [h("a"), h("b")] == ["1", "0"]
+        with pytest.raises(KeyError):
+            h("c")
+        twin = pickle.loads(pickle.dumps(h))
+        assert twin == h and hash(twin) == hash(h) and twin("b") == "0"
+        assert h != ValueMap.of({"a": "1", "b": "1"})
 
     def test_projections_of_nested_products(self):
         k, l = builtin("kleene-imp"), builtin("luk-imp")
