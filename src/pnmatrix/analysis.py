@@ -15,7 +15,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .engine import Verdict, decide_batch, decide_multiple, decide_single, possible_value_vector
+from .engine import (
+    Closure, PremiseContext, Verdict, decide_batch, decide_multiple, decide_single,
+    possible_value_vector,
+)
 from .matrix_core import PNMatrix, reduct, strict_product, viable_components
 from .syntax import (
     App,
@@ -261,18 +264,17 @@ def refute_saturation(
             tuple(sorted(print_formula(f) for f in g)),
         )
     )
+    cl = Closure(pool, m.sig)  # one context per base answers all its queries over it
     checked = 0
     for gamma0 in bases:
         checked += 1
-        g = list(gamma0)
-        targets = [a for a in pool if a not in gamma0]
-        verdicts = decide_batch(m, g, [[a] for a in targets])
-        n = [a for a, v in zip(targets, verdicts) if v.answer == "no"]
-        if not n or decide_multiple(m, g, n).answer != "yes":
+        context = PremiseContext(m, cl, gamma0)
+        n = [a for a in pool if a not in gamma0 and context.decide([a]).answer == "no"]
+        if not n or context.decide(n).answer != "yes":
             continue
         for size in range(1, bounds.max_phi + 1):
             for phi in itertools.combinations(n, size):
-                if decide_multiple(m, g, phi).answer == "yes":
+                if context.decide(phi).answer == "yes":
                     witness = SaturationWitness(gamma0=gamma0, phi=phi)
                     return RefutationResult(
                         refuted=True,

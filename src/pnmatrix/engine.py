@@ -4,10 +4,10 @@ A query fails over a matrix exactly when some prevaluation on the subformula
 closure of the query designates every premise and no conclusion, with all its
 values drawn from one viable component (the component's restriction is total,
 so such a prevaluation extends to a full valuation).  The closure is the only
-place the search looks, so each query is compiled once into integer form:
-node i is the i-th closure formula in increasing subformula order, with the
-ids of its arguments and of the compound nodes that use it (``_Closure``).
-All components share that index.
+place the search looks, so it is compiled once into integer form: node i is
+the i-th closure formula in increasing subformula order, with the ids of its
+arguments and of the compound nodes that use it (``Closure``).  All
+components share that index.
 
 Per component, every node starts with a bitmask domain (bit j is the matrix's
 value j): the component's mask, narrowed to designated values for premises
@@ -20,24 +20,24 @@ contract: it fixes the first countermodel and ``assignments_explored``.
 Propagation removes only values that belong to no prevaluation, so it
 changes neither; its queue order is free, since the fixpoint is unique.
 
-``decide_batch`` is the one driver: it answers a list of queries with one
-premise set, and ``decide_multiple`` is its one-query case.  It indexes one
-closure over the premises and every conclusion, and per component runs the
-fixpoint once, with the premises and the conclusions that every query shares
-narrowed.  A query then starts from those domains on its own sub-closure (the
-ids its formulas reach, ascending, which is its own closure order), narrows
-its other conclusions and revises only the arcs at them.  That is sound
-because the component is viable: every entry over it meets it, so a node
-outside the sub-closure can always take a value, never removes one from a
-node inside, and the query reaches the same fixpoint, first countermodel and
-``assignments_explored`` as on its own.  The shared conclusions lie in every
-sub-closure, so the argument covers them.  With one query, the sub-closure
-is the whole closure and the shared fixpoint is the query's own.
+A ``PremiseContext`` holds one premise set over an indexed closure and runs
+the fixpoint once per component, on first need, with the premises narrowed
+(and, in a batch, the conclusions every query shares).  A query then starts
+from those domains on its own sub-closure, the ids its formulas reach: it
+narrows its other conclusions, revises only the arcs inside, and the search
+walks those ids in ascending order, which is their own closure order, in
+place on the shared index.  That is sound because the component is viable:
+every entry over it meets it, so a node outside the sub-closure can always
+take a value and never removes one from a node inside, and the query
+reaches the same fixpoint, first countermodel and ``assignments_explored``
+as on its own closure.  ``decide_batch``, the one driver, indexes the
+premises and every conclusion and asks one context each query;
+``decide_multiple`` is its one-query case.  The saturation refuter indexes
+its formula pool once and makes one context per theory base.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, product
@@ -85,27 +85,27 @@ class Verdict:
 # search
 # ---------------------------------------------------------------------------
 
-class _Closure:
+class Closure:
     """A subformula closure, checked against a signature and indexed by integers.
 
-    Node i is the i-th formula given (``node`` maps formulas to ids), and
-    arguments precede the nodes that use them.  ``heads[i]`` is its
-    connective (None for a variable), ``args[i]`` its argument ids,
-    ``distinct[i]`` those ids without repeats, ``positions[i]`` the position
-    of each argument within ``distinct[i]`` (None when there are no
-    repeats), and ``parents[i]`` the compound nodes with node i among their
-    arguments.
+    Node i is ``formulas[i]``, the i-th subformula of ``roots`` (``node``
+    maps formulas to ids), and arguments precede the nodes that use them.
+    ``heads[i]`` is its connective (None for a variable), ``args[i]`` its
+    argument ids, ``distinct[i]`` those ids without repeats, ``positions[i]``
+    the position of each argument within ``distinct[i]`` (None when there
+    are no repeats), and ``parents[i]`` the compound nodes with node i among
+    their arguments.
     """
 
-    def __init__(self, formulas: Sequence[Formula], sig: Signature):
+    def __init__(self, roots: Sequence[Formula], sig: Signature):
+        self.roots = roots
+        self.formulas = formulas = subformula_closure(roots)
         for f in formulas:  # each node once; the first bad one is named
             if not well_formed_node(f, sig):
                 raise ValueError(f"formula {print_formula(f)} not well-formed over the matrix signature")
         self.node = node = {f: i for i, f in enumerate(formulas)}
-        self._index([f.head for f in formulas], [tuple([node[a] for a in f.args]) for f in formulas])
-
-    def _index(self, heads: list[Optional[str]], args: list[tuple[int, ...]]) -> None:
-        self.heads, self.args = heads, args
+        self.heads = [f.head for f in formulas]
+        self.args = args = [tuple([node[a] for a in f.args]) for f in formulas]
         self.distinct = distinct = [tuple(dict.fromkeys(a)) for a in args]
         self.positions = [
             None if len(d) == len(a) else tuple(d.index(x) for x in a)
@@ -128,18 +128,8 @@ class _Closure:
                 stack.extend(a for a in self.distinct[i] if a not in out)
         return out
 
-    def sub(self, ids: Sequence[int]) -> "_Closure":
-        """The sub-closure on ids (ascending, closed under arguments),
-        renumbered from 0 in that order; it has no ``node`` map."""
-        local = dict(zip(ids, range(len(ids))))
-        view = object.__new__(_Closure)
-        view._index(
-            [self.heads[g] for g in ids], [tuple([local[a] for a in self.args[g]]) for g in ids]
-        )
-        return view
 
-
-def _propagate(cl: _Closure, comp: CompiledMatrix, dom: list[int], narrowed=None) -> bool:
+def _propagate(cl: Closure, comp: CompiledMatrix, dom: list[int], narrowed=None, inside=None) -> bool:
     """Arc consistency over the closure; False if some domain empties.
 
     Revising node i keeps the values of i, and of each of its arguments,
@@ -148,13 +138,19 @@ def _propagate(cl: _Closure, comp: CompiledMatrix, dom: list[int], narrowed=None
     with the current domains are removed, so the solution set is untouched.
     With ``narrowed``, the domains are at a fixpoint except at those nodes,
     so only the arcs at them are revised first; by default every arc is.
+    With ``inside`` (ids closed under arguments, holding ``narrowed``), only
+    the arcs of nodes inside are revised; over a viable component the nodes
+    outside constrain nothing inside (see the module docstring).
     """
     heads, parents = cl.heads, cl.parents
     if narrowed is None:
         pending = [i for i, h in enumerate(heads) if h is not None]
         queued = [h is not None for h in heads]
     else:
-        pending, queued = [], [False] * len(heads)
+        # a node outside the sub-closure counts as queued, so it never is
+        pending, queued = [], [inside is not None] * len(heads)
+        for i in inside or ():
+            queued[i] = False
         for g in narrowed:
             for h in parents[g] if heads[g] is None else parents[g] + [g]:
                 if not queued[h]:
@@ -194,21 +190,23 @@ def _propagate(cl: _Closure, comp: CompiledMatrix, dom: list[int], narrowed=None
     return True
 
 
-def _search_component(comp: CompiledMatrix, cl: _Closure, dom: list[int], collector=None):
-    """Backtracking search for prevaluations within the given domains.
+def _search_component(comp: CompiledMatrix, cl: Closure, dom: list[int], ids, collector=None):
+    """Backtracking search for prevaluations on the sub-closure ``ids``
+    (ascending, closed under arguments) within the given domains.
 
     ``dom`` holds each node's value mask, at the arc-consistency fixpoint
-    (``_propagate``); it is only read.  With collector=None, returns
-    (assignment or None, explored-count), the assignment a list of value
-    indices by node id, for the first solution in search order; with a
-    (key, set) collector, enumerates all solutions, adding key(assignment)
-    of each to the set.
+    (``_propagate``) on the sub-closure; it is only read.  The ids are
+    assigned in place, in ascending order, their own closure order.  With
+    collector=None, returns (assignment or None, explored-count), the
+    assignment a list of value indices by node id, for the first solution in
+    search order; with a (key, set) collector, enumerates all solutions,
+    adding key(assignment) of each to the set.
     """
-    n = len(dom)
+    n = len(ids)
     if n == 0:
         return [], 0
     heads, args, tables = cl.heads, cl.args, comp.tables
-    assignment = [0] * n
+    assignment = [0] * len(dom)
     explored = 0
 
     def candidates(i: int):
@@ -217,24 +215,78 @@ def _search_component(comp: CompiledMatrix, cl: _Closure, dom: list[int], collec
         entry = tables[heads[i]][tuple([assignment[a] for a in args[i]])]
         return iter(mask_bits(entry & dom[i]))
 
-    # depth-first over node ids, one candidate iterator per assigned node
-    stack = [candidates(0)]
+    # depth-first over the ids, one candidate iterator per assigned node
+    stack = [candidates(ids[0])]
     while stack:
-        i = len(stack) - 1
-        v = next(stack[i], None)
+        k = len(stack) - 1
+        v = next(stack[k], None)
         if v is None:
             stack.pop()
             continue
-        assignment[i] = v
+        assignment[ids[k]] = v
         explored += 1
-        if i + 1 < n:
-            stack.append(candidates(i + 1))
+        if k + 1 < n:
+            stack.append(candidates(ids[k + 1]))
         elif collector is None:
             return assignment, explored
         else:
             key, acc = collector
             acc.add(key(assignment))
     return None, explored
+
+
+class PremiseContext:
+    """The premises gamma over an indexed closure, answering one query at a
+    time (see the module docstring).  Its fixpoints narrow gamma and the set
+    ``common`` of conclusions; the other conclusions of a query are its own.
+    """
+
+    def __init__(self, m: PNMatrix, cl: Closure, gamma: Sequence[Formula], common=frozenset()):
+        self.m, self.cl, self.common = m, cl, common
+        self.premises = [cl.node[f] for f in gamma]
+        self.shared = [cl.node[f] for f in common]
+        # the ids every query reaches; None when that is the whole closure,
+        # which holds, unwalked, when the premises and common hold every root
+        whole = common.union(gamma).issuperset(cl.roots)
+        self.base = None if whole else cl.reach(self.premises + self.shared)
+        self.fixpoints: list[Optional[list[int]]] = []  # per component reached: domains, or None
+
+    def decide(self, delta: Iterable[Formula]) -> Verdict:
+        """Does ``gamma |- delta`` hold?  delta's formulas lie in the closure."""
+        m, cl, fixpoints = self.m, self.cl, self.fixpoints
+        comp = m.compiled
+        designated, undesignated = comp.designated, ~comp.designated
+        own = [cl.node[f] for f in delta if f not in self.common]
+        ids = None
+        explored = 0
+        for tried, (w_names, w) in enumerate(comp.components, start=1):
+            if tried > len(fixpoints):
+                dom = [w] * len(cl.formulas)
+                for i in self.premises:
+                    dom[i] &= designated
+                for i in self.shared:
+                    dom[i] &= undesignated
+                fixpoints.append(dom if all(dom) and _propagate(cl, comp, dom) else None)
+            dom = fixpoints[tried - 1]
+            # an empty domain empties one in the query's own fixpoint as well
+            if dom is None or not all(dom[c] & undesignated for c in own):
+                continue
+            if ids is None:  # the query's sub-closure, ascending and as a set
+                inside = None if self.base is None else cl.reach(own, self.base)
+                ids = range(len(dom)) if inside is None else sorted(inside)
+            if own:
+                dom = dom.copy()
+                for c in own:
+                    dom[c] &= undesignated
+                if not _propagate(cl, comp, dom, own, inside):
+                    continue
+            solution, k = _search_component(comp, cl, dom, ids)
+            explored += k
+            if solution is not None:
+                formulas, values = cl.formulas, m.values
+                assignment = tuple([(formulas[g], values[solution[g]]) for g in ids])
+                return Verdict("no", Countermodel(assignment, w_names), tried, explored)
+        return Verdict("yes", None, len(comp.components), explored)
 
 
 def decide_multiple(m: PNMatrix, gamma: Iterable[Formula], delta: Iterable[Formula]) -> Verdict:
@@ -249,78 +301,21 @@ def decide_single(m: PNMatrix, gamma: Iterable[Formula], a: Formula) -> Verdict:
 def decide_batch(
     m: PNMatrix, gamma: Iterable[Formula], deltas: Iterable[Iterable[Formula]]
 ) -> list[Verdict]:
-    """``[decide_multiple(m, gamma, delta) for delta in deltas]``, with one
-    fixpoint per component shared by all the queries (see the module
-    docstring)."""
+    """``[decide_multiple(m, gamma, delta) for delta in deltas]``, from one
+    ``PremiseContext`` over one closure (see the module docstring)."""
     gamma = tuple(gamma)
     deltas = [tuple(delta) for delta in deltas]
     if not deltas:
         return []
-    omega = subformula_closure([*gamma, *chain.from_iterable(deltas)])
-    n = len(omega)
-    cl = _Closure(omega, m.sig)
-    node, comp = cl.node, m.compiled
-    designated, undesignated = comp.designated, ~comp.designated
-    common = set(deltas[0]).intersection(*deltas[1:])
-    premises = [node[f] for f in gamma]
-    owns = [[node[f] for f in delta if f not in common] for delta in deltas]
-    # every sub-closure holds the premises and the shared conclusions; when no
-    # query has conclusions of its own, that is the whole closure
-    base = cl.reach(premises + [node[f] for f in common]) if any(owns) else None
-    fixpoints: list[Optional[list[int]]] = []  # per component reached: domains, or None
-    verdicts = []
-    for own in owns:
-        view = None
-        explored = 0
-        for tried, (w_names, w) in enumerate(comp.components, start=1):
-            if tried > len(fixpoints):
-                dom = [w] * n
-                for i in premises:
-                    dom[i] &= designated
-                for f in common:
-                    dom[node[f]] &= undesignated
-                fixpoints.append(dom if all(dom) and _propagate(cl, comp, dom) else None)
-            dom = fixpoints[tried - 1]
-            # an empty domain empties one in the query's own fixpoint as well
-            if dom is None or not all(dom[c] & undesignated for c in own):
-                continue
-            if view is None:  # the query's sub-closure, renumbered unless it is all of cl
-                ids = range(n) if base is None else sorted(cl.reach(own, base))
-                view = cl if len(ids) == n else cl.sub(ids)
-                local = own if view is cl else [bisect_left(ids, c) for c in own]
-            if local or view is not cl:
-                dom = [dom[g] for g in ids]
-                for c in local:
-                    dom[c] &= undesignated
-                if local and not _propagate(view, comp, dom, local):
-                    continue
-            solution, k = _search_component(comp, view, dom)
-            explored += k
-            if solution is not None:
-                assignment = tuple((omega[g], m.values[x]) for g, x in zip(ids, solution))
-                verdicts.append(Verdict(
-                    answer="no",
-                    countermodel=Countermodel(assignment=assignment, component=w_names),
-                    components_tried=tried,
-                    assignments_explored=explored,
-                ))
-                break
-        else:
-            verdicts.append(Verdict(
-                answer="yes",
-                components_tried=len(comp.components),
-                assignments_explored=explored,
-            ))
-    return verdicts
+    cl = Closure([*gamma, *chain.from_iterable(deltas)], m.sig)
+    context = PremiseContext(m, cl, gamma, set(deltas[0]).intersection(*deltas[1:]))
+    return [context.decide(delta) for delta in deltas]
 
 
 def possible_values(m: PNMatrix, a: Formula, x: str) -> frozenset[str]:
     """Exact set of values a one-variable formula can take when its variable
     is x; empty when x is spurious.  Read from ``possible_value_vector``."""
-    vector = possible_value_vector(m, a)
-    if x not in m.values:
-        raise ValueError(f"unknown value {x!r}")
-    return vector[m.values.index(x)]
+    return _value_vector(m, a, (x,))[m.values.index(x)]
 
 
 def possible_value_vector(m: PNMatrix, a: Formula) -> tuple[frozenset[str], ...]:
@@ -330,21 +325,29 @@ def possible_value_vector(m: PNMatrix, a: Formula) -> tuple[frozenset[str], ...]
     Enumerates the prevaluations on sub(a) within each viable component, with
     the variable free; the set of a spurious x is empty.
     """
-    omega = subformula_closure([a])
-    cl = _Closure(omega, m.sig)
-    variables = [cl.node[g] for g in omega if isinstance(g, Var)]
+    return _value_vector(m, a)
+
+
+def _value_vector(m: PNMatrix, a: Formula, asked: Sequence[str] = ()) -> tuple[frozenset[str], ...]:
+    """``possible_value_vector``, enumerated only once a and the asked values
+    are known to be good."""
+    cl = Closure([a], m.sig)
+    variables = [i for i, g in enumerate(cl.formulas) if isinstance(g, Var)]
     if len(variables) > 1:
         raise ValueError("possible_values expects a formula with at most one variable")
+    for x in asked:
+        if x not in m.values:
+            raise ValueError(f"unknown value {x!r}")
     comp = m.compiled
     out: list[set[int]] = [set() for _ in m.values]
     # with a variable, (variable value, value of a) pairs; else values of a,
     # the same under every value of the component
     key = itemgetter(*variables, cl.node[a])
     for _, w in comp.components:
-        dom = [w] * len(omega)
+        dom = [w] * len(cl.formulas)
         acc: set = set()
         if _propagate(cl, comp, dom):
-            _search_component(comp, cl, dom, collector=(key, acc))
+            _search_component(comp, cl, dom, range(len(dom)), collector=(key, acc))
         if variables:
             for x, v in acc:
                 out[x].add(v)

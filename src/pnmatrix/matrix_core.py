@@ -324,9 +324,11 @@ def restrict(m: PNMatrix, keep: Iterable[str]) -> PNMatrix:
 
 
 def _parts_meta(m: PNMatrix, values: Iterable[str]) -> dict:
-    """The metadata a matrix derived from m keeps: the parts of its values."""
+    """The metadata a matrix derived from m keeps: the parts of its values,
+    and the number of summands of a sum."""
     parts = m.meta.get("parts")
-    return {} if parts is None else {"parts": {v: parts[v] for v in values}}
+    kept = {k: m.meta[k] for k in ("summands",) if k in m.meta}
+    return {} if parts is None else {"parts": {v: parts[v] for v in values}, **kept}
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +337,7 @@ def _parts_meta(m: PNMatrix, values: Iterable[str]) -> dict:
 
 def _combination(
     sig: Signature, parts: Sequence[tuple], name: Callable[[tuple], str],
-    designated: Iterable[tuple], entry: Callable[[str, tuple], Iterable[tuple]],
+    designated: Iterable[tuple], entry: Callable[[str, tuple], Iterable[tuple]], **meta,
 ) -> PNMatrix:
     """The matrix over the structured values `parts`, part p named `name(p)`.
 
@@ -357,7 +359,7 @@ def _combination(
         values=tuple(names.values()),
         designated=frozenset(names[p] for p in designated),
         tables=tables,
-        meta={"parts": {v: p for p, v in names.items()}},
+        meta={"parts": {v: p for p, v in names.items()}, **meta},
     )
 
 
@@ -406,7 +408,7 @@ def sum_matrices(ms: Sequence[PNMatrix]) -> PNMatrix:
         return [(i, x) for x in ms[i].entry(c, tuple(x for _, x in combo))]
 
     designated = [(i, x) for i, x in tagged if x in ms[i].designated]
-    return _combination(sig, tagged, lambda p: f"{p[0]}.{p[1]}", designated, entry)
+    return _combination(sig, tagged, lambda p: f"{p[0]}.{p[1]}", designated, entry, summands=len(ms))
 
 
 def power(m: PNMatrix, k: int) -> PNMatrix:
@@ -602,8 +604,8 @@ def projection(m_product: PNMatrix, side: int) -> ValueMap:
 
 def inclusion(m_sum: PNMatrix, index: int) -> ValueMap:
     """The inclusion of summand `index` into a sum, as a map from the
-    summand's values to the sum's."""
-    mapping = {p[1]: v for v, p in _parts(m_sum).items() if p[0] == index}
-    if not mapping:
-        raise MatrixError(f"no value of the sum comes from summand {index!r}")
-    return ValueMap.of(mapping)
+    summand's values to the sum's (empty for an empty summand)."""
+    parts = _parts(m_sum)
+    if index not in range(m_sum.meta.get("summands", 0)):
+        raise MatrixError(f"the matrix has no summand {index!r}")
+    return ValueMap.of({p[1]: v for v, p in parts.items() if p[0] == index})

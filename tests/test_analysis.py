@@ -116,6 +116,22 @@ class TestSeparators:
 
 
 class TestRefuter:
+    @pytest.mark.parametrize("name, refuted, checked, witness", [
+        ("bool2", True, 1, "- |- p, neg(p)"),
+        ("bool2n", True, 37, "pl(botop, p) |- botop, p"),
+        ("kleene-imp", True, 8, "imp(p, p) |- p, imp(p, q)"),
+        ("kleene-ks", True, 23, "p, neg(p) |- q, neg(q)"),
+        ("luk-imp", True, 1, "- |- imp(p, q), imp(q, p)"),
+        ("luk3", True, 1, "- |- p, nabla(neg(p))"),
+        ("neg3", False, 46, None),
+        ("sources", False, 301, None),
+    ])
+    def test_pinned_results(self, name, refuted, checked, witness):
+        # the bases' order and the first witness are part of the contract
+        r = refute_saturation(builtin(name))
+        assert (r.refuted, r.theories_checked) == (refuted, checked)
+        assert (r.witness.pretty() if r.witness else None) == witness
+
     def test_found_witnesses_are_valid(self):
         for name in ("bool2n", "kleene-imp", "luk-imp", "kleene-ks"):
             m = builtin(name)

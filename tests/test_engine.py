@@ -28,6 +28,8 @@ from pnmatrix import (
     subformula_closure,
     viable_components,
 )
+from pnmatrix import engine
+from pnmatrix.engine import Closure, PremiseContext
 
 from corpus import random_query, seeded
 from oracle import brute_viable_sets, oracle_decide
@@ -177,6 +179,25 @@ class TestBatch:
                 decide_multiple(m, gamma, delta) for delta in deltas
             ], gamma
 
+    @pytest.mark.parametrize("name", ["sources", "kleene-ks"])
+    def test_refuter_context(self, name):
+        # one closure over the pool, one context per base, as the refuter asks
+        m = builtin(name)
+        pool = formula_pool(m.sig, ("p", "q", "r"), 2, 24)
+        cl = Closure(pool, m.sig)
+        bases = [g for size in range(3) for g in itertools.combinations(pool, size)]
+        smaller = 0
+        for gamma in bases[::13]:
+            context = PremiseContext(m, cl, gamma)
+            targets = [a for a in pool if a not in gamma]
+            n = [a for a in targets if context.decide([a]).answer == "no"]
+            phis = [list(phi) for k in (1, 2, 3) for phi in itertools.combinations(n, k)]
+            deltas = [[a] for a in targets] + [n] + phis[:: max(1, len(phis) // 40)] + [[]]
+            for delta in deltas:
+                assert context.decide(delta) == decide_multiple(m, gamma, delta), (gamma, delta)
+                smaller += len(subformula_closure([*gamma, *delta])) < len(cl.formulas)
+        assert smaller > 0
+
     @pytest.mark.parametrize("name", ["sources", "kleene-ks", "luk3-split"])
     def test_shared_conclusions(self, name):
         # a conclusion every query shares is narrowed in the shared fixpoint
@@ -244,6 +265,12 @@ class TestPossibleValues:
         m = builtin("kleene-ks")
         with pytest.raises(ValueError, match="at most one variable"):
             possible_values(m, pf(m, "or(p, q)"), "nonesuch")
+        with pytest.raises(ValueError, match="unknown value 'nonesuch'"):
+            possible_values(m, pf(m, "neg(p)"), "nonesuch")
+
+    def test_unknown_value_is_rejected_before_the_search(self, monkeypatch):
+        m = builtin("kleene-ks")
+        monkeypatch.setattr(engine, "_search_component", None)  # a search would fail
         with pytest.raises(ValueError, match="unknown value 'nonesuch'"):
             possible_values(m, pf(m, "neg(p)"), "nonesuch")
 

@@ -289,6 +289,22 @@ class TestStrictHoms:
             assert projection(q, 1) == projection(p, 1)
             assert projection(q, 2) == projection(p, 2)
 
+    def test_inclusion_of_an_empty_summand(self):
+        neg3 = builtin("neg3")
+        empty = make_matrix(neg3.sig, [], [], {"neg": {}})
+        s = sum_matrices([neg3, empty])
+        assert inclusion(s, 1) == ValueMap.of({})
+        assert check_strict_hom(inclusion(s, 1), empty, s) is None
+        bigger = s.sig.union(Signature.of({"box": 1}))
+        derived = (reduct(s, s.sig), extend(s, bigger), rename_connectives(s, {"neg": "not"}),
+                   restrict(s, s.values), restrict(s, s.values[:1]))
+        for q in derived:
+            assert inclusion(q, 1) == ValueMap.of({})
+            with pytest.raises(MatrixError, match="no summand 2"):
+                inclusion(q, 2)
+        with pytest.raises(MatrixError, match="no summand 0"):
+            inclusion(strict_product(neg3, neg3), 0)
+
     def test_matrix_from_a_file_has_no_structure(self):
         p = strict_product(builtin("kleene-imp"), builtin("luk-imp"))
         s = sum_matrices([builtin("neg3"), builtin("neg3")])
@@ -386,9 +402,5 @@ class TestCombinationProperties:
                     (i,) = tags
                     inner = summands[i].entry(conn, tuple(parts[v][1] for v in args))
                     assert out == {f"{i}.{x}" for x in inner}
-        for i, m in enumerate(summands):
-            if m.values:
-                assert check_strict_hom(inclusion(s, i), m, s) is None
-            else:  # an empty summand leaves no value to read its index from
-                with pytest.raises(MatrixError, match=f"summand {i}"):
-                    inclusion(s, i)
+        for i, m in enumerate(summands):  # an empty summand's inclusion is empty
+            assert check_strict_hom(inclusion(s, i), m, s) is None
