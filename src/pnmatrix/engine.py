@@ -19,6 +19,8 @@ that are in its domain; both in ascending value index.  That order is a
 contract: it fixes the first countermodel and ``assignments_explored``.
 Propagation removes only values that belong to no prevaluation, so it
 changes neither; its queue order is free, since the fixpoint is unique.
+A revision is a function of the connective's table and a few masks, so each
+compiled matrix remembers the revisions it has made (``_propagate``).
 
 A ``PremiseContext`` holds one premise set over an indexed closure and runs
 the fixpoint once per component, on first need, with the premises narrowed
@@ -55,6 +57,11 @@ from .syntax import (
     subformula_closure,
     well_formed_node,
 )
+
+
+#: Revisions a compiled matrix remembers (``CompiledMatrix.revisions``); the
+#: memo is emptied when it holds this many.
+REVISION_CAP = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -141,6 +148,13 @@ def _propagate(cl: Closure, comp: CompiledMatrix, dom: list[int], narrowed=None,
     With ``inside`` (ids closed under arguments, holding ``narrowed``), only
     the arcs of nodes inside are revised; over a viable component the nodes
     outside constrain nothing inside (see the module docstring).
+
+    A revision's result (the new mask of i and of each distinct argument)
+    depends only on i's connective, ``positions[i]``, i's mask and its
+    arguments' masks, so it is looked up in ``comp.revisions`` under that
+    key and computed only on a miss.  The memo holds no verdict and nothing
+    of a query, and a hit returns what the loop would, so the fixpoint is
+    the same.  It is emptied when it holds ``REVISION_CAP`` entries.
     """
     heads, parents = cl.heads, cl.parents
     if narrowed is None:
@@ -156,20 +170,28 @@ def _propagate(cl: Closure, comp: CompiledMatrix, dom: list[int], narrowed=None,
                 if not queued[h]:
                     queued[h] = True
                     pending.append(h)
+    revisions, mask_of = comp.revisions, dom.__getitem__
     while pending:
         i = pending.pop()
         queued[i] = False
-        table = comp.tables[heads[i]]
         own = dom[i]
         distinct, positions = cl.distinct[i], cl.positions[i]
-        out = 0
-        support = [0] * len(distinct)
-        for combo in product(*[mask_bits(dom[g]) for g in distinct]):
-            hit = table[combo if positions is None else tuple(combo[k] for k in positions)] & own
-            if hit:
-                out |= hit
-                for k, x in enumerate(combo):
-                    support[k] |= 1 << x
+        key = (heads[i], positions, own, *map(mask_of, distinct))
+        revision = revisions.get(key)
+        if revision is None:
+            table = comp.tables[heads[i]]
+            out = 0
+            support = [0] * len(distinct)
+            for combo in product(*[mask_bits(dom[g]) for g in distinct]):
+                hit = table[combo if positions is None else tuple(combo[k] for k in positions)] & own
+                if hit:
+                    out |= hit
+                    for k, x in enumerate(combo):
+                        support[k] |= 1 << x
+            if len(revisions) >= REVISION_CAP:
+                revisions.clear()
+            revisions[key] = revision = (out, tuple(support))
+        out, support = revision
         changed = []
         if out != own:
             dom[i] = out

@@ -476,6 +476,8 @@ class CompiledMatrix:
     Value sets are int bitmasks: ``designated``, every table entry (keyed by
     its tuple of argument indices), and the mask that ``components`` pairs
     with each maximal viable set of ``viability``, in its order.
+    ``revisions`` is the engine's memo of arc revisions over these tables
+    (see ``engine._propagate``); it starts empty.
     """
 
     def __init__(self, m: PNMatrix):
@@ -497,6 +499,7 @@ class CompiledMatrix:
         usable = frozenset().union(*maximal)
         self.viability = ViabilityReport(tuple(maximal), usable, frozenset(m.values) - usable)
         self.components = tuple((w, mask(w)) for w in maximal)
+        self.revisions: dict[tuple, tuple[int, tuple[int, ...]]] = {}
 
     def _maximal_viable(self, sig: Signature, n: int) -> list[int]:
         """The maximal viable sets as masks, by branching on violated entries.

@@ -30,6 +30,7 @@ from pnmatrix import (
 )
 from pnmatrix import engine
 from pnmatrix.engine import Closure, PremiseContext
+from pnmatrix.matrix_core import mask_bits
 
 from corpus import random_query, seeded
 from oracle import brute_viable_sets, oracle_decide
@@ -157,9 +158,11 @@ class TestDerivedState:
         warm = decide_multiple(m, gamma, delta)
         fields = {"sig", "values", "designated", "tables", "meta"}
         assert set(vars(m)) > fields
+        assert m.compiled.revisions
         for twin in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
             assert set(vars(twin)) == fields
             assert twin == m
+            assert twin.compiled.revisions == {}
             v = decide_multiple(twin, gamma, delta)
             assert v.answer == warm.answer == "no"
             assert v.countermodel == warm.countermodel
@@ -405,6 +408,41 @@ class TestSearchOrder:
             assert (v.countermodel.pretty(), ", ".join(sorted(v.countermodel.component))) == first
 
 
+class WatchedMemo(dict):
+    """A revision memo that records the most entries it ever held and how
+    often it was emptied."""
+
+    largest = clears = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.largest = max(self.largest, len(self))
+
+    def clear(self):
+        self.clears += 1
+        super().clear()
+
+
+class TestRevisionMemo:
+    def test_capped_memo_keeps_the_search_order(self, monkeypatch):
+        """With a memo capped at 4 entries, emptied over and over, every pinned
+        search of ``SEARCH_ORDER`` ends as recorded."""
+        monkeypatch.setattr(engine, "REVISION_CAP", 4)
+        memos = []
+        for name, gamma, delta, answer, explored, tried, first in SEARCH_ORDER:
+            m = luk3_split() if name == "split" else copy.deepcopy(builtin(name))
+            m.compiled.revisions = memo = WatchedMemo()
+            memos.append(memo)
+            v = decide_multiple(m, parse_formula_list(gamma, m.sig), parse_formula_list(delta, m.sig))
+            assert (v.answer, v.assignments_explored, v.components_tried) == (answer, explored, tried)
+            if first is None:
+                assert v.countermodel is None
+            else:
+                assert (v.countermodel.pretty(), ", ".join(sorted(v.countermodel.component))) == first
+        assert max(memo.largest for memo in memos) == 4
+        assert sum(memo.clears for memo in memos) > 0
+
+
 # ---------------------------------------------------------------------------
 # random small PNmatrices against brute force
 # ---------------------------------------------------------------------------
@@ -413,15 +451,15 @@ RANDOM_SIG = Signature.of({"c": 0, "neg": 1, "imp": 2})
 
 
 @st.composite
-def small_matrices(draw):
+def small_matrices(draw, sig=RANDOM_SIG):
     """2-3 values; entries may be empty (partial) or hold several values."""
     values = ["a", "b", "c"][: draw(st.integers(2, 3))]
     cells = st.sets(st.sampled_from(values))
     tables = {
         name: {tup: draw(cells) for tup in itertools.product(values, repeat=k)}
-        for name, k in RANDOM_SIG
+        for name, k in sig
     }
-    return make_matrix(RANDOM_SIG, values, draw(cells), tables)
+    return make_matrix(sig, values, draw(cells), tables)
 
 
 def random_formulas(variables):
@@ -496,3 +534,116 @@ class TestRandomMatrices:
         assert possible_value_vector(m, a) == tuple(
             brute_possible_values(m, a, x) for x in m.values
         )
+
+
+def uncached_propagate(cl, comp, dom, narrowed=None, inside=None):
+    """``engine._propagate`` as it was before revisions were memoised: every
+    revision runs over the combinations of its argument domains."""
+    heads, parents = cl.heads, cl.parents
+    if narrowed is None:
+        pending = [i for i, h in enumerate(heads) if h is not None]
+        queued = [h is not None for h in heads]
+    else:
+        pending, queued = [], [inside is not None] * len(heads)
+        for i in inside or ():
+            queued[i] = False
+        for g in narrowed:
+            for h in parents[g] if heads[g] is None else parents[g] + [g]:
+                if not queued[h]:
+                    queued[h] = True
+                    pending.append(h)
+    while pending:
+        i = pending.pop()
+        queued[i] = False
+        table = comp.tables[heads[i]]
+        own = dom[i]
+        distinct, positions = cl.distinct[i], cl.positions[i]
+        out = 0
+        support = [0] * len(distinct)
+        for combo in itertools.product(*[mask_bits(dom[g]) for g in distinct]):
+            hit = table[combo if positions is None else tuple(combo[k] for k in positions)] & own
+            if hit:
+                out |= hit
+                for k, x in enumerate(combo):
+                    support[k] |= 1 << x
+        changed = []
+        if out != own:
+            dom[i] = out
+            changed.append(i)
+        for g, s in zip(distinct, support):
+            if s != dom[g]:
+                dom[g] = s
+                changed.append(g)
+        for g in changed:
+            if not dom[g]:
+                return False
+            for h in parents[g] if heads[g] is None else parents[g] + [g]:
+                if h != i and not queued[h]:
+                    queued[h] = True
+                    pending.append(h)
+    return True
+
+
+#: RANDOM_SIG with a ternary connective, whose repeated arguments can sit in
+#: different positions over the same distinct arguments
+TERNARY_SIG = Signature.of({"c": 0, "neg": 1, "imp": 2, "if": 3})
+
+
+class TestPropagation:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        small_matrices(TERNARY_SIG),
+        st.lists(random_formulas("pq"), min_size=1, max_size=3),
+        random_formulas("pq"),
+        random_formulas("pq"),
+        st.data(),
+    )
+    def test_memoised_revisions_reach_the_reference_fixpoint(self, m, roots, a, b, data):
+        """From random domains, in the full and in the narrowed mode, the
+        memoised propagation ends with the reference's domains and answer,
+        on a cold memo and again on the warm one, which it no longer grows."""
+        repeated = [App("imp", (a, a)), App("if", (a, b, a)), App("if", (a, a, b))]
+        cl = Closure([*roots, *repeated], m.sig)
+        assert any(p is not None for p in cl.positions)
+        n = len(cl.formulas)
+        dom = data.draw(st.lists(st.integers(0, (1 << len(m.values)) - 1), min_size=n, max_size=n))
+        narrowed = inside = None
+        if data.draw(st.booleans()):
+            # a fixpoint, then some nodes of a sub-closure narrowed again
+            uncached_propagate(cl, m.compiled, dom)
+            reached = data.draw(st.lists(st.sampled_from(range(n)), max_size=3))
+            inside = cl.reach(reached) if reached and data.draw(st.booleans()) else None
+            pool = sorted(range(n) if inside is None else inside)
+            narrowed = data.draw(st.lists(st.sampled_from(pool), max_size=3, unique=True))
+            for g in narrowed:
+                dom[g] &= data.draw(st.integers(0, (1 << len(m.values)) - 1))
+        expected = dom.copy()
+        answer = uncached_propagate(cl, m.compiled, expected, narrowed, inside)
+        memo = m.compiled.revisions
+        for run in range(2):
+            got = dom.copy()
+            assert engine._propagate(cl, m.compiled, got, narrowed, inside) == answer
+            assert got == expected
+            if run == 0:
+                size = len(memo)
+        assert len(memo) == size
+
+    def test_argument_positions_are_part_of_the_key(self):
+        """if(p, q, p) and if(p, p, q) revise over the same masks of p and q,
+        in different positions; if picks its last argument."""
+        values = ["0", "1"]
+        tables = {
+            name: {tup: set(tup[-1:]) or {"0"} for tup in itertools.product(values, repeat=k)}
+            for name, k in TERNARY_SIG
+        }
+        m = make_matrix(TERNARY_SIG, values, ["1"], tables)
+        p, q = Var("p"), Var("q")
+        pqp, ppq = App("if", (p, q, p)), App("if", (p, p, q))
+        cl = Closure([pqp, ppq], m.sig)
+        dom = [0b11] * len(cl.formulas)
+        dom[cl.node[p]], dom[cl.node[q]] = 0b01, 0b10
+        expected = dom.copy()
+        assert uncached_propagate(cl, m.compiled, expected)
+        assert engine._propagate(cl, m.compiled, dom)
+        assert dom == expected
+        assert (dom[cl.node[pqp]], dom[cl.node[ppq]]) == (0b01, 0b10)

@@ -1,5 +1,6 @@
 """Source hygiene checks that need no linter: every import in the library is
-used, and no module imports another module's private (underscore) names."""
+used, no module imports another module's private (underscore) names, and no
+module keeps a cache of its own outside the objects it derives data from."""
 
 import ast
 from pathlib import Path
@@ -69,3 +70,59 @@ def test_the_check_sees_a_private_import():
         "def f():\n    from pnmatrix.syntax import _walk\n"
     )
     assert private_imports(source) == ["line 2: _Closure", "line 4: _walk"]
+
+
+
+#: the one module-level cache the library keeps: builtin() hands out one
+#: shared object per fixture
+ALLOWED_CACHES = {"fixtures.py": {"_fixture_cache"}}
+
+
+def module_caches(source: str, allowed=frozenset()) -> list[str]:
+    """Module-level names ending in ``_cache`` and not allowed, and
+    ``functools.lru_cache`` or ``functools.cache`` decorators anywhere.
+    Derived data belongs on the object it is derived from (as
+    ``PNMatrix.compiled`` does), so it is freed and copied with it."""
+    tree = ast.parse(source)
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        found += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)
+                  and t.id.endswith("_cache") and t.id not in allowed]
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for d in node.decorator_list:
+                d = d.func if isinstance(d, ast.Call) else d
+                name = d.attr if isinstance(d, ast.Attribute) else getattr(d, "id", "")
+                if name in ("lru_cache", "cache"):
+                    found.append((d.lineno, f"@{name} on {node.name}"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_module_level_caches(path):
+    assert module_caches(path.read_text(), ALLOWED_CACHES.get(path.name, set())) == []
+
+
+def test_the_check_sees_a_module_level_cache():
+    source = (
+        "import functools\nfrom functools import cache, cached_property\n"
+        "_seen_cache = {}\n"
+        "index_cache: dict = {}\n"
+        "def f():\n    local_cache = {}\n"  # not module-level
+        "@functools.lru_cache(maxsize=None)\ndef g(x):\n    return x\n"
+        "class A:\n    @cache\n    def h(self):\n        pass\n"
+        "    @cached_property\n    def k(self):\n        pass\n"  # kept on the object
+    )
+    assert module_caches(source) == [
+        "line 3: _seen_cache",
+        "line 4: index_cache",
+        "line 7: @lru_cache on g",
+        "line 11: @cache on h",
+    ]
+    assert module_caches("_fixture_cache = {}\n", {"_fixture_cache"}) == []
