@@ -31,6 +31,13 @@ from .syntax import (
 )
 
 
+def _check_bounds(**bounds: int) -> None:
+    """Reject a negative bound by name."""
+    for name, n in bounds.items():
+        if n < 0:
+            raise ValueError(f"{name} must be at least 0, got {n}")
+
+
 # ---------------------------------------------------------------------------
 # one-variable formula enumeration
 # ---------------------------------------------------------------------------
@@ -45,6 +52,7 @@ def formula_pool(
     arguments whose sizes sum to s - 1, so each size needs only smaller
     ones, and the pool stops at the size that reaches the cap.
     """
+    _check_bounds(max_depth=max_depth, cap=cap)
     connectives = [(c, k) for c, k in sig if k > 0]
     leaves = list(dict.fromkeys(
         [Var(v) for v in variables] + [App(c, ()) for c, k in sig if k == 0]
@@ -80,8 +88,11 @@ class SeparatorBounds:
     max_depth: int = 3
     max_candidates: int = 5000
 
+    def __post_init__(self):
+        _check_bounds(**vars(self))
 
-def _candidate_vectors(m: PNMatrix, bounds: SeparatorBounds):
+
+def _candidate_vectors(m: PNMatrix, max_depth: int):
     """Formulas in the variable p with their possible-value vectors,
     level-wise, generated as they are asked for.
 
@@ -89,25 +100,21 @@ def _candidate_vectors(m: PNMatrix, bounds: SeparatorBounds):
     candidates but are never used to build deeper formulas, which keeps the
     level growth bounded by the number of distinct vectors.
     """
-    given = 0
     seen: set[tuple[frozenset[str], ...]] = set()
     generators: list[Formula] = []
     level: list[Formula] = sorted(
         [Var("p")] + [App(c, ()) for c, k in m.sig if k == 0], key=formula_key
     )
     depth = 0
-    while level and given < bounds.max_candidates:
+    while level:
         fresh: list[Formula] = []
         for f in level:
-            if given >= bounds.max_candidates:
-                break
             vec = possible_value_vector(m, f)
-            given += 1
             yield f, vec
             if vec not in seen:
                 seen.add(vec)
                 fresh.append(f)
-        if depth >= bounds.max_depth or not fresh:
+        if depth >= max_depth or not fresh:
             break
         fresh_set = set(fresh)
         generators += fresh
@@ -122,8 +129,23 @@ def _candidate_vectors(m: PNMatrix, bounds: SeparatorBounds):
         depth += 1
 
 
-def _separates(vec_x, vec_y, designated) -> bool:
-    return bool(vec_x) and bool(vec_y) and (vec_x <= designated) != (vec_y <= designated)
+def _first_separators(m: PNMatrix, pairs, bounds: SeparatorBounds) -> dict:
+    """Each pair's first separator in candidate order, or None.
+
+    Candidates are pulled only while some pair still lacks a separator.
+    """
+    found = dict.fromkeys(pairs)
+    todo = list(found)
+    candidates = itertools.islice(_candidate_vectors(m, bounds.max_depth), bounds.max_candidates)
+    while todo and (candidate := next(candidates, None)):
+        f, vec = candidate
+        # per value of p: None if f takes no value, else whether all it takes are designated
+        side = {v: s <= m.designated if s else None for v, s in zip(m.values, vec)}
+        for x, y in todo:
+            if {side[x], side[y]} == {True, False}:
+                found[x, y] = f
+        todo = [p for p in todo if found[p] is None]
+    return found
 
 
 def find_separator(
@@ -132,12 +154,12 @@ def find_separator(
     y: str,
     bounds: SeparatorBounds = SeparatorBounds(),
 ) -> Optional[Formula]:
-    """First one-variable formula (in enumeration order) separating x from y."""
-    ix, iy = m.values.index(x), m.values.index(y)
-    for f, vec in _candidate_vectors(m, bounds):
-        if _separates(vec[ix], vec[iy], m.designated):
-            return f
-    return None
+    """First one-variable formula (in enumeration order) separating x from y;
+    the search stops there."""
+    for v in (x, y):
+        if v not in m.values:
+            raise ValueError(f"unknown value {v!r}")
+    return _first_separators(m, [(x, y)], bounds)[x, y]
 
 
 @dataclass(frozen=True)
@@ -163,7 +185,8 @@ def monadicity_report(
     sub_sig: Optional[Signature] = None,
     bounds: SeparatorBounds = SeparatorBounds(),
 ) -> SeparatorTable:
-    """Separator search for every pair of distinct usable values.
+    """Separator search for every pair of distinct usable values; the one
+    search stops once every pair is separated.
 
     With sub_sig, separators are drawn from that subsignature only (the
     search runs over the corresponding reduct, values unchanged).
@@ -171,19 +194,10 @@ def monadicity_report(
     mr = reduct(m, sub_sig) if sub_sig is not None else m
     report = viable_components(mr)
     usable = [v for v in mr.values if v in report.usable]
-    candidates = list(_candidate_vectors(mr, bounds))
-    index = {v: i for i, v in enumerate(mr.values)}
-    pairs = []
-    for x, y in itertools.combinations(usable, 2):
-        found = None
-        for f, vec in candidates:
-            if _separates(vec[index[x]], vec[index[y]], mr.designated):
-                found = f
-                break
-        pairs.append(((x, y), found))
+    found = _first_separators(mr, list(itertools.combinations(usable, 2)), bounds)
     return SeparatorTable(
-        pairs=tuple(pairs),
-        monadic=all(f is not None for _, f in pairs),
+        pairs=tuple(found.items()),
+        monadic=all(f is not None for f in found.values()),
         usable=frozenset(usable),
         spurious=report.spurious,
         bounds=bounds,
@@ -201,6 +215,9 @@ class RefutationBounds:
     max_pool: int = 24
     max_premises: int = 2
     max_phi: int = 3
+
+    def __post_init__(self):
+        _check_bounds(**vars(self))
 
 
 @dataclass(frozen=True)
@@ -329,8 +346,7 @@ def split_advice(
     then a separator search over the shared subsignature and a saturation
     refutation on the matrix itself to pick a verdict.
     """
-    if samples < 0:
-        raise ValueError(f"samples must be at least 0, got {samples}")
+    _check_bounds(samples=samples)
     union = sig1.union(sig2)
     if not union.is_subsignature_of(m.sig):
         raise ValueError("split signatures must cover a subsignature of the matrix")

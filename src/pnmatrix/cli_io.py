@@ -58,12 +58,12 @@ from .syntax import (
 )
 
 #: the description ``pnmatrix --help`` prints
-_DESCRIPTION = """Matrix and rule file formats, the builtin fixture library, and the CLI.
+_DESCRIPTION = """Build, combine, analyse and query PNmatrices from the command line.
 
-Matrix files have a `signature:` block, `values:` and `designated:` lines and
-one `table` block per connective; `-` denotes the empty output set and `*`
-the full value set.  Rule files have one `name : premises |- conclusions`
-line per rule.  The canonical writer and the reader round-trip exactly.
+Wherever a command takes a matrix, give a matrix file or the name of a
+builtin fixture (`pnmatrix fixtures` lists them).  `--json` switches every
+command to machine-readable output.  Exit codes: 0 yes / success, 1 no /
+refuted, 2 unknown or not found within bounds, 3 usage or input error.
 """
 
 EXIT_YES = 0
@@ -371,7 +371,7 @@ def _combine(args) -> int:
     left, right = _load_matrix(args.left), _load_matrix(args.right)
     if args.mode == "multiple":
         combined = combine_multiple(left, right)
-    elif args.power:
+    elif args.power is not None:
         combined = combine_single_power(left, right, args.power)
     else:
         try:

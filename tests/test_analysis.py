@@ -19,6 +19,7 @@ from pnmatrix import (
     print_formula,
     reduct,
     refute_saturation,
+    restrict,
     split_advice,
 )
 
@@ -71,6 +72,14 @@ class TestFormulaPool:
             for cap in (1, 5, 24, 100, len(everything) + 1):
                 assert formula_pool(sig, variables, depth, cap) == everything[:cap]
 
+    def test_negative_bounds_are_rejected(self):
+        sig = builtin("bool2").sig
+        with pytest.raises(ValueError, match="cap must be at least 0, got -1"):
+            formula_pool(sig, ("p", "q"), 2, -1)
+        with pytest.raises(ValueError, match="max_depth must be at least 0, got -1"):
+            formula_pool(sig, ("p", "q"), -1, 5)
+        assert formula_pool(sig, ("p", "q"), 2, 0) == []
+
     def test_cap_inside_one_size(self):
         sig = builtin("bool2").sig
         pool = formula_pool(sig, ("p", "q", "r"), 2, 6)
@@ -94,7 +103,9 @@ class TestSeparators:
         m = builtin(name)
         x, y = m.values[0], m.values[-1]
         assert print_formula(find_separator(m, x, y)) == "p"
-        assert find_separator(m, x, y) == monadicity_report(m).separator(x, y)
+        table = monadicity_report(m)
+        for a, b in itertools.permutations(sorted(table.usable), 2):
+            assert find_separator(m, a, b) == table.separator(a, b), (a, b)
 
     def test_search_stops_at_the_first_separator(self, monkeypatch):
         import pnmatrix.analysis as analysis
@@ -106,6 +117,46 @@ class TestSeparators:
         )
         assert print_formula(find_separator(builtin("sources"), "f", "t")) == "p"
         assert [print_formula(f) for f in calls] == ["p"]
+
+    @pytest.fixture
+    def vectors_computed(self, monkeypatch):
+        import pnmatrix.analysis as analysis
+
+        calls = []
+        vector = analysis.possible_value_vector
+        monkeypatch.setattr(
+            analysis, "possible_value_vector", lambda m, f: calls.append(f) or vector(m, f)
+        )
+        return calls
+
+    def test_table_stops_once_every_pair_is_separated(self, vectors_computed):
+        table = monadicity_report(builtin("sources"))
+        assert table.monadic
+        assert [print_formula(f) for f in vectors_computed] == ["p", "neg(p)"]
+
+    def test_table_without_pairs_computes_no_vector(self, vectors_computed):
+        bool2, kleene = builtin("bool2"), builtin("kleene-imp")
+        for m, usable in ((restrict(bool2, ["1"]), set()), (restrict(kleene, ["0", "h"]), {"h"})):
+            table = monadicity_report(m)
+            assert table.usable == usable
+            assert table.pairs == () and table.monadic
+        assert vectors_computed == []
+
+    def test_unknown_values_are_rejected_before_any_search(self, vectors_computed):
+        for x, y, unknown in (("0", "7", "7"), ("7", "1", "7"), ("x", "x", "x")):
+            with pytest.raises(ValueError, match=f"unknown value '{unknown}'"):
+                find_separator(builtin("bool2"), x, y)
+        assert vectors_computed == []
+
+    @pytest.mark.parametrize("field", ["max_depth", "max_candidates"])
+    def test_negative_bounds_are_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be at least 0, got -1"):
+            SeparatorBounds(**{field: -1})
+
+    def test_zero_bounds(self):
+        bool2 = builtin("bool2")
+        assert find_separator(bool2, "0", "1", SeparatorBounds(max_depth=0)) == Var("p")
+        assert find_separator(bool2, "0", "1", SeparatorBounds(max_candidates=0)) is None
 
     def test_depth_bound_matters(self):
         luk = builtin("luk3")
@@ -144,6 +195,15 @@ class TestRefuter:
             r = refute_saturation(builtin(name))
             assert not r.refuted
             assert r.witness is None
+
+    @pytest.mark.parametrize(
+        "field", ["max_vars", "max_depth", "max_pool", "max_premises", "max_phi"]
+    )
+    def test_negative_bounds_are_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be at least 0, got -1"):
+            RefutationBounds(**{field: -1})
+        r = refute_saturation(builtin("bool2"), RefutationBounds(**{field: 0}))
+        assert r.bounds == RefutationBounds(**{field: 0})
 
     def test_bounds_are_honored(self):
         tight = RefutationBounds(max_pool=3, max_premises=1, max_phi=1)

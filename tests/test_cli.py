@@ -145,6 +145,22 @@ class TestExitCodes:
         assert run_cli(argv + ["--samples", "-1"]) == EXIT_ERROR
         assert "samples" in capsys.readouterr().err
 
+    def test_unknown_separator_value_is_an_error(self, capsys):
+        assert run_cli(["separators", "--matrix", "bool2", "--pair", "0,7"]) == EXIT_ERROR
+        assert capsys.readouterr().err == "pnmatrix: error: unknown value '7'\n"
+
+    def test_negative_max_depth_is_an_error(self, capsys):
+        assert run_cli(["monadic", "--matrix", "bool2", "--max-depth", "-1"]) == EXIT_ERROR
+        assert "max_depth" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_power_below_one_is_an_error(self, capsys, k):
+        argv = ["combine", "--left", "bool2", "--right", "bool2", "--mode", "single"]
+        assert run_cli(argv + ["--power", k]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "pnmatrix: error: power requires k >= 1\n"
+
     def test_deeply_nested_formula_decides(self, capsys):
         deep = "neg(" * 1200 + "p" + ")" * 1200
         argv = ["decide", "--matrix", "bool2", "--conclusions", deep]

@@ -50,6 +50,21 @@ def test_module_entry_point_runs_quietly():
     assert proc.stdout == "no\ncountermodel: p -> 0\n"
 
 
+#: the exact output of the scripts whose output is pinned
+STDOUT = {
+    "saturation_survey.py": [
+        "bool2        matrix    monadic=yes   saturation: refuted (- |- p, neg(p))",
+        "bool2n       Nmatrix   monadic=yes   saturation: refuted (pl(botop, p) |- botop, p)",
+        "kleene-imp   matrix    monadic=yes   saturation: refuted (imp(p, p) |- p, imp(p, q))",
+        "kleene-ks    Pmatrix   monadic=yes   saturation: refuted (p, neg(p) |- q, neg(q))",
+        "luk-imp      matrix    monadic=not shown   saturation: refuted (- |- imp(p, q), imp(q, p))",
+        "luk3         matrix    monadic=yes   saturation: refuted (- |- p, nabla(neg(p)))",
+        "neg3         matrix    monadic=yes   saturation: no witness found",
+        "sources      Nmatrix   monadic=yes   saturation: no witness found",
+    ],
+}
+
+
 @pytest.mark.parametrize(
     "script", ["product_pipeline.py", "saturation_survey.py", "split_advisor.py"]
 )
@@ -58,3 +73,5 @@ def test_script_runs(script):
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert proc.stdout
+    if script in STDOUT:
+        assert proc.stdout.splitlines() == STDOUT[script]
