@@ -218,6 +218,8 @@ class RefutationBounds:
 
     def __post_init__(self):
         _check_bounds(**vars(self))
+        if self.max_vars > 5:  # the pool's variables are p, q, r, s and t
+            raise ValueError(f"max_vars must be at most 5, got {self.max_vars}")
 
 
 @dataclass(frozen=True)

@@ -34,8 +34,6 @@ from .combine import (
 from .engine import decide_multiple, decide_single
 from .fixtures import builtin, builtin_calculus, fixture_names
 from .matrix_core import (
-    FormatError,
-    MatrixError,
     PNMatrix,
     classify,
     extend,
@@ -49,7 +47,6 @@ from .matrix_core import (
     viable_components,
 )
 from .syntax import (
-    ParseError,
     Signature,
     parse_formula,
     parse_formula_list,
@@ -86,10 +83,9 @@ def _load_matrix(ref: str) -> PNMatrix:
     try:
         return builtin(ref)
     except KeyError:
-        raise FormatError(
+        raise ValueError(
             f"no such file, and no such fixture: {ref!r} "
-            f"(fixtures: {', '.join(fixture_names())})",
-            0,
+            f"(fixtures: {', '.join(fixture_names())})"
         ) from None
 
 
@@ -98,7 +94,7 @@ def _parse_sub_sig(spec: str, sig: Signature) -> Signature:
     pairs = {}
     for n in names:
         if n not in sig:
-            raise FormatError(f"connective {n!r} not in the matrix signature", 0)
+            raise ValueError(f"connective {n!r} not in the matrix signature")
         pairs[n] = sig.arity(n)
     return Signature.of(pairs)
 
@@ -214,10 +210,10 @@ def _extend(args) -> PNMatrix:
     additions = {}
     for spec in args.add:
         if "/" not in spec:
-            raise FormatError(f"--add wants NAME/ARITY, got {spec!r}", 0)
+            raise ValueError(f"--add wants NAME/ARITY, got {spec!r}")
         name, _, arity = spec.partition("/")
         if not arity.isdigit():
-            raise FormatError(f"bad arity in {spec!r}", 0)
+            raise ValueError(f"bad arity in {spec!r}")
         additions[name] = int(arity)
     return extend(m, m.sig.union(Signature.of(additions)))
 
@@ -237,7 +233,7 @@ def _decide(args) -> int:
     delta = parse_formula_list(args.conclusions, m.sig)
     if args.mode == "single":
         if len(delta) != 1:
-            raise FormatError("single mode takes exactly one conclusion", 0)
+            raise ValueError("single mode takes exactly one conclusion")
         v = decide_single(m, gamma, delta[0])
     else:
         v = decide_multiple(m, gamma, delta)
@@ -258,7 +254,7 @@ def _check_rules(args) -> int:
         try:
             cal = builtin_calculus(args.calculus)
         except KeyError as e:
-            raise FormatError(str(e), 0) from None
+            raise ValueError(e.args[0]) from None
         cal = Calculus(sig=m.sig, rules=cal.rules)
     report = calculus_sound(m, cal)
     payload = {
@@ -280,7 +276,7 @@ def _separators(args) -> int:
     m = _load_matrix(args.matrix)
     pair = [x.strip() for x in args.pair.split(",")]
     if len(pair) != 2:
-        raise FormatError("--pair wants two comma-separated values", 0)
+        raise ValueError("--pair wants two comma-separated values")
     target = reduct(m, _parse_sub_sig(args.subsignature, m.sig)) if args.subsignature else m
     bounds = SeparatorBounds(max_depth=args.max_depth)
     f = find_separator(target, pair[0], pair[1], bounds=bounds)
@@ -368,6 +364,8 @@ def _split_advice(args) -> int:
 
 
 def _combine(args) -> int:
+    if args.mode == "multiple" and args.power is not None:
+        raise ValueError("--power applies only to --mode single")
     left, right = _load_matrix(args.left), _load_matrix(args.right)
     if args.mode == "multiple":
         combined = combine_multiple(left, right)
@@ -547,7 +545,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except (FormatError, ParseError, MatrixError, OSError, ValueError) as e:
+    except (OSError, ValueError) as e:  # the library's input errors are ValueErrors
         print(f"pnmatrix: error: {e}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -6,22 +6,24 @@ only when both inputs are saturated, so the single-mode combinators either
 demand saturation evidence or fall back to finite-power approximants.  The
 context-partition decision procedure answers queries about the combined
 logic through queries about the parts alone, two-sorting each formula by
-treating maximal foreign subformulas as fresh variables.
+treating maximal foreign subformulas as fresh variables.  Each part
+skeletonises the query's context once and indexes it once; every partition
+of the context is one premise context over that index (``engine``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .analysis import RefutationResult, refute_saturation
-from .engine import decide_multiple, decide_single
+from .engine import Closure, PremiseContext, decide_single
 from .matrix_core import PNMatrix, power, strict_product
 from .syntax import (
     Formula,
     MonolithMap,
-    Signature,
     Substitution,
     apply_substitution,
     skeleton,
@@ -128,17 +130,11 @@ class CombinedDecision:
     note: str = ""
 
 
-def _skeletonize(formulas: Iterable[Formula], sig: Signature, mm: MonolithMap):
-    return [skeleton(f, sig, mm)[0] for f in formulas]
-
-
-def _part_holds(m: PNMatrix, sig: Signature, left, right, mode: str) -> bool:
-    mm = MonolithMap()
-    sleft = _skeletonize(left, sig, mm)
-    sright = _skeletonize(right, sig, mm)
+def _part_holds(m: PNMatrix, cl: Closure, left: list[Formula], right: list[Formula], mode: str) -> bool:
+    context = PremiseContext(m, cl, left)
     if mode == "multiple":
-        return decide_multiple(m, sleft, sright).answer == "yes"
-    return any(decide_single(m, sleft, b).answer == "yes" for b in sright)
+        return context.decide(right).answer == "yes"
+    return any(context.decide([b]).answer == "yes" for b in right)
 
 
 def decide_combined_ctx(
@@ -157,6 +153,14 @@ def decide_combined_ctx(
     fresh variables.  Partitions that merely repeat a premise or conclusion
     on the opposite side hold trivially and are skipped.  The answer is
     certified exact when the strict product of the parts is total.
+
+    Each side skeletonises every context formula once, under one
+    ``MonolithMap``, and indexes one ``Closure`` over those skeletons; a
+    partition is then one ``PremiseContext`` on that closure, asked once
+    for the right side (multiple mode) or once per conclusion (single
+    mode).  Skeletons under one map differ from those of a map per
+    partition only by an injective renaming of variables, which consequence
+    does not see.
     """
     if mode not in ("single", "multiple"):
         raise ValueError(f"bad mode {mode!r}")
@@ -169,21 +173,19 @@ def decide_combined_ctx(
         raise ValueError(
             f"context has {len(ctx)} formulas, exceeding the cap of {CTX_CAP}"
         )
-    product = strict_product(m1, m2)
-    certified = product.is_total()
-    overlap = set(gamma) & set(delta)
-    if overlap:
-        return CombinedDecision(
-            answer="yes",
-            certified=certified,
-            mode=mode,
-            context=ctx,
-            partitions_checked=0,
-            note="premises and conclusions overlap",
-        )
+    decision = functools.partial(
+        CombinedDecision, certified=strict_product(m1, m2).is_total(), mode=mode, context=ctx
+    )
+    if set(gamma) & set(delta):
+        return decision("yes", partitions_checked=0, note="premises and conclusions overlap")
     # partitions placing a premise on the right or a conclusion on the left
     # hold by overlap, so only the remaining context formulas vary
     rest = [f for f in ctx if f not in gamma and f not in delta]
+    sides = []
+    for m in (m1, m2):
+        mm = MonolithMap()
+        skel = {f: skeleton(f, m.sig, mm)[0] for f in ctx}
+        sides.append((m, Closure(list(skel.values()), m.sig), skel))
     checked = 0
     for size in range(len(rest) + 1):
         for low in itertools.combinations(rest, size):
@@ -192,25 +194,12 @@ def decide_combined_ctx(
             checked += 1
             left = gamma + low
             right = high + delta
-            if _part_holds(m1, m1.sig, left, right, mode):
-                continue
-            if _part_holds(m2, m2.sig, left, right, mode):
-                continue
-            return CombinedDecision(
-                answer="no",
-                certified=certified,
-                mode=mode,
-                context=ctx,
-                partitions_checked=checked,
-                failing_partition=(tuple(gamma) + low, high + tuple(delta)),
-            )
-    return CombinedDecision(
-        answer="yes",
-        certified=certified,
-        mode=mode,
-        context=ctx,
-        partitions_checked=checked,
-    )
+            if not any(
+                _part_holds(m, cl, [skel[f] for f in left], [skel[f] for f in right], mode)
+                for m, cl, skel in sides
+            ):
+                return decision("no", partitions_checked=checked, failing_partition=(left, right))
+    return decision("yes", partitions_checked=checked)
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +226,17 @@ def axiom_instances(
     """Instances of the axioms under all substitutions into the universe.
 
     Deterministic order: axioms in the given order, substitution targets in
-    the universe's order.  Raises ValueError past the instance cap.
+    the universe's order.  Raises ValueError past the instance cap, before
+    building a schema whose instances alone pass it: distinct substitutions
+    of an axiom's variables give distinct instances.
     """
-    universe = list(universe)
+    universe = list(dict.fromkeys(universe))
     out: list[Formula] = []
     seen: set[Formula] = set()
     for ax in axioms:
         vs = sorted(variables(ax))
+        if len(universe) ** len(vs) > cap:
+            raise ValueError(f"more than {cap} axiom instances")
         for targets in itertools.product(universe, repeat=len(vs)):
             inst = apply_substitution(ax, Substitution.of(dict(zip(vs, targets))))
             if inst not in seen:

@@ -162,7 +162,7 @@ class FormatError(ValueError):
         self.lineno = lineno
 
 
-def read_matrix(text: str, meta: Optional[dict] = None) -> PNMatrix:
+def read_matrix(text: str) -> PNMatrix:
     lines = text.splitlines()
     sig_pairs: list[tuple[str, int]] = []
     values: list[str] = []
@@ -231,7 +231,7 @@ def read_matrix(text: str, meta: Optional[dict] = None) -> PNMatrix:
         raise FormatError("duplicate connective in signature", len(lines))
     try:
         sig = Signature.of(sig_pairs)
-        return make_matrix(sig, values, designated, tables, meta=meta)
+        return make_matrix(sig, values, designated, tables)
     except (ValueError, MatrixError) as e:
         raise FormatError(str(e), len(lines)) from None
 

@@ -205,6 +205,12 @@ class TestRefuter:
         r = refute_saturation(builtin("bool2"), RefutationBounds(**{field: 0}))
         assert r.bounds == RefutationBounds(**{field: 0})
 
+    def test_more_variables_than_the_pool_has_are_rejected(self):
+        with pytest.raises(ValueError, match="max_vars must be at most 5, got 7"):
+            RefutationBounds(max_vars=7)
+        five = RefutationBounds(max_vars=5, max_depth=0)
+        assert refute_saturation(builtin("neg3"), five).bounds == five
+
     def test_bounds_are_honored(self):
         tight = RefutationBounds(max_pool=3, max_premises=1, max_phi=1)
         r = refute_saturation(builtin("kleene-imp"), tight)

@@ -161,6 +161,35 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "pnmatrix: error: power requires k >= 1\n"
 
+    def test_power_in_multiple_mode_is_an_error(self, capsys):
+        argv = ["combine", "--left", "bool2", "--right", "bool2", "--mode", "multiple"]
+        assert run_cli(argv + ["--power", "2", "--json"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "pnmatrix: error: --power applies only to --mode single\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("decide --matrix nope --conclusions p",
+             "no such file, and no such fixture: 'nope' (fixtures: bool2, bool2n, "
+             "kleene-imp, kleene-ks, luk-imp, luk3, neg3, sources)"),
+            ("reduct --matrix bool2 --keep xor", "connective 'xor' not in the matrix signature"),
+            ("extend --matrix bool2 --add x", "--add wants NAME/ARITY, got 'x'"),
+            ("extend --matrix bool2 --add x/a", "bad arity in 'x/a'"),
+            ("decide --matrix bool2 --mode single --conclusions p,q",
+             "single mode takes exactly one conclusion"),
+            ("check-rules --matrix bool2 --calculus nope",
+             "unknown calculus 'nope'; available: bool2n, classical, kleene-ks, sources"),
+            ("separators --matrix bool2 --pair 0", "--pair wants two comma-separated values"),
+        ],
+        ids=["fixture", "connective", "add", "arity", "single", "calculus", "pair"],
+    )
+    def test_argument_errors_name_no_line(self, capsys, argv, message):
+        # only errors read from a matrix file have a line number
+        assert run_cli(argv.split()) == EXIT_ERROR
+        assert capsys.readouterr().err == f"pnmatrix: error: {message}\n"
+
     def test_deeply_nested_formula_decides(self, capsys):
         deep = "neg(" * 1200 + "p" + ")" * 1200
         argv = ["decide", "--matrix", "bool2", "--conclusions", deep]

@@ -1,7 +1,10 @@
+import collections
 import itertools
 
 import pytest
 
+from corpus import random_formula, seeded
+from partition_reference import reference_decide_combined_ctx
 from pnmatrix import (
     AxiomSet,
     SaturationRefused,
@@ -14,13 +17,17 @@ from pnmatrix import (
     decide_combined_ctx,
     decide_multiple,
     decide_with_axioms,
+    fixture_names,
     parse_formula,
     parse_formula_list,
     prune,
     reduct,
+    strict_product,
     subformula_closure,
     viable_components,
 )
+from pnmatrix import combine
+from pnmatrix.engine import Closure
 
 
 def sub_sig(m, names):
@@ -123,6 +130,70 @@ class TestContextDecision:
         with pytest.raises(ValueError, match="cap"):
             decide_combined_ctx(m1, m2, [deep], [parse_formula("p", union)])
 
+    def test_matches_the_partition_loop(self):
+        # every fixture pair that has a common signature, both modes, with
+        # and without an extra context formula
+        rng = seeded("ctx-reference")
+        answers = collections.Counter()
+        for a, b in itertools.combinations_with_replacement(fixture_names(), 2):
+            m1, m2 = builtin(a), builtin(b)
+            try:
+                union = m1.sig.union(m2.sig)
+            except ValueError:
+                continue
+            for mode, extras, _ in itertools.product(("multiple", "single"), (0, 1), range(3)):
+                while True:
+                    variables = ("p", "q")[: rng.randint(1, 2)]
+                    gamma = [random_formula(rng, union, variables, 2) for _ in range(rng.randint(0, 2))]
+                    delta = [random_formula(rng, union, variables, 2)
+                             for _ in range(1 if mode == "single" else rng.randint(1, 2))]
+                    extra = [random_formula(rng, union, variables, 2) for _ in range(extras)]
+                    if len(subformula_closure(gamma + delta + extra)) <= 8:
+                        break
+                got = decide_combined_ctx(m1, m2, gamma, delta, mode=mode, ctx_extra=extra)
+                want = reference_decide_combined_ctx(m1, m2, gamma, delta, mode, extra)
+                assert got == want, (a, b, mode, gamma, delta, extra)
+                answers[mode, got.answer] += 1
+        assert sum(answers.values()) == 36 * 12 and len(answers) == 4, answers
+
+    def test_one_closure_per_side(self, monkeypatch):
+        built = []
+
+        def counting(roots, sig):
+            built.append(sig)
+            return Closure(roots, sig)
+
+        monkeypatch.setattr(combine, "Closure", counting)
+        m1, m2 = builtin("neg3"), reduct_with_meta(builtin("bool2"), ["and"])
+        union = m1.sig.union(m2.sig)
+        gamma = parse_formula_list("neg(p), and(p, q)", union)
+        for mode, delta in (("multiple", "neg(and(p, p)), q"), ("single", "neg(and(q, p))")):
+            built.clear()
+            d = decide_combined_ctx(m1, m2, gamma, parse_formula_list(delta, union), mode=mode)
+            assert d.partitions_checked > 1
+            assert built == [m1.sig, m2.sig]
+        built.clear()
+        d = decide_combined_ctx(m1, m2, gamma, gamma[:1])
+        assert d.note == "premises and conclusions overlap" and built == []
+
+    @pytest.mark.parametrize("pair", [("kleene-imp", "luk3"), ("luk3", "kleene-imp")])
+    def test_uncertified_no_needs_a_cut(self, pair):
+        # the product says yes; the subformula context lacks the cut formula
+        m1, m2 = builtin(pair[0]), builtin(pair[1])
+        union = m1.sig.union(m2.sig)
+        gamma = parse_formula_list("neg(nabla(p))", union)
+        delta = parse_formula_list("q, neg(nabla(q))", union)
+        assert decide_multiple(strict_product(m1, m2), gamma, delta).answer == "yes"
+        d = decide_combined_ctx(m1, m2, gamma, delta)
+        assert (d.answer, d.certified, d.partitions_checked) == ("no", False, 4)
+        assert d.failing_partition == (
+            tuple(parse_formula_list("neg(nabla(p)), nabla(q)", union)),
+            tuple(parse_formula_list("p, nabla(p), q, neg(nabla(q))", union)),
+        )
+        cut = [parse_formula("imp(imp(q, p), q)", union)]
+        d = decide_combined_ctx(m1, m2, gamma, delta, ctx_extra=cut)
+        assert (d.answer, d.certified, d.partitions_checked) == ("yes", False, 32)
+
 
 class TestAxioms:
     SQUIG = None
@@ -152,6 +223,30 @@ class TestAxioms:
         assert len(inst) == len(set(inst))
         with pytest.raises(ValueError):
             axiom_instances(self.axioms().axioms, u, cap=3)
+
+    def test_cap_is_checked_before_a_schema_is_built(self, monkeypatch):
+        built = []
+        substitute = combine.apply_substitution
+        monkeypatch.setattr(
+            combine, "apply_substitution", lambda f, s: built.append(f) or substitute(f, s)
+        )
+        u = subformula_closure([self.pf("squig(p, squig(q, r))")])
+        assert len(u) == 5  # 25 instances of the first axiom, 125 of the second
+        with pytest.raises(ValueError, match="more than 100 axiom instances"):
+            axiom_instances(self.axioms().axioms, u, cap=100)
+        assert len(built) == 25
+        built.clear()
+        second = self.axioms().axioms[1:]  # three variables: 2 ** 3 instances
+        with pytest.raises(ValueError, match="more than 7 axiom instances"):
+            axiom_instances(second, u[:2], cap=7)
+        assert built == []
+
+    def test_cap_check_counts_distinct_targets(self):
+        u = subformula_closure([self.pf("squig(p, p)")])
+        second = self.axioms().axioms[1:]  # three variables: 2 ** 3 instances
+        assert len(axiom_instances(second, u)) == 8
+        # a universe given with repeats still has 8 instances, not 6 ** 3
+        assert axiom_instances(second, list(u) * 3, cap=8) == axiom_instances(second, u)
 
     def test_identity_derivable_with_axioms(self):
         d = decide_with_axioms(self.m, self.axioms(), [], self.pf("squig(p, p)"))
