@@ -155,10 +155,12 @@ def find_separator(
     bounds: SeparatorBounds = SeparatorBounds(),
 ) -> Optional[Formula]:
     """First one-variable formula (in enumeration order) separating x from y;
-    the search stops there."""
+    the search stops there.  No formula separates a value from itself."""
     for v in (x, y):
         if v not in m.values:
             raise ValueError(f"unknown value {v!r}")
+    if x == y:
+        raise ValueError(f"cannot separate value {x!r} from itself")
     return _first_separators(m, [(x, y)], bounds)[x, y]
 
 
@@ -271,6 +273,13 @@ def refute_saturation(
     and a base is explored further only if it entails that collection as a
     whole (otherwise no subset can witness).  A negative result only means
     no witness exists within these bounds.
+
+    Each base below ``max_premises`` formulas keeps the set of pool
+    formulas it entails.  A base entails, by monotonicity, whatever its
+    sub-bases one formula smaller entail, and every such sub-base has a
+    smaller size sum, so it was checked before; those formulas are not
+    asked again.  The rest are swept by ``PremiseContext.unentailed``, whose
+    extended countermodels refute many at once.
     """
     variables = ("p", "q", "r", "s", "t")[: bounds.max_vars]
     pool = formula_pool(m.sig, variables, bounds.max_depth, cap=bounds.max_pool)
@@ -284,11 +293,15 @@ def refute_saturation(
         )
     )
     cl = Closure(pool, m.sig)  # one context per base answers all its queries over it
+    entails: dict[tuple[Formula, ...], set[Formula]] = {}  # per base below max_premises
     checked = 0
     for gamma0 in bases:
         checked += 1
         context = PremiseContext(m, cl, gamma0)
-        n = [a for a in pool if a not in gamma0 and context.decide([a]).answer == "no"]
+        subs = itertools.combinations(gamma0, len(gamma0) - 1) if gamma0 else ()
+        n = context.unentailed(pool, set(gamma0).union(*(entails[g] for g in subs)))
+        if len(gamma0) < bounds.max_premises:
+            entails[gamma0] = set(pool).difference(n)
         if not n or context.decide(n).answer != "yes":
             continue
         for size in range(1, bounds.max_phi + 1):

@@ -240,7 +240,7 @@ def _decide(args) -> int:
     payload = {"verdict": v.answer, "witness": _cm_json(v.countermodel)}
     human = v.answer
     if v.countermodel is not None:
-        human += "\ncountermodel: " + v.countermodel.pretty()
+        human += "\ncountermodel: " + (v.countermodel.pretty() or "(empty)")
     _emit(args, payload, human)
     return EXIT_YES if v.answer == "yes" else EXIT_NO
 

@@ -36,6 +36,17 @@ as on its own closure.  ``decide_batch``, the one driver, indexes the
 premises and every conclusion and asks one context each query;
 ``decide_multiple`` is its one-query case.  The saturation refuter indexes
 its formula pool once and makes one context per theory base.
+
+A context also sweeps a list of candidates for those the premises do not
+entail singly (``PremiseContext.unentailed``).  When a candidate's search
+finds a countermodel, it is extended over the rest of the closure in
+ascending id order within its component: each node takes the lowest
+undesignated value it can, else the lowest, among the component's values
+for a variable and among those of its table entry for a compound node
+(there is one, since the component is viable).  The premises lie in the
+searched sub-closure, so the extension still designates them all, and
+every later candidate it leaves undesignated is refuted without a search
+of its own.
 """
 
 from __future__ import annotations
@@ -275,13 +286,43 @@ class PremiseContext:
 
     def decide(self, delta: Iterable[Formula]) -> Verdict:
         """Does ``gamma |- delta`` hold?  delta's formulas lie in the closure."""
-        m, cl, fixpoints = self.m, self.cl, self.fixpoints
-        comp = m.compiled
+        tried, solution, ids, explored = self._search(delta)
+        if solution is None:
+            return Verdict("yes", None, tried, explored)
+        formulas, values = self.cl.formulas, self.m.values
+        assignment = tuple([(formulas[g], values[solution[g]]) for g in ids])
+        w_names = self.m.compiled.components[tried - 1][0]
+        return Verdict("no", Countermodel(assignment, w_names), tried, explored)
+
+    def unentailed(self, candidates: Iterable[Formula], entailed: set[Formula]) -> list[Formula]:
+        """The candidates outside ``entailed`` that gamma does not entail
+        singly, in candidate order.  A countermodel found for one is extended
+        over the whole closure, and every later candidate it leaves
+        undesignated is refuted with it (see the module docstring)."""
+        refuted = set()  # ids left undesignated by an extended countermodel
+        out = []
+        for a in candidates:
+            if a in entailed:
+                continue
+            if self.cl.node[a] not in refuted:
+                tried, solution, ids, _ = self._search([a])
+                if solution is None:
+                    continue
+                refuted |= self._extend(solution, ids, self.m.compiled.components[tried - 1][1])
+            out.append(a)
+        return out
+
+    def _search(self, delta: Iterable[Formula]):
+        """The first countermodel to ``gamma |- delta`` in search order:
+        (components tried, assignment by node id or None, the ids it
+        covers in ascending order, nodes explored)."""
+        cl, fixpoints = self.cl, self.fixpoints
+        comp = self.m.compiled
         designated, undesignated = comp.designated, ~comp.designated
         own = [cl.node[f] for f in delta if f not in self.common]
         ids = None
         explored = 0
-        for tried, (w_names, w) in enumerate(comp.components, start=1):
+        for tried, (_, w) in enumerate(comp.components, start=1):
             if tried > len(fixpoints):
                 dom = [w] * len(cl.formulas)
                 for i in self.premises:
@@ -305,10 +346,28 @@ class PremiseContext:
             solution, k = _search_component(comp, cl, dom, ids)
             explored += k
             if solution is not None:
-                formulas, values = cl.formulas, m.values
-                assignment = tuple([(formulas[g], values[solution[g]]) for g in ids])
-                return Verdict("no", Countermodel(assignment, w_names), tried, explored)
-        return Verdict("yes", None, len(comp.components), explored)
+                return tried, solution, ids, explored
+        return len(comp.components), None, ids, explored
+
+    def _extend(self, solution: list[int], ids, w: int) -> set[int]:
+        """The ids left undesignated once a countermodel on ``ids`` is
+        extended, in ascending id order, over the whole closure within its
+        component mask w: each node takes the lowest undesignated value it
+        can (a value of w for a variable, of its table entry and w for a
+        compound node), else the lowest value."""
+        heads, args, tables = self.cl.heads, self.cl.args, self.m.compiled.tables
+        designated = self.m.compiled.designated
+        covered = set(ids)
+        left = set()
+        for i, v in enumerate(solution):
+            if i not in covered:
+                h = heads[i]
+                can = w if h is None else tables[h][tuple([solution[a] for a in args[i]])] & w
+                low = can & ~designated or can
+                solution[i] = v = (low & -low).bit_length() - 1
+            if not designated >> v & 1:
+                left.add(i)
+        return left
 
 
 def decide_multiple(m: PNMatrix, gamma: Iterable[Formula], delta: Iterable[Formula]) -> Verdict:

@@ -23,6 +23,8 @@ from pnmatrix import (
     split_advice,
 )
 
+from refuter_reference import reference_refute_saturation
+
 
 def sub_sig(m, names):
     return Signature.of({c: m.sig.arity(c) for c in names})
@@ -148,6 +150,14 @@ class TestSeparators:
                 find_separator(builtin("bool2"), x, y)
         assert vectors_computed == []
 
+    def test_a_value_is_not_separated_from_itself(self, vectors_computed):
+        for name in ("bool2", "sources"):
+            m = builtin(name)
+            for x in m.values:
+                with pytest.raises(ValueError, match=f"cannot separate value '{x}' from itself"):
+                    find_separator(m, x, x)
+        assert vectors_computed == []
+
     @pytest.mark.parametrize("field", ["max_depth", "max_candidates"])
     def test_negative_bounds_are_rejected(self, field):
         with pytest.raises(ValueError, match=f"{field} must be at least 0, got -1"):
@@ -216,6 +226,42 @@ class TestRefuter:
         r = refute_saturation(builtin("kleene-imp"), tight)
         assert not r.refuted  # the witness needs two conclusions
         assert r.bounds == tight
+
+
+class TestRefuterReference:
+    """refute_saturation against the per-formula sweep of
+    ``refuter_reference``, one search per pool formula and base."""
+
+    @pytest.mark.parametrize("bounds", [
+        RefutationBounds(),
+        RefutationBounds(max_premises=3),
+        RefutationBounds(max_pool=6),
+        RefutationBounds(max_pool=12),
+        RefutationBounds(max_vars=1),
+        RefutationBounds(max_depth=1),
+    ], ids=["default", "premises3", "pool6", "pool12", "vars1", "depth1"])
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_matches_the_per_formula_sweep(self, name, bounds):
+        m = builtin(name)
+        assert refute_saturation(m, bounds) == reference_refute_saturation(m, bounds)
+
+    def test_single_searches_on_sources(self, monkeypatch):
+        """The sweeps of ``sources`` ask 1,374 single-conclusion searches;
+        one per pool formula outside each base would be 6,648."""
+        import pnmatrix.engine as engine
+
+        singles = []
+        search = engine.PremiseContext._search
+
+        def counted(self, delta):
+            delta = tuple(delta)
+            singles.extend(delta[:1] if len(delta) == 1 else ())
+            return search(self, delta)
+
+        monkeypatch.setattr(engine.PremiseContext, "_search", counted)
+        r = refute_saturation(builtin("sources"))
+        assert (r.refuted, r.theories_checked) == (False, 301)
+        assert len(singles) == 1374
 
 
 class TestSplitAdvice:

@@ -149,6 +149,15 @@ class TestExitCodes:
         assert run_cli(["separators", "--matrix", "bool2", "--pair", "0,7"]) == EXIT_ERROR
         assert capsys.readouterr().err == "pnmatrix: error: unknown value '7'\n"
 
+    def test_separating_a_value_from_itself_is_an_error(self, capsys):
+        assert run_cli(["separators", "--matrix", "bool2", "--pair", "0,0"]) == EXIT_ERROR
+        assert capsys.readouterr().err == "pnmatrix: error: cannot separate value '0' from itself\n"
+
+    def test_empty_countermodel_is_marked(self, capsys):
+        # no premises and no conclusions: the empty assignment is the countermodel
+        assert run_cli(["decide", "--matrix", "bool2", "--conclusions", "-"]) == EXIT_NO
+        assert capsys.readouterr().out == "no\ncountermodel: (empty)\n"
+
     def test_negative_max_depth_is_an_error(self, capsys):
         assert run_cli(["monadic", "--matrix", "bool2", "--max-depth", "-1"]) == EXIT_ERROR
         assert "max_depth" in capsys.readouterr().err

@@ -536,6 +536,48 @@ class TestRandomMatrices:
         )
 
 
+def assert_sweeps_match(m, pool, max_premises):
+    """For every base of at most max_premises pool formulas, in size order,
+    ``unentailed`` equals one search per formula: swept with the base's own
+    formulas as entailed, and again with its sub-bases' entailments."""
+    cl = Closure(pool, m.sig)
+    entails = {}
+    for gamma in (g for size in range(max_premises + 1) for g in itertools.combinations(pool, size)):
+        context = PremiseContext(m, cl, gamma)
+        expected = [a for a in pool if a not in gamma and context.decide([a]).answer == "no"]
+        assert PremiseContext(m, cl, gamma).unentailed(pool, set(gamma)) == expected, gamma
+        subs = itertools.combinations(gamma, len(gamma) - 1) if gamma else ()
+        carried = set(gamma).union(*(entails[g] for g in subs))
+        assert PremiseContext(m, cl, gamma).unentailed(pool, carried) == expected, gamma
+        entails[gamma] = set(pool).difference(expected)
+
+
+class TestUnentailed:
+    """``PremiseContext.unentailed`` against one search per candidate."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_matrices(), st.integers(3, 9))
+    def test_sweep_equals_one_search_per_formula(self, m, cap):
+        assert_sweeps_match(m, formula_pool(m.sig, ("p", "q"), 2, cap), 2)
+
+    def test_four_value_matrices(self):
+        # a countermodel extended outside its component would refute
+        # formulas the premises entail; four values give room for that
+        rng = seeded("unentailed")
+        pool = formula_pool(RANDOM_SIG, ("p", "q"), 2, 8)
+        for _ in range(300):
+            values = ["a", "b", "c", "d"][: rng.randint(2, 4)]
+
+            def cell():
+                return {v for v in values if rng.random() < 0.4}
+
+            tables = {
+                name: {tup: cell() for tup in itertools.product(values, repeat=k)}
+                for name, k in RANDOM_SIG
+            }
+            assert_sweeps_match(make_matrix(RANDOM_SIG, values, cell(), tables), pool, 1)
+
+
 def uncached_propagate(cl, comp, dom, narrowed=None, inside=None):
     """``engine._propagate`` as it was before revisions were memoised: every
     revision runs over the combinations of its argument domains."""
