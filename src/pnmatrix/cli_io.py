@@ -214,7 +214,8 @@ def _extend(args) -> PNMatrix:
         name, _, arity = spec.partition("/")
         if not arity.isdigit():
             raise ValueError(f"bad arity in {spec!r}")
-        additions[name] = int(arity)
+        if additions.setdefault(name, int(arity)) != int(arity):
+            raise ValueError(f"connective {name!r} declared with arities {additions[name]} and {int(arity)}")
     return extend(m, m.sig.union(Signature.of(additions)))
 
 
@@ -408,9 +409,9 @@ def _decide_combined(args) -> int:
         low, high = decision.failing_partition
         human += (
             "\nfailing partition: "
-            + ", ".join(print_formula(f) for f in low)
+            + (", ".join(print_formula(f) for f in low) or "-")
             + " / "
-            + ", ".join(print_formula(f) for f in high)
+            + (", ".join(print_formula(f) for f in high) or "-")
         )
     _emit(args, payload, human)
     return EXIT_YES if decision.answer == "yes" else EXIT_NO

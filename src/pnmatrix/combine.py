@@ -77,15 +77,11 @@ def combine_single_saturated(m1: PNMatrix, m2: PNMatrix) -> CombinedLogic:
             result = refute_saturation(m)
             if result.refuted:
                 raise SaturationRefused(side, result)
-    both_known = bool(m1.meta.get("known_saturated")) and bool(
-        m2.meta.get("known_saturated")
-    )
+    both_known = all(m.meta.get("known_saturated") for m in (m1, m2))
     status = "exact" if both_known else "conditional-on-saturation"
-    notes = ()
-    if not both_known:
-        notes = (
-            "saturation of the inputs was not refuted within bounds but is unproven",
-        )
+    notes = () if both_known else (
+        "saturation of the inputs was not refuted within bounds but is unproven",
+    )
     return CombinedLogic(
         left=m1,
         right=m2,
@@ -230,6 +226,8 @@ def axiom_instances(
     building a schema whose instances alone pass it: distinct substitutions
     of an axiom's variables give distinct instances.
     """
+    if cap < 0:
+        raise ValueError(f"cap must be at least 0, got {cap}")
     universe = list(dict.fromkeys(universe))
     out: list[Formula] = []
     seen: set[Formula] = set()
@@ -262,6 +260,8 @@ def decide_with_axioms(
     the conclusion over the matrix.  A negative search outcome only yields
     "unknown": deeper instantiation might still succeed.
     """
+    if max_depth < 1:
+        raise ValueError(f"max_depth must be at least 1, got {max_depth}")
     gamma = tuple(dict.fromkeys(gamma))
     universe = subformula_closure(gamma + (a,))
     instances: list[Formula] = []

@@ -46,7 +46,8 @@ for a variable and among those of its table entry for a compound node
 (there is one, since the component is viable).  The premises lie in the
 searched sub-closure, so the extension still designates them all, and
 every later candidate it leaves undesignated is refuted without a search
-of its own.
+of its own.  The possible values of a one-variable formula come from the
+same first-solution search, asked again with each value found dropped.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, product
-from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .matrix_core import CompiledMatrix, PNMatrix, mask_bits, viable_components
@@ -223,17 +223,15 @@ def _propagate(cl: Closure, comp: CompiledMatrix, dom: list[int], narrowed=None,
     return True
 
 
-def _search_component(comp: CompiledMatrix, cl: Closure, dom: list[int], ids, collector=None):
-    """Backtracking search for prevaluations on the sub-closure ``ids``
+def _search_component(comp: CompiledMatrix, cl: Closure, dom: list[int], ids):
+    """The first prevaluation in search order on the sub-closure ``ids``
     (ascending, closed under arguments) within the given domains.
 
     ``dom`` holds each node's value mask, at the arc-consistency fixpoint
     (``_propagate``) on the sub-closure; it is only read.  The ids are
-    assigned in place, in ascending order, their own closure order.  With
-    collector=None, returns (assignment or None, explored-count), the
-    assignment a list of value indices by node id, for the first solution in
-    search order; with a (key, set) collector, enumerates all solutions,
-    adding key(assignment) of each to the set.
+    assigned in place, in ascending order, their own closure order.  Returns
+    (assignment or None, explored-count), the assignment a list of value
+    indices by node id.
     """
     n = len(ids)
     if n == 0:
@@ -258,13 +256,9 @@ def _search_component(comp: CompiledMatrix, cl: Closure, dom: list[int], ids, co
             continue
         assignment[ids[k]] = v
         explored += 1
-        if k + 1 < n:
-            stack.append(candidates(ids[k + 1]))
-        elif collector is None:
+        if k + 1 == n:
             return assignment, explored
-        else:
-            key, acc = collector
-            acc.add(key(assignment))
+        stack.append(candidates(ids[k + 1]))
     return None, explored
 
 
@@ -395,23 +389,25 @@ def decide_batch(
 
 def possible_values(m: PNMatrix, a: Formula, x: str) -> frozenset[str]:
     """Exact set of values a one-variable formula can take when its variable
-    is x; empty when x is spurious.  Read from ``possible_value_vector``."""
-    return _value_vector(m, a, (x,))[m.values.index(x)]
+    is x; empty when x is spurious."""
+    return _value_vector(m, a, [x])[m.values.index(x)]
 
 
 def possible_value_vector(m: PNMatrix, a: Formula) -> tuple[frozenset[str], ...]:
     """For each value x of m in order, the exact set of values a one-variable
-    formula can take when its variable is x.
+    formula can take when its variable is x; the set of a spurious x is empty."""
+    return _value_vector(m, a, m.values)
 
-    Enumerates the prevaluations on sub(a) within each viable component, with
-    the variable free; the set of a spurious x is empty.
+
+def _value_vector(m: PNMatrix, a: Formula, asked: Sequence[str]) -> tuple[frozenset[str], ...]:
+    """The sets of ``possible_value_vector`` at the asked values (the others
+    empty), searched only once a and the asked values are known to be good.
+
+    Per viable component w and asked x in w, the variable is fixed to x and
+    first-solution searches on sub(a) are repeated, each with the values of
+    a found so far dropped from its domain.  a is no node's argument, so a
+    solution shows every value of w in a's entry on its arguments possible.
     """
-    return _value_vector(m, a)
-
-
-def _value_vector(m: PNMatrix, a: Formula, asked: Sequence[str] = ()) -> tuple[frozenset[str], ...]:
-    """``possible_value_vector``, enumerated only once a and the asked values
-    are known to be good."""
     cl = Closure([a], m.sig)
     variables = [i for i, g in enumerate(cl.formulas) if isinstance(g, Var)]
     if len(variables) > 1:
@@ -419,23 +415,26 @@ def _value_vector(m: PNMatrix, a: Formula, asked: Sequence[str] = ()) -> tuple[f
     for x in asked:
         if x not in m.values:
             raise ValueError(f"unknown value {x!r}")
-    comp = m.compiled
-    out: list[set[int]] = [set() for _ in m.values]
-    # with a variable, (variable value, value of a) pairs; else values of a,
-    # the same under every value of the component
-    key = itemgetter(*variables, cl.node[a])
-    for _, w in comp.components:
-        dom = [w] * len(cl.formulas)
-        acc: set = set()
-        if _propagate(cl, comp, dom):
-            _search_component(comp, cl, dom, range(len(dom)), collector=(key, acc))
-        if variables:
-            for x, v in acc:
-                out[x].add(v)
-        else:
-            for x in mask_bits(w):
-                out[x] |= acc
-    return tuple(frozenset(m.values[i] for i in s) for s in out)
+    comp, asked = m.compiled, [m.values.index(x) for x in asked]
+    ids = range(len(cl.formulas))
+    root, head, args = ids[-1], cl.heads[-1], cl.args[-1]
+    out = [0] * len(m.values)
+    for (_, w), x in product(comp.components, asked):
+        if w >> x & 1:
+            dom = [w] * len(ids)
+            for i in variables:
+                dom[i] = 1 << x
+            found, narrowed = 0, None
+            while dom[root] and _propagate(cl, comp, dom, narrowed):
+                solution, _ = _search_component(comp, cl, dom, ids)
+                if solution is None:
+                    break
+                on_args = tuple([solution[g] for g in args])
+                found |= w & (1 << solution[root] if head is None else comp.tables[head][on_args])
+                dom[root] &= ~found
+                narrowed = [root]
+            out[x] |= found
+    return tuple(frozenset(m.values[i] for i in mask_bits(s)) for s in out)
 
 
 def check_countermodel(

@@ -217,6 +217,38 @@ class TestExitCodes:
         assert "cannot be written" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("depth", ["0", "-1"])
+    def test_axiom_depth_below_one_is_an_error(self, capsys, depth):
+        argv = ["axiom-derive", "--matrix", "bool2", "--axioms", "imp(p, imp(q, p))",
+                "--premises", "p", "--conclusion", "p", "--depth", depth]
+        assert run_cli(argv) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"pnmatrix: error: max_depth must be at least 1, got {depth}\n"
+
+    def test_extend_rejects_two_arities_for_one_name(self, tmp_path, capsys):
+        out = tmp_path / "f"
+        argv = ["extend", "--matrix", "neg3", "--add", "x/1", "--output", str(out)]
+        assert run_cli(argv + ["--add", "x/2"]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "pnmatrix: error: connective 'x' declared with arities 1 and 2\n"
+        )
+        assert not out.exists()
+        # the same declaration twice is one declaration
+        assert run_cli(argv + ["--add", "x/1"]) == EXIT_YES
+        assert read_matrix(out.read_text()).sig == Signature.of({"neg": 1, "x": 1})
+
+    def test_decide_combined_marks_an_empty_side(self, capsys):
+        argv = ["decide-combined", "--left", "kleene-imp", "--right", "luk3",
+                "--conclusions", "imp(p, q)"]
+        assert run_cli(argv) == EXIT_NO
+        assert capsys.readouterr().out == (
+            "no (not certified)\nfailing partition: - / p, q, imp(p, q)\n"
+        )
+        assert run_cli(argv + ["--json"]) == EXIT_NO
+        witness = json.loads(capsys.readouterr().out)["witness"]
+        assert witness == {"low": [], "high": ["p", "q", "imp(p, q)"]}
+
     def test_missing_subcommand_is_an_error(self):
         with pytest.raises(SystemExit) as e:
             run_cli([])

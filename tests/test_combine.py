@@ -248,6 +248,21 @@ class TestAxioms:
         # a universe given with repeats still has 8 instances, not 6 ** 3
         assert axiom_instances(second, list(u) * 3, cap=8) == axiom_instances(second, u)
 
+    def test_negative_cap_is_rejected(self):
+        u = subformula_closure([self.pf("squig(p, p)")])
+        with pytest.raises(ValueError, match="cap must be at least 0, got -1"):
+            axiom_instances(self.axioms().axioms, u, cap=-1)
+        with pytest.raises(ValueError, match="cap must be at least 0, got -1"):
+            axiom_instances([], u, cap=-1)
+        assert axiom_instances([], u, cap=0) == []
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_depth_below_one_is_rejected_before_instantiating(self, monkeypatch, depth):
+        monkeypatch.setattr(combine, "axiom_instances", None)  # instantiating would fail
+        p = self.pf("p")
+        with pytest.raises(ValueError, match=f"^max_depth must be at least 1, got {depth}$"):
+            decide_with_axioms(self.m, self.axioms(), [p], p, max_depth=depth)
+
     def test_identity_derivable_with_axioms(self):
         d = decide_with_axioms(self.m, self.axioms(), [], self.pf("squig(p, p)"))
         assert d.answer == "yes"

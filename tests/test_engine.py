@@ -17,12 +17,14 @@ from pnmatrix import (
     decide_batch,
     decide_multiple,
     decide_single,
+    fixture_names,
     formula_pool,
     make_matrix,
     parse_formula,
     parse_formula_list,
     possible_value_vector,
     possible_values,
+    power,
     reduct,
     strict_product,
     subformula_closure,
@@ -32,8 +34,9 @@ from pnmatrix import engine
 from pnmatrix.engine import Closure, PremiseContext
 from pnmatrix.matrix_core import mask_bits
 
-from corpus import random_query, seeded
+from corpus import random_formula, random_query, seeded
 from oracle import brute_viable_sets, oracle_decide
+from value_reference import reference_value_vector
 
 
 def pf(m, s):
@@ -689,3 +692,110 @@ class TestPropagation:
         assert engine._propagate(cl, m.compiled, dom)
         assert dom == expected
         assert (dom[cl.node[pqp]], dom[cl.node[ppq]]) == (0b01, 0b10)
+
+
+def value_matrix(spec):
+    """A fixture, a strict product "a*b" of two, or a power "power(name,k)"."""
+    if spec.startswith("power("):
+        name, k = spec[len("power("):-1].split(",")
+        return power(builtin(name), int(k))
+    if "*" in spec:
+        return strict_product(*map(builtin, spec.split("*")))
+    return builtin(spec)
+
+
+#: the fixtures, their same-signature products and their 16-value powers
+VALUE_MATRICES = [
+    *fixture_names(),
+    *(f"{a}*{b}" for a, b in itertools.product(fixture_names(), repeat=2)
+      if builtin(a).sig == builtin(b).sig),
+    "power(bool2,4)",
+    "power(bool2n,4)",
+    "power(kleene-ks,2)",
+    "power(sources,2)",
+]
+
+#: assignments after which the reference enumeration gives up
+REFERENCE_BUDGET = 20_000
+
+#: one-variable formulas on which the enumeration took seconds to minutes
+#: over the powers of bool2n, with 11 and 9 nodes
+BOX_11 = "pl(squig(box(squig(p, p)), box(box(p))), squig(pl(p, box(p)), box(pl(p, squig(p, p)))))"
+BOX_9 = "pl(squig(box(p), box(box(p))), squig(pl(p, box(p)), box(pl(p, p))))"
+#: searches for BOX_11's vector over power(bool2n,4): one per value of the
+#: variable and value of the formula, since each search finds one new value
+SEARCHES_BOX_11 = 256
+
+
+def power_law_vector(m, pm, a):
+    """``possible_value_vector(pm, a)`` for a power pm of m by the power law:
+    a prevaluation over the power is a tuple of prevaluations over m, so the
+    set at a tuple is the product of m's sets at its coordinates."""
+    base = dict(zip(m.values, possible_value_vector(m, a)))
+    parts = pm.meta["parts"]
+    name = {part: v for v, part in parts.items()}
+    return tuple(
+        frozenset(name[t] for t in itertools.product(*(base[c] for c in parts[x])))
+        for x in pm.values
+    )
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The number of ``_search_component`` calls made so far."""
+    calls = []
+    search = engine._search_component
+    monkeypatch.setattr(
+        engine, "_search_component", lambda *args: calls.append(1) or search(*args)
+    )
+    return calls
+
+
+class TestValueSearches:
+    """Possible values from first-solution searches, against the enumeration
+    they replaced (``value_reference``) and the power law."""
+
+    @pytest.mark.parametrize("spec", VALUE_MATRICES)
+    def test_matches_the_enumeration(self, spec):
+        m = value_matrix(spec)
+        rng = seeded(f"value-reference:{spec}")
+        checked = 0
+        for _ in range(40):
+            a = random_formula(rng, m.sig, ["p"], 3)
+            expected = reference_value_vector(m, a, REFERENCE_BUDGET)
+            if expected is not None:
+                checked += 1
+                assert possible_value_vector(m, a) == expected, a
+                x = rng.choice(m.values)
+                assert possible_values(m, a, x) == expected[m.values.index(x)], (a, x)
+        assert checked >= 20
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_power_law(self, name, k):
+        m = builtin(name)
+        pm = power(m, k)
+        rng = seeded(f"power-law:{name}:{k}")
+        for _ in range(8):
+            a = random_formula(rng, m.sig, ["p"], 3)
+            assert possible_value_vector(pm, a) == power_law_vector(m, pm, a), a
+
+    @pytest.mark.parametrize("k, text", [(3, BOX_11), (4, BOX_9), (4, BOX_11)])
+    def test_power_law_where_the_enumeration_took_minutes(self, k, text):
+        m = builtin("bool2n")
+        pm = power(m, k)
+        a = parse_formula(text, m.sig)
+        assert possible_value_vector(pm, a) == power_law_vector(m, pm, a)
+
+    def test_searches_on_the_fourth_power(self, searches):
+        m = power(builtin("bool2n"), 4)
+        possible_value_vector(m, parse_formula(BOX_11, m.sig))
+        assert len(searches) == SEARCHES_BOX_11
+
+    def test_one_value_takes_fewer_searches_than_the_vector(self, searches):
+        m = power(builtin("kleene-ks"), 2)
+        a = parse_formula("or(p, neg(p))", m.sig)
+        possible_values(m, a, m.values[0])
+        one = len(searches)
+        possible_value_vector(m, a)
+        assert 0 < one < len(searches) - one

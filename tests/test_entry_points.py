@@ -52,6 +52,32 @@ def test_module_entry_point_runs_quietly():
 
 #: the exact output of the scripts whose output is pinned
 STDOUT = {
+    "product_pipeline.py": [
+        "product kind: Pmatrix",
+        "maximal viable sets: [['0|0', '1|1'], ['0|h', '1|1']]",
+        "spurious values:     ['h|0', 'h|h']",
+        "",
+        "pruned product:",
+        "signature:",
+        "  imp 2",
+        "values: 0|0 0|h 1|1",
+        "designated: 1|1",
+        "table imp:",
+        "  0|0 0|0 : 1|1",
+        "  0|0 0|h : 1|1",
+        "  0|0 1|1 : 1|1",
+        "  0|h 0|0 : -",
+        "  0|h 0|h : 1|1",
+        "  0|h 1|1 : 1|1",
+        "  1|1 0|0 : 0|0",
+        "  1|1 0|h : 0|h",
+        "  1|1 1|1 : 1|1",
+        "",
+        "imp(p, p)          |- p, imp(p, q)             yes",
+        "-                  |- imp(p, p)                yes",
+        "p, imp(p, q)       |- q                        yes",
+        "-                  |- imp(p, q), imp(q, p)     yes",
+    ],
     "saturation_survey.py": [
         "bool2        matrix    monadic=yes   saturation: refuted (- |- p, neg(p))",
         "bool2n       Nmatrix   monadic=yes   saturation: refuted (pl(botop, p) |- botop, p)",
@@ -61,6 +87,60 @@ STDOUT = {
         "luk3         matrix    monadic=yes   saturation: refuted (- |- p, nabla(neg(p)))",
         "neg3         matrix    monadic=yes   saturation: no witness found",
         "sources      Nmatrix   monadic=yes   saturation: no witness found",
+    ],
+    "split_advisor.py": [
+        "split {neg, imp} / {nabla}",
+        "  verdict: unsafe-evidence",
+        "  monadic: False   saturation refuted: True   samples: 200",
+        "  divergence: neg(nabla(p)) |- neg(p): matrix says yes, split product says no",
+        "    product countermodel: p -> h|0, nabla(p) -> 0|0, neg(p) -> h|0, neg(nabla(p)) -> 1|1",
+        "  divergence: neg(p) |- neg(nabla(p)): matrix says yes, split product says no",
+        "    product countermodel: p -> 0|0, nabla(p) -> h|0, neg(p) -> 1|1, neg(nabla(p)) -> h|0",
+        "  divergence: imp(neg(p), p) |- nabla(p): matrix says yes, split product says no",
+        "    product countermodel: p -> h|0, nabla(p) -> 0|0, neg(p) -> h|0, imp(neg(p), p) -> 1|1",
+        "  divergence: nabla(p) |- imp(neg(p), p): matrix says yes, split product says no",
+        "    product countermodel: p -> 0|h, nabla(p) -> 1|1, neg(p) -> 1|1, imp(neg(p), p) -> 0|0",
+        "  divergence: neg(nabla(p)) |- nabla(neg(p)): matrix says yes, split product says no",
+        "    product countermodel: p -> h|0, nabla(p) -> 0|0, neg(p) -> h|0, nabla(neg(p)) -> 0|0, neg(nabla(p)) -> 1|1",
+        "  divergence: neg(p) |- imp(nabla(p), p): matrix says yes, split product says no",
+        "    product countermodel: p -> 0|0, nabla(p) -> h|0, neg(p) -> 1|1, imp(nabla(p), p) -> h|0",
+        "  divergence: imp(nabla(p), neg(p)) |- neg(p): matrix says yes, split product says no",
+        "    product countermodel: p -> h|0, nabla(p) -> 0|0, neg(p) -> h|0, imp(nabla(p), neg(p)) -> 1|1",
+        "  divergence: imp(neg(p), nabla(p)) |- nabla(p): matrix says yes, split product says no",
+        "    product countermodel: p -> h|0, nabla(p) -> h|0, neg(p) -> h|0, imp(neg(p), nabla(p)) -> 1|1",
+        "  divergence: imp(neg(p), p) |- nabla(nabla(p)): matrix says yes, split product says no",
+        "    product countermodel: p -> h|0, nabla(p) -> 0|0, neg(p) -> h|0, nabla(nabla(p)) -> 0|0, imp(neg(p), p) -> 1|1",
+        "  divergence: imp(p, neg(p)) |- nabla(neg(p)): matrix says yes, split product says no",
+        "    product countermodel: p -> h|0, neg(p) -> h|0, nabla(neg(p)) -> 0|0, imp(p, neg(p)) -> 1|1",
+        "  divergence: imp(p, p) |- imp(p, nabla(p)): matrix says yes, split product says no",
+        "    product countermodel: p -> h|0, nabla(p) -> 0|0, imp(p, p) -> 1|1, imp(p, nabla(p)) -> h|0",
+        "  divergence: nabla(nabla(p)) |- imp(neg(p), p): matrix says yes, split product says no",
+        "    product countermodel: p -> 0|h, nabla(p) -> 1|1, neg(p) -> 1|1, nabla(nabla(p)) -> 1|1, imp(neg(p), p) -> 0|0",
+        "  divergence: nabla(neg(p)) |- imp(p, nabla(p)): matrix says yes, split product says no",
+        "    product countermodel: p -> h|0, nabla(p) -> 0|0, neg(p) -> h|h, nabla(neg(p)) -> 1|1, imp(p, nabla(p)) -> h|0",
+        "  divergence: nabla(neg(p)) |- imp(p, neg(p)): matrix says yes, split product says no",
+        "    product countermodel: p -> 1|1, neg(p) -> 0|h, nabla(neg(p)) -> 1|1, imp(p, neg(p)) -> 0|0",
+        "  divergence: neg(nabla(p)) |- imp(p, nabla(p)): matrix says yes, split product says no",
+        "    product countermodel: p -> h|0, nabla(p) -> 0|0, neg(nabla(p)) -> 1|1, imp(p, nabla(p)) -> h|0",
+        "",
+        "split {neg, imp} / {nabla, imp}",
+        "  verdict: unsafe-evidence",
+        "  monadic: False   saturation refuted: True   samples: 200",
+        "  divergence: neg(p) |- neg(nabla(p)): matrix says yes, split product says no",
+        "    product countermodel: p -> 0|h, nabla(p) -> 1|1, neg(p) -> 1|1, neg(nabla(p)) -> 0|h",
+        "  divergence: nabla(p) |- imp(neg(p), p): matrix says yes, split product says no",
+        "    product countermodel: p -> 0|h, nabla(p) -> 1|1, neg(p) -> 1|1, imp(neg(p), p) -> 0|h",
+        "  divergence: neg(p) |- imp(nabla(p), p): matrix says yes, split product says no",
+        "    product countermodel: p -> 0|h, nabla(p) -> 1|1, neg(p) -> 1|1, imp(nabla(p), p) -> 0|h",
+        "  divergence: nabla(nabla(p)) |- imp(neg(p), p): matrix says yes, split product says no",
+        "    product countermodel: p -> 0|h, nabla(p) -> 1|1, neg(p) -> 1|1, nabla(nabla(p)) -> 1|1, imp(neg(p), p) -> 0|h",
+        "  divergence: nabla(neg(p)) |- imp(p, neg(p)): matrix says yes, split product says no",
+        "    product countermodel: p -> 1|1, neg(p) -> 0|h, nabla(neg(p)) -> 1|1, imp(p, neg(p)) -> 0|h",
+        "",
+        "split {and, neg} / {or, neg}",
+        "  verdict: split-safe-multiple",
+        "  monadic: True   saturation refuted: True   samples: 200",
+        "",
     ],
 }
 
