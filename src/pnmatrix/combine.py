@@ -8,7 +8,9 @@ context-partition decision procedure answers queries about the combined
 logic through queries about the parts alone, two-sorting each formula by
 treating maximal foreign subformulas as fresh variables.  Each part
 skeletonises the query's context once and indexes it once; every partition
-of the context is one premise context over that index (``engine``).
+of the context is one premise context over that index (``engine``).  Its
+answer is certified exact when the strict product of the parts is total,
+which is read off the parts' tables without building the product.
 """
 
 from __future__ import annotations
@@ -20,15 +22,17 @@ from typing import Iterable, Optional, Sequence
 
 from .analysis import RefutationResult, refute_saturation
 from .engine import Closure, PremiseContext, decide_single
-from .matrix_core import PNMatrix, power, strict_product
+from .matrix_core import PNMatrix, power, strict_product, strict_product_is_total
 from .syntax import (
     Formula,
     MonolithMap,
     Substitution,
     apply_substitution,
+    print_formula,
     skeleton,
     subformula_closure,
     variables,
+    well_formed_node,
 )
 
 #: partition enumeration is exponential in the context size
@@ -148,7 +152,12 @@ def decide_combined_ctx(
     must hold over one of the parts, with foreign subformulas abstracted to
     fresh variables.  Partitions that merely repeat a premise or conclusion
     on the opposite side hold trivially and are skipped.  The answer is
-    certified exact when the strict product of the parts is total.
+    certified exact when the strict product of the parts is total, which
+    ``strict_product_is_total`` reads off the parts without building the
+    product; so ``VALUE_CAP`` does not bound the parts.  Every context
+    formula must be well formed over the union of the signatures (a
+    connective declared with two arities raises first); a ValueError names
+    the first bad subformula as the caller wrote it.
 
     Each side skeletonises every context formula once, under one
     ``MonolithMap``, and indexes one ``Closure`` over those skeletons; a
@@ -169,8 +178,12 @@ def decide_combined_ctx(
         raise ValueError(
             f"context has {len(ctx)} formulas, exceeding the cap of {CTX_CAP}"
         )
+    sig = m1.sig.union(m2.sig)  # raises on arity clash
+    for f in ctx:  # each node once, as the caller wrote it; the first bad one is named
+        if not well_formed_node(f, sig):
+            raise ValueError(f"formula {print_formula(f)} not well-formed over the combined signature")
     decision = functools.partial(
-        CombinedDecision, certified=strict_product(m1, m2).is_total(), mode=mode, context=ctx
+        CombinedDecision, certified=strict_product_is_total(m1, m2), mode=mode, context=ctx
     )
     if set(gamma) & set(delta):
         return decision("yes", partitions_checked=0, note="premises and conclusions overlap")

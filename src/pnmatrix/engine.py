@@ -407,6 +407,8 @@ def _value_vector(m: PNMatrix, a: Formula, asked: Sequence[str]) -> tuple[frozen
     first-solution searches on sub(a) are repeated, each with the values of
     a found so far dropped from its domain.  a is no node's argument, so a
     solution shows every value of w in a's entry on its arguments possible.
+    A closed formula is searched once per component, and the values found
+    go to every asked x in it.
     """
     cl = Closure([a], m.sig)
     variables = [i for i, g in enumerate(cl.formulas) if isinstance(g, Var)]
@@ -419,11 +421,13 @@ def _value_vector(m: PNMatrix, a: Formula, asked: Sequence[str]) -> tuple[frozen
     ids = range(len(cl.formulas))
     root, head, args = ids[-1], cl.heads[-1], cl.args[-1]
     out = [0] * len(m.values)
-    for (_, w), x in product(comp.components, asked):
-        if w >> x & 1:
+    for _, w in comp.components:
+        xs = [x for x in asked if w >> x & 1]
+        # a closed formula's values do not depend on x: one search loop for all
+        for group in [[x] for x in xs] if variables or not xs else [xs]:
             dom = [w] * len(ids)
             for i in variables:
-                dom[i] = 1 << x
+                dom[i] = 1 << group[0]
             found, narrowed = 0, None
             while dom[root] and _propagate(cl, comp, dom, narrowed):
                 solution, _ = _search_component(comp, cl, dom, ids)
@@ -433,7 +437,8 @@ def _value_vector(m: PNMatrix, a: Formula, asked: Sequence[str]) -> tuple[frozen
                 found |= w & (1 << solution[root] if head is None else comp.tables[head][on_args])
                 dom[root] &= ~found
                 narrowed = [root]
-            out[x] |= found
+            for x in group:
+                out[x] |= found
     return tuple(frozenset(m.values[i] for i in mask_bits(s)) for s in out)
 
 

@@ -388,6 +388,41 @@ def strict_product(m1: PNMatrix, m2: PNMatrix) -> PNMatrix:
     )
 
 
+def strict_product_is_total(m1: PNMatrix, m2: PNMatrix) -> bool:
+    """``strict_product(m1, m2).is_total()``, read off the two parts.
+
+    A product entry holds the pairs of the sides' entries that agree on
+    designation, so it is empty exactly when one side's entry meets only
+    designated values where the other's meets only undesignated ones.  Per
+    connective and side, this collects, for each designation pattern of
+    the arguments, the profiles of the entries (bit 1: a designated value,
+    bit 2: an undesignated one; a connective a side lacks gives its whole
+    carrier).  The product is total iff, under every pattern both sides
+    have, every two profiles share a bit.  Nothing is built, so
+    ``VALUE_CAP`` does not apply; an arity clash raises as in
+    ``strict_product``.
+    """
+    sig = m1.sig.union(m2.sig)  # raises on arity clash
+
+    def profiles(m: PNMatrix, c: str, arity: int) -> dict[tuple[bool, ...], set[int]]:
+        d = m.designated
+        table = m.tables[c] if c in m.sig else None
+        full = frozenset(m.values)
+        out: dict[tuple[bool, ...], set[int]] = {}
+        for args in itertools.product(m.values, repeat=arity):
+            entry = full if table is None else table[args]
+            profile = (not entry.isdisjoint(d)) | (not entry <= d) << 1
+            out.setdefault(tuple(map(d.__contains__, args)), set()).add(profile)
+        return out
+
+    for c, arity in sig:
+        right = profiles(m2, c, arity)
+        for pattern, left in profiles(m1, c, arity).items():
+            if any(not a & b for a in left for b in right.get(pattern, ())):
+                return False
+    return True
+
+
 def sum_matrices(ms: Sequence[PNMatrix]) -> PNMatrix:
     """Disjoint union over a common signature; cross-copy entries are empty."""
     if not ms:

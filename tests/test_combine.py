@@ -1,5 +1,6 @@
 import collections
 import itertools
+import re
 
 import pytest
 
@@ -18,6 +19,7 @@ from pnmatrix import (
     decide_multiple,
     decide_with_axioms,
     fixture_names,
+    make_matrix,
     parse_formula,
     parse_formula_list,
     prune,
@@ -26,8 +28,9 @@ from pnmatrix import (
     subformula_closure,
     viable_components,
 )
-from pnmatrix import combine
+from pnmatrix import combine, matrix_core
 from pnmatrix.engine import Closure
+from pnmatrix.syntax import App, Var
 
 
 def sub_sig(m, names):
@@ -193,6 +196,57 @@ class TestContextDecision:
         cut = [parse_formula("imp(imp(q, p), q)", union)]
         d = decide_combined_ctx(m1, m2, gamma, delta, ctx_extra=cut)
         assert (d.answer, d.certified, d.partitions_checked) == ("yes", False, 32)
+
+    def test_no_strict_product_is_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("strict_product called")
+
+        monkeypatch.setattr(combine, "strict_product", refuse)
+        monkeypatch.setattr(matrix_core, "strict_product", refuse)
+        cases = [  # the left and right parts, and whether their product is total
+            (builtin("neg3"), reduct_with_meta(builtin("bool2"), ["and"]), True),
+            (builtin("kleene-imp"), builtin("luk3"), False),
+            (builtin("luk3"), builtin("kleene-imp"), False),
+        ]
+        for m1, m2, total in cases:
+            union = m1.sig.union(m2.sig)
+            gamma = parse_formula_list("neg(p)", union)
+            for mode, delta in (("multiple", "p, q"), ("single", "neg(neg(p))")):
+                d = decide_combined_ctx(m1, m2, gamma, parse_formula_list(delta, union), mode=mode)
+                assert d.certified is total and d.partitions_checked > 0
+
+    def test_parts_past_the_value_cap_are_decided(self):
+        # the product would have 1 + 64 * 64 values; certified needs none of them
+        names = [f"v{i}" for i in range(65)]
+        m = make_matrix(Signature.of({"neg": 1}), names, names[:1],
+                        {"neg": {(v,): {v} for v in names}})
+        with pytest.raises(ValueError, match="cap"):
+            strict_product(m, m)
+        neg_p = parse_formula("neg(p)", m.sig)
+        d = decide_combined_ctx(m, m, [neg_p], [parse_formula("p", m.sig)])
+        assert (d.answer, d.certified) == ("yes", True)
+
+    def test_arity_clash_is_reported_first(self):
+        m1 = builtin("neg3")
+        m2 = make_matrix(Signature.of({"neg": 2}), ["0"], ["0"], {"neg": {("0", "0"): {"0"}}})
+        bad = App("neg", (Var("p"), Var("q")))
+        with pytest.raises(ValueError, match="^connective 'neg' declared with arities 1 and 2$"):
+            decide_combined_ctx(m1, m2, [], [bad])
+
+    @pytest.mark.parametrize("gamma, delta, extra, named", [
+        (["p"], ["q"], [App("zzz", ())], "zzz"),  # in neither signature
+        ([], [App("neg", (Var("p"), Var("q")))], [], "neg(p, q)"),  # neg is unary
+        (["imp(p, p)"], [App("imp", (App("neg", (Var("imp"),)), Var("q")))], [], "imp"),
+    ])
+    def test_ill_formed_formulas_are_rejected(self, monkeypatch, gamma, delta, extra, named):
+        monkeypatch.setattr(combine, "skeleton", None)  # raised before any skeleton
+        m1, m2 = builtin("kleene-imp"), builtin("neg3")
+        union = m1.sig.union(m2.sig)
+        gamma = [parse_formula(f, union) for f in gamma]
+        delta = [parse_formula(f, union) if isinstance(f, str) else f for f in delta]
+        message = f"formula {named} not well-formed over the combined signature"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            decide_combined_ctx(m1, m2, gamma, delta, ctx_extra=extra)
 
 
 class TestAxioms:

@@ -799,3 +799,18 @@ class TestValueSearches:
         one = len(searches)
         possible_value_vector(m, a)
         assert 0 < one < len(searches) - one
+
+    def test_a_closed_formula_is_searched_once_per_component(self, searches):
+        # power(bool2n,4) has one component, of 16 values; the formula takes
+        # each of them, one new value per search, in one search loop rather
+        # than one loop per value of the (absent) variable
+        m = builtin("bool2n")
+        pm = power(m, 4)
+        a = parse_formula("pl(botop, box(botop))", pm.sig)
+        assert len(pm.compiled.components) == 1
+        vector = possible_value_vector(pm, a)
+        assert len(searches) == 16
+        assert vector == (frozenset(pm.values),) * 16 == power_law_vector(m, pm, a)
+        searches.clear()
+        assert possible_values(pm, a, pm.values[3]) == frozenset(pm.values)
+        assert len(searches) == 16

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import pickle
 
@@ -13,6 +14,7 @@ from pnmatrix import (
     classify,
     decide_multiple,
     extend,
+    fixture_names,
     format_matrix,
     inclusion,
     make_matrix,
@@ -29,6 +31,7 @@ from pnmatrix import (
     validate,
     viable_components,
 )
+from pnmatrix.matrix_core import strict_product_is_total
 
 from corpus import random_query, seeded
 from oracle import brute_viable_sets
@@ -404,3 +407,59 @@ class TestCombinationProperties:
                     assert out == {f"{i}.{x}" for x in inner}
         for i, m in enumerate(summands):  # an empty summand's inclusion is empty
             assert check_strict_hom(inclusion(s, i), m, s) is None
+
+
+def nullary(value_names, designated, outputs):
+    """A matrix with only the nullary connective c, outputting ``outputs``."""
+    return make_matrix(Signature.of({"c": 0}), value_names, designated, {"c": {(): outputs}})
+
+
+def only_neg(value_names, designated):
+    """A matrix with only neg, the identity on the values."""
+    return make_matrix(
+        Signature.of({"neg": 1}), value_names, designated, {"neg": {(v,): {v} for v in value_names}}
+    )
+
+
+class TestProductTotality:
+    """``strict_product_is_total`` reads off the parts what the product's
+    ``is_total`` reads off the product."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(tiny_pnmatrices, tiny_pnmatrices)
+    @example(builtin("kleene-imp"), builtin("neg3"))  # each side lacks the other's connective
+    @example(builtin("luk3"), builtin("kleene-imp"))  # not total: nabla and neg are foreign
+    @example(nullary(["0", "1"], ["1"], {"1"}), nullary(["a"], [], {"a"}))  # c: designated only vs undesignated only
+    @example(nullary(["0", "1"], ["1"], {"0", "1"}), builtin("neg3"))  # c lies on one side
+    @example(only_neg(["a", "b"], ["a", "b"]), only_neg(["x", "y"], []))  # no pairs at all
+    @example(nullary(["a"], ["a"], {"a"}), nullary(["x"], [], {"x"}))  # no pairs, a nullary gap
+    @example(only_neg(["a", "b"], ["a", "b"]), nullary(["x", "y"], ["x", "y"], set()))
+    def test_matches_the_product(self, a, b):
+        assert strict_product_is_total(a, b) == strict_product(a, b).is_total()
+
+    def test_fixture_pairs_and_their_restrictions(self):
+        rng = seeded("product-totality")
+        totals = collections.Counter()
+        for x, y in itertools.product(fixture_names(), repeat=2):
+            a, b = builtin(x), builtin(y)
+            pairs = [(a, b)]
+            for _ in range(6):  # seeded sub-carriers make the tables partial
+                pairs.append(tuple(
+                    restrict(m, [v for v in m.values if rng.random() < 0.7]) for m in (a, b)
+                ))
+            for left, right in pairs:
+                total = strict_product(left, right).is_total()
+                assert strict_product_is_total(left, right) == total, (x, y)
+                totals[total] += 1
+        assert totals[True] and totals[False], totals
+
+    def test_arity_clash_raises_as_the_product_does(self):
+        a = nullary(["0"], ["0"], {"0"})
+        b = make_matrix(Signature.of({"c": 1}), ["0"], [], {"c": {("0",): {"0"}}})
+        with pytest.raises(ValueError) as product_error:
+            strict_product(a, b)
+        with pytest.raises(ValueError) as error:
+            strict_product_is_total(a, b)
+        assert str(error.value) == str(product_error.value) == (
+            "connective 'c' declared with arities 0 and 1"
+        )
