@@ -20,7 +20,11 @@ contract: it fixes the first countermodel and ``assignments_explored``.
 Propagation removes only values that belong to no prevaluation, so it
 changes neither; its queue order is free, since the fixpoint is unique.
 A revision is a function of the connective's table and a few masks, so each
-compiled matrix remembers the revisions it has made (``_propagate``).
+compiled matrix remembers the revisions it has made (``_propagate``).  The
+tables are nested lists indexed by one argument value after another, so a
+revision scans a table row per combination of the earlier arguments'
+values, and the search reads an entry by indexing: no argument tuple is
+built or hashed.
 
 A ``PremiseContext`` holds one premise set over an indexed closure and runs
 the fixpoint once per component, on first need, with the premises narrowed
@@ -111,28 +115,37 @@ class Closure:
     ``heads[i]`` is its connective (None for a variable), ``args[i]`` its
     argument ids, ``distinct[i]`` those ids without repeats, ``positions[i]``
     the position of each argument within ``distinct[i]`` (None when there
-    are no repeats), and ``parents[i]`` the compound nodes with node i among
-    their arguments.
+    are no repeats), ``keys[i]`` the head of its revision key (``heads[i]``,
+    or ``(heads[i], positions[i])`` when arguments repeat), and ``watch[i]``
+    the compound nodes with node i among their arguments, then node i itself
+    when it is compound: the nodes whose arcs a change of node i's domain
+    concerns (see ``_propagate``).
     """
 
     def __init__(self, roots: Sequence[Formula], sig: Signature):
         self.roots = roots
         self.formulas = formulas = subformula_closure(roots)
+        arity = sig._arity
         for f in formulas:  # each node once; the first bad one is named
-            if not well_formed_node(f, sig):
+            if (f.name in arity) if f.head is None else arity.get(f.head) != len(f.args):
                 raise ValueError(f"formula {print_formula(f)} not well-formed over the matrix signature")
         self.node = node = {f: i for i, f in enumerate(formulas)}
-        self.heads = [f.head for f in formulas]
+        self.heads = heads = [f.head for f in formulas]
         self.args = args = [tuple([node[a] for a in f.args]) for f in formulas]
-        self.distinct = distinct = [tuple(dict.fromkeys(a)) for a in args]
-        self.positions = [
-            None if len(d) == len(a) else tuple(d.index(x) for x in a)
-            for a, d in zip(args, distinct)
+        self.distinct = distinct = [
+            a if len(a) < 2 or len(set(a)) == len(a) else tuple(dict.fromkeys(a)) for a in args
         ]
-        self.parents: list[list[int]] = [[] for _ in args]
+        self.positions = positions = [
+            None if d is a else tuple(d.index(x) for x in a) for a, d in zip(args, distinct)
+        ]
+        self.keys = [h if p is None else (h, p) for h, p in zip(heads, positions)]
+        self.watch: list[list[int]] = [[] for _ in args]
         for i, d in enumerate(distinct):
             for a in d:
-                self.parents[a].append(i)
+                self.watch[a].append(i)
+        for i, h in enumerate(heads):
+            if h is not None:
+                self.watch[i].append(i)
 
     def reach(self, roots: Iterable[int], known: Iterable[int] = ()) -> set[int]:
         """The ids the roots reach through arguments, together with known,
@@ -154,20 +167,25 @@ def _propagate(cl: Closure, comp: CompiledMatrix, dom: list[int], narrowed=None,
     that occur in some combination of argument values whose table entry
     meets i's domain.  Only values that occur in no prevaluation compatible
     with the current domains are removed, so the solution set is untouched.
+    A change at node g queues the arcs of ``cl.watch[g]``, i's own excepted.
     With ``narrowed``, the domains are at a fixpoint except at those nodes,
     so only the arcs at them are revised first; by default every arc is.
     With ``inside`` (ids closed under arguments, holding ``narrowed``), only
     the arcs of nodes inside are revised; over a viable component the nodes
     outside constrain nothing inside (see the module docstring).
 
-    A revision's result (the new mask of i and of each distinct argument)
-    depends only on i's connective, ``positions[i]``, i's mask and its
-    arguments' masks, so it is looked up in ``comp.revisions`` under that
-    key and computed only on a miss.  The memo holds no verdict and nothing
-    of a query, and a hit returns what the loop would, so the fixpoint is
-    the same.  It is emptied when it holds ``REVISION_CAP`` entries.
+    A revision's result, ``(out, *support)`` with i's new mask and then each
+    distinct argument's, depends only on i's connective, ``positions[i]``,
+    i's mask and its arguments' masks, so it is looked up in
+    ``comp.revisions`` under that key and computed only on a miss: one
+    table row per combination of the other arguments' values is scanned
+    over the last argument's values, or, when arguments repeat, every
+    combination of the distinct arguments' values is looked up.  The memo
+    holds no verdict and nothing of a query, and a hit returns what the
+    scan would, so the fixpoint is the same.  It is emptied when it holds
+    ``REVISION_CAP`` entries.
     """
-    heads, parents = cl.heads, cl.parents
+    heads, watch = cl.heads, cl.watch
     if narrowed is None:
         pending = [i for i, h in enumerate(heads) if h is not None]
         queued = [h is not None for h in heads]
@@ -177,50 +195,74 @@ def _propagate(cl: Closure, comp: CompiledMatrix, dom: list[int], narrowed=None,
         for i in inside or ():
             queued[i] = False
         for g in narrowed:
-            for h in parents[g] if heads[g] is None else parents[g] + [g]:
+            for h in watch[g]:
                 if not queued[h]:
                     queued[h] = True
                     pending.append(h)
-    revisions, mask_of = comp.revisions, dom.__getitem__
+    keys, distinct_of, revisions = cl.keys, cl.distinct, comp.revisions
     while pending:
+        # i stays marked as queued while it is revised: it is at its
+        # fixpoint afterwards, so no change it makes queues it again
         i = pending.pop()
-        queued[i] = False
-        own = dom[i]
-        distinct, positions = cl.distinct[i], cl.positions[i]
-        key = (heads[i], positions, own, *map(mask_of, distinct))
+        distinct = distinct_of[i]
+        key = (keys[i], dom[i], *[dom[g] for g in distinct])
         revision = revisions.get(key)
         if revision is None:
-            table = comp.tables[heads[i]]
-            out = 0
-            support = [0] * len(distinct)
-            for combo in product(*[mask_bits(dom[g]) for g in distinct]):
-                hit = table[combo if positions is None else tuple(combo[k] for k in positions)] & own
-                if hit:
-                    out |= hit
-                    for k, x in enumerate(combo):
-                        support[k] |= 1 << x
             if len(revisions) >= REVISION_CAP:
                 revisions.clear()
-            revisions[key] = revision = (out, tuple(support))
-        out, support = revision
-        changed = []
-        if out != own:
-            dom[i] = out
-            changed.append(i)
-        for g, s in zip(distinct, support):
+            revisions[key] = revision = _revise(comp.tables[heads[i]], cl.positions[i], key[1:])
+        for g, s in zip((i, *distinct), revision):
             if s != dom[g]:
+                if not s:  # nothing meets i's domain: every mask of the revision is empty
+                    dom[i] = 0
+                    for a in distinct:
+                        dom[a] = 0
+                    return False
                 dom[g] = s
-                changed.append(g)
-        for g in changed:
-            if not dom[g]:
-                return False
-            # i is at its fixpoint now; the users of g, and the arcs of g
-            # itself when g is a compound argument, may not be
-            for h in parents[g] if heads[g] is None else parents[g] + [g]:
-                if h != i and not queued[h]:
-                    queued[h] = True
-                    pending.append(h)
+                for h in watch[g]:
+                    if not queued[h]:
+                        queued[h] = True
+                        pending.append(h)
+        queued[i] = False
     return True
+
+
+def _revise(table, positions, masks) -> tuple[int, ...]:
+    """``(out, *support)`` for one node: masks holds its own mask, then its
+    distinct arguments' (see ``_propagate``)."""
+    own, *doms = masks
+    if not doms:
+        return (table & own,)
+    support = [0] * len(doms)
+    out = 0
+    if positions is None:
+        *first, last = [mask_bits(d) for d in doms]
+        for prefix in product(*first):
+            row = table
+            for x in prefix:
+                row = row[x]
+            seen = found = 0
+            for z in last:
+                hit = row[z] & own
+                if hit:
+                    found |= hit
+                    seen |= 1 << z
+            if found:
+                out |= found
+                support[-1] |= seen
+                for k, x in enumerate(prefix):
+                    support[k] |= 1 << x
+    else:
+        for combo in product(*[mask_bits(d) for d in doms]):
+            entry = table
+            for k in positions:
+                entry = entry[combo[k]]
+            hit = entry & own
+            if hit:
+                out |= hit
+                for k, x in enumerate(combo):
+                    support[k] |= 1 << x
+    return (out, *support)
 
 
 def _search_component(comp: CompiledMatrix, cl: Closure, dom: list[int], ids):
@@ -243,7 +285,9 @@ def _search_component(comp: CompiledMatrix, cl: Closure, dom: list[int], ids):
     def candidates(i: int):
         if heads[i] is None:
             return iter(mask_bits(dom[i]))
-        entry = tables[heads[i]][tuple([assignment[a] for a in args[i]])]
+        entry = tables[heads[i]]
+        for a in args[i]:
+            entry = entry[assignment[a]]
         return iter(mask_bits(entry & dom[i]))
 
     # depth-first over the ids, one candidate iterator per assigned node
@@ -355,8 +399,10 @@ class PremiseContext:
         left = set()
         for i, v in enumerate(solution):
             if i not in covered:
-                h = heads[i]
-                can = w if h is None else tables[h][tuple([solution[a] for a in args[i]])] & w
+                can = w if heads[i] is None else tables[heads[i]]
+                for a in args[i]:
+                    can = can[solution[a]]
+                can &= w
                 low = can & ~designated or can
                 solution[i] = v = (low & -low).bit_length() - 1
             if not designated >> v & 1:
@@ -433,8 +479,10 @@ def _value_vector(m: PNMatrix, a: Formula, asked: Sequence[str]) -> tuple[frozen
                 solution, _ = _search_component(comp, cl, dom, ids)
                 if solution is None:
                     break
-                on_args = tuple([solution[g] for g in args])
-                found |= w & (1 << solution[root] if head is None else comp.tables[head][on_args])
+                entry = 1 << solution[root] if head is None else comp.tables[head]
+                for g in args:
+                    entry = entry[solution[g]]
+                found |= w & entry
                 dom[root] &= ~found
                 narrowed = [root]
             for x in group:
@@ -469,8 +517,11 @@ def check_countermodel(
         if isinstance(f, App):
             try:
                 entry = m.entry(f.head, tuple(assignment[a] for a in f.args))
-            except KeyError:
-                violations.append(f"argument of {print_formula(f)} missing from assignment")
+            except KeyError:  # no such argument, connective or arity
+                if well_formed_node(f, m.sig):
+                    violations.append(f"argument of {print_formula(f)} missing from assignment")
+                else:
+                    violations.append(f"formula {print_formula(f)} not well-formed over the matrix signature")
                 continue
             if v not in entry:
                 violations.append(

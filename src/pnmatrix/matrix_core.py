@@ -508,11 +508,13 @@ def mask_bits(mask: int) -> Sequence[int]:
 class CompiledMatrix:
     """A matrix over value indices: value i is ``m.values[i]`` and bit ``1 << i``.
 
-    Value sets are int bitmasks: ``designated``, every table entry (keyed by
-    its tuple of argument indices), and the mask that ``components`` pairs
-    with each maximal viable set of ``viability``, in its order.
-    ``revisions`` is the engine's memo of arc revisions over these tables
-    (see ``engine._propagate``); it starts empty.
+    Value sets are int bitmasks: ``designated``, every table entry, and the
+    mask that ``components`` pairs with each maximal viable set of
+    ``viability``, in its order.  ``tables[c]`` is indexed by the argument
+    indices in turn: ``tables[c][x][y]`` is the entry of a binary c at
+    (x, y), ``tables[c][x]`` that of a unary one at x, and a nullary c's
+    table is its entry.  ``revisions`` is the engine's memo of arc
+    revisions over these tables (see ``engine._propagate``); it starts empty.
     """
 
     def __init__(self, m: PNMatrix):
@@ -522,10 +524,16 @@ class CompiledMatrix:
             return sum(1 << index[v] for v in vs)
 
         self.designated = mask(m.designated)
-        self.tables = {
-            c: {tuple(index[x] for x in tup): mask(out) for tup, out in table.items()}
-            for c, table in m.tables.items()
-        }
+        self.tables = {}
+        n = len(m.values)
+        for c, k in m.sig:
+            table = m.tables[c]
+            rows = [mask(table[t]) for t in itertools.product(m.values, repeat=k)]
+            # group the rows of the last argument, then of each earlier one
+            # (over no values there are no rows to group)
+            for _ in range(k - 1 if n else 0):
+                rows = [rows[j:j + n] for j in range(0, len(rows), n)]
+            self.tables[c] = rows if k else rows[0]
         maximal = sorted(
             (frozenset(m.values[i] for i in mask_bits(w))
              for w in self._maximal_viable(m.sig, len(m.values))),
@@ -552,17 +560,36 @@ class CompiledMatrix:
             if not w or w in seen or any(w & ~v == 0 for v in found):
                 continue
             seen.add(w)
-            xs = mask_bits(w)
-            tuples = itertools.chain(
-                ((c, (x,) * k) for c, k in sig for x in xs),  # diagonal: no branching
-                ((c, t) for c, k in sig for t in itertools.product(xs, repeat=k)),
-            )
-            bad = next((t for c, t in tuples if not self.tables[c][t] & w), None)
+            bad = self._violation(sig, w)
             if bad is None:
                 found.append(w)
             else:
                 stack.extend(w & ~(1 << x) for x in set(bad))
         return [w for w in found if not any(w != v and w & ~v == 0 for v in found)]
+
+    def _violation(self, sig: Signature, w: int) -> Optional[tuple[int, ...]]:
+        """The first argument tuple over the nonempty mask w whose entry
+        misses w, or None: the diagonal tuples first, which need no
+        branching, then the others in product order, a row at a time."""
+        xs = mask_bits(w)
+        for c, k in sig:
+            for x in xs:
+                entry = self.tables[c]
+                for _ in range(k):
+                    entry = entry[x]
+                if not entry & w:
+                    return (x,) * k
+        for c, k in sig:
+            if k < 2:  # all on the diagonal
+                continue
+            for prefix in itertools.product(xs, repeat=k - 1):
+                row = self.tables[c]
+                for x in prefix:
+                    row = row[x]
+                for y in xs:
+                    if not row[y] & w:
+                        return (*prefix, y)
+        return None
 
 
 def prune(m: PNMatrix) -> PNMatrix:

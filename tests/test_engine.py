@@ -114,6 +114,17 @@ class TestCountermodels:
         cm = Countermodel(assignment=((p, "1"), (p, "0")), component=frozenset(m.values))
         assert check_countermodel(m, [], [p], cm) == ["p is assigned 2 times"]
 
+    def test_ill_formed_node_is_named(self):
+        """A node whose connective the matrix lacks, or has at another arity,
+        is reported as not well formed, not as an argument missing."""
+        m = builtin("bool2")
+        p = Var("p")
+        for f, text in ((App("foo", (p,)), "foo(p)"), (App("neg", (p, p)), "neg(p, p)")):
+            cm = Countermodel(assignment=((p, "0"), (f, "0")), component=frozenset(m.values))
+            assert check_countermodel(m, [], [f], cm) == [
+                f"formula {text} not well-formed over the matrix signature"
+            ]
+
     def test_determinism(self):
         ks = builtin("kleene-ks")
         gamma = parse_formula_list("or(p, q)", ks.sig)
@@ -581,10 +592,21 @@ class TestUnentailed:
             assert_sweeps_match(make_matrix(RANDOM_SIG, values, cell(), tables), pool, 1)
 
 
-def uncached_propagate(cl, comp, dom, narrowed=None, inside=None):
+def uncached_propagate(cl, m, dom, narrowed=None, inside=None):
     """``engine._propagate`` as it was before revisions were memoised: every
-    revision runs over the combinations of its argument domains."""
-    heads, parents = cl.heads, cl.parents
+    revision runs over the combinations of its argument domains.  Entries
+    come from m's own tables, keyed by value names, as masks keyed by
+    tuples of value indices."""
+    index = {v: i for i, v in enumerate(m.values)}
+    tables = {
+        c: {tuple(index[x] for x in tup): sum(1 << index[v] for v in out) for tup, out in t.items()}
+        for c, t in m.tables.items()
+    }
+    heads = cl.heads
+    parents = [[] for _ in heads]
+    for i, d in enumerate(cl.distinct):
+        for a in d:
+            parents[a].append(i)
     if narrowed is None:
         pending = [i for i, h in enumerate(heads) if h is not None]
         queued = [h is not None for h in heads]
@@ -600,7 +622,7 @@ def uncached_propagate(cl, comp, dom, narrowed=None, inside=None):
     while pending:
         i = pending.pop()
         queued[i] = False
-        table = comp.tables[heads[i]]
+        table = tables[heads[i]]
         own = dom[i]
         distinct, positions = cl.distinct[i], cl.positions[i]
         out = 0
@@ -655,7 +677,7 @@ class TestPropagation:
         narrowed = inside = None
         if data.draw(st.booleans()):
             # a fixpoint, then some nodes of a sub-closure narrowed again
-            uncached_propagate(cl, m.compiled, dom)
+            uncached_propagate(cl, m, dom)
             reached = data.draw(st.lists(st.sampled_from(range(n)), max_size=3))
             inside = cl.reach(reached) if reached and data.draw(st.booleans()) else None
             pool = sorted(range(n) if inside is None else inside)
@@ -663,7 +685,7 @@ class TestPropagation:
             for g in narrowed:
                 dom[g] &= data.draw(st.integers(0, (1 << len(m.values)) - 1))
         expected = dom.copy()
-        answer = uncached_propagate(cl, m.compiled, expected, narrowed, inside)
+        answer = uncached_propagate(cl, m, expected, narrowed, inside)
         memo = m.compiled.revisions
         for run in range(2):
             got = dom.copy()
@@ -688,7 +710,7 @@ class TestPropagation:
         dom = [0b11] * len(cl.formulas)
         dom[cl.node[p]], dom[cl.node[q]] = 0b01, 0b10
         expected = dom.copy()
-        assert uncached_propagate(cl, m.compiled, expected)
+        assert uncached_propagate(cl, m, expected)
         assert engine._propagate(cl, m.compiled, dom)
         assert dom == expected
         assert (dom[cl.node[pqp]], dom[cl.node[ppq]]) == (0b01, 0b10)

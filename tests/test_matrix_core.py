@@ -100,9 +100,9 @@ class TestClassification:
 
 
 @st.composite
-def random_pnmatrices(draw):
-    """0-7 values; entries may be empty (partial) or hold several values."""
-    values = [f"v{i}" for i in range(draw(st.integers(0, 7)))]
+def random_pnmatrices(draw, max_values=7):
+    """0 to max_values values; entries may be empty (partial) or hold several values."""
+    values = [f"v{i}" for i in range(draw(st.integers(0, max_values)))]
     cells = st.sets(st.sampled_from(values)) if values else st.just(set())
     sig = draw(st.sampled_from([{"c": 0, "neg": 1, "imp": 2}, {"neg": 1, "imp": 2}, {"imp": 2}]))
     tables = {
@@ -110,6 +110,28 @@ def random_pnmatrices(draw):
         for name, k in sig.items()
     }
     return make_matrix(Signature.of(sig), values, draw(cells), tables)
+
+
+class TestCompiledTables:
+    @settings(max_examples=100, deadline=None)
+    @given(random_pnmatrices())
+    @example(make_matrix(Signature.of({"c": 0, "neg": 1, "imp": 2}), [], [],
+                         {"c": {(): set()}, "neg": {}, "imp": {}}))
+    def test_nested_entries_are_the_entry_masks(self, m):
+        """The compiled table of a k-ary connective nests k levels of rows,
+        one entry per value at each; indexed by an argument tuple, it gives
+        the mask of that tuple's entry."""
+        n = len(m.values)
+        for c, k in m.sig:
+            for t in itertools.product(range(n), repeat=k):
+                entry = m.compiled.tables[c]
+                for x in t:
+                    assert len(entry) == n
+                    entry = entry[x]
+                names = m.entry(c, tuple(m.values[x] for x in t))
+                assert entry == sum(1 << m.values.index(v) for v in names)
+            if k and not n:
+                assert m.compiled.tables[c] == []
 
 
 class TestViability:
@@ -333,7 +355,7 @@ class TestStrictHoms:
 
 
 RANDOM_SIG = Signature.of({"c": 0, "neg": 1, "imp": 2})
-tiny_pnmatrices = random_pnmatrices().filter(lambda m: len(m.values) <= 3)
+tiny_pnmatrices = random_pnmatrices(max_values=3)
 
 
 class TestCombinationProperties:

@@ -19,11 +19,18 @@ from pnmatrix.engine import Closure, _propagate
 from pnmatrix.matrix_core import mask_bits
 
 
-def _enumerate(comp, cl, dom, key, acc, budget):
+def _enumerate(m, cl, dom, key, acc, budget):
     """Adds key(assignment) to acc for every prevaluation within dom; the
-    number of assignments made, which stops just past budget."""
+    number of assignments made, which stops just past budget.  Entries come
+    from m's own tables, keyed by value names, as masks keyed by tuples of
+    value indices."""
     n = len(dom)
-    heads, args, tables = cl.heads, cl.args, comp.tables
+    index = {v: i for i, v in enumerate(m.values)}
+    tables = {
+        c: {tuple(index[x] for x in tup): sum(1 << index[v] for v in out) for tup, out in t.items()}
+        for c, t in m.tables.items()
+    }
+    heads, args = cl.heads, cl.args
     assignment = [0] * n
 
     def candidates(i):
@@ -61,7 +68,7 @@ def reference_value_vector(m, a, budget=float("inf")):
         dom = [w] * len(cl.formulas)
         acc = set()
         if _propagate(cl, comp, dom):
-            budget -= _enumerate(comp, cl, dom, key, acc, budget)
+            budget -= _enumerate(m, cl, dom, key, acc, budget)
             if budget < 0:
                 return None
         if variables:
