@@ -28,6 +28,7 @@ from .syntax import (
     formula_key,
     formula_size,
     print_formula,
+    print_formula_list,
 )
 
 
@@ -237,9 +238,7 @@ class SaturationWitness:
     phi: tuple[Formula, ...]
 
     def pretty(self) -> str:
-        left = ", ".join(print_formula(f) for f in self.gamma0) or "-"
-        right = ", ".join(print_formula(f) for f in self.phi)
-        return f"{left} |- {right}"
+        return f"{print_formula_list(self.gamma0)} |- {print_formula_list(self.phi)}"
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from .syntax import (
     ParseError,
     Signature,
     parse_formula_list,
-    print_formula,
+    print_formula_list,
 )
 
 
@@ -28,9 +28,7 @@ class Rule:
     conclusions: tuple[Formula, ...]
 
     def pretty(self) -> str:
-        left = ", ".join(print_formula(f) for f in self.premises) or "-"
-        right = ", ".join(print_formula(f) for f in self.conclusions) or "-"
-        return f"{self.name} : {left} |- {right}"
+        return f"{self.name} : {print_formula_list(self.premises)} |- {print_formula_list(self.conclusions)}"
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,7 @@ from .syntax import (
     parse_formula,
     parse_formula_list,
     print_formula,
+    print_formula_list,
     print_formulas,
 )
 
@@ -407,12 +408,7 @@ def _decide_combined(args) -> int:
     human = decision.answer + ("" if decision.certified else " (not certified)")
     if decision.failing_partition is not None:
         low, high = decision.failing_partition
-        human += (
-            "\nfailing partition: "
-            + (", ".join(print_formula(f) for f in low) or "-")
-            + " / "
-            + (", ".join(print_formula(f) for f in high) or "-")
-        )
+        human += f"\nfailing partition: {print_formula_list(low)} / {print_formula_list(high)}"
     _emit(args, payload, human)
     return EXIT_YES if decision.answer == "yes" else EXIT_NO
 

@@ -28,11 +28,11 @@ from .syntax import (
     MonolithMap,
     Substitution,
     apply_substitution,
+    ill_formed_node,
     print_formula,
     skeleton,
     subformula_closure,
     variables,
-    well_formed_node,
 )
 
 #: partition enumeration is exponential in the context size
@@ -179,9 +179,9 @@ def decide_combined_ctx(
             f"context has {len(ctx)} formulas, exceeding the cap of {CTX_CAP}"
         )
     sig = m1.sig.union(m2.sig)  # raises on arity clash
-    for f in ctx:  # each node once, as the caller wrote it; the first bad one is named
-        if not well_formed_node(f, sig):
-            raise ValueError(f"formula {print_formula(f)} not well-formed over the combined signature")
+    bad = ill_formed_node(ctx, sig)  # each node once, as the caller wrote it
+    if bad is not None:
+        raise ValueError(f"formula {print_formula(bad)} not well-formed over the combined signature")
     decision = functools.partial(
         CombinedDecision, certified=strict_product_is_total(m1, m2), mode=mode, context=ctx
     )

@@ -63,14 +63,13 @@ from typing import Iterable, Optional, Sequence
 
 from .matrix_core import CompiledMatrix, PNMatrix, mask_bits, viable_components
 from .syntax import (
-    App,
     Formula,
     Signature,
     Var,
+    ill_formed_node,
     print_formula,
     print_formulas,
     subformula_closure,
-    well_formed_node,
 )
 
 
@@ -125,10 +124,9 @@ class Closure:
     def __init__(self, roots: Sequence[Formula], sig: Signature):
         self.roots = roots
         self.formulas = formulas = subformula_closure(roots)
-        arity = sig._arity
-        for f in formulas:  # each node once; the first bad one is named
-            if (f.name in arity) if f.head is None else arity.get(f.head) != len(f.args):
-                raise ValueError(f"formula {print_formula(f)} not well-formed over the matrix signature")
+        bad = ill_formed_node(formulas, sig)  # each node once; the first bad one is named
+        if bad is not None:
+            raise ValueError(f"formula {print_formula(bad)} not well-formed over the matrix signature")
         self.node = node = {f: i for i, f in enumerate(formulas)}
         self.heads = heads = [f.head for f in formulas]
         self.args = args = [tuple([node[a] for a in f.args]) for f in formulas]
@@ -329,7 +327,7 @@ class PremiseContext:
             return Verdict("yes", None, tried, explored)
         formulas, values = self.cl.formulas, self.m.values
         assignment = tuple([(formulas[g], values[solution[g]]) for g in ids])
-        w_names = self.m.compiled.components[tried - 1][0]
+        w_names = self.m.compiled.viability.maximal[tried - 1]
         return Verdict("no", Countermodel(assignment, w_names), tried, explored)
 
     def unentailed(self, candidates: Iterable[Formula], entailed: set[Formula]) -> list[Formula]:
@@ -346,7 +344,7 @@ class PremiseContext:
                 tried, solution, ids, _ = self._search([a])
                 if solution is None:
                     continue
-                refuted |= self._extend(solution, ids, self.m.compiled.components[tried - 1][1])
+                refuted |= self._extend(solution, ids, self.m.compiled.components[tried - 1])
             out.append(a)
         return out
 
@@ -360,7 +358,7 @@ class PremiseContext:
         own = [cl.node[f] for f in delta if f not in self.common]
         ids = None
         explored = 0
-        for tried, (_, w) in enumerate(comp.components, start=1):
+        for tried, w in enumerate(comp.components, start=1):
             if tried > len(fixpoints):
                 dom = [w] * len(cl.formulas)
                 for i in self.premises:
@@ -467,7 +465,7 @@ def _value_vector(m: PNMatrix, a: Formula, asked: Sequence[str]) -> tuple[frozen
     ids = range(len(cl.formulas))
     root, head, args = ids[-1], cl.heads[-1], cl.args[-1]
     out = [0] * len(m.values)
-    for _, w in comp.components:
+    for w in comp.components:
         xs = [x for x in asked if w >> x & 1]
         # a closed formula's values do not depend on x: one search loop for all
         for group in [[x] for x in xs] if variables or not xs else [xs]:
@@ -514,19 +512,13 @@ def check_countermodel(
         violations.append(f"unknown values {sorted(image - vals)} in assignment")
         return violations
     for f, v in assignment.items():
-        if isinstance(f, App):
-            try:
-                entry = m.entry(f.head, tuple(assignment[a] for a in f.args))
-            except KeyError:  # no such argument, connective or arity
-                if well_formed_node(f, m.sig):
-                    violations.append(f"argument of {print_formula(f)} missing from assignment")
-                else:
-                    violations.append(f"formula {print_formula(f)} not well-formed over the matrix signature")
-                continue
-            if v not in entry:
-                violations.append(
-                    f"{print_formula(f)} -> {v} violates its table entry"
-                )
+        args = tuple([assignment.get(a) for a in f.args])
+        if ill_formed_node([f], m.sig) is not None:
+            violations.append(f"formula {print_formula(f)} not well-formed over the matrix signature")
+        elif None in args:
+            violations.append(f"argument of {print_formula(f)} missing from assignment")
+        elif f.head is not None and v not in m.entry(f.head, args):
+            violations.append(f"{print_formula(f)} -> {v} violates its table entry")
     report = viable_components(m)
     if not any(image <= w for w in report.maximal):
         violations.append("image of the assignment lies in no viable component")

@@ -508,9 +508,9 @@ def mask_bits(mask: int) -> Sequence[int]:
 class CompiledMatrix:
     """A matrix over value indices: value i is ``m.values[i]`` and bit ``1 << i``.
 
-    Value sets are int bitmasks: ``designated``, every table entry, and the
-    mask that ``components`` pairs with each maximal viable set of
-    ``viability``, in its order.  ``tables[c]`` is indexed by the argument
+    Value sets are int bitmasks: ``designated``, every table entry, and
+    ``components``, the masks of the maximal viable sets of ``viability``,
+    in its order.  ``tables[c]`` is indexed by the argument
     indices in turn: ``tables[c][x][y]`` is the entry of a binary c at
     (x, y), ``tables[c][x]`` that of a unary one at x, and a nullary c's
     table is its entry.  ``revisions`` is the engine's memo of arc
@@ -518,7 +518,7 @@ class CompiledMatrix:
     """
 
     def __init__(self, m: PNMatrix):
-        self.index = index = {v: i for i, v in enumerate(m.values)}
+        index = {v: i for i, v in enumerate(m.values)}
 
         def mask(vs: Iterable[str]) -> int:
             return sum(1 << index[v] for v in vs)
@@ -541,8 +541,8 @@ class CompiledMatrix:
         )
         usable = frozenset().union(*maximal)
         self.viability = ViabilityReport(tuple(maximal), usable, frozenset(m.values) - usable)
-        self.components = tuple((w, mask(w)) for w in maximal)
-        self.revisions: dict[tuple, tuple[int, tuple[int, ...]]] = {}
+        self.components = tuple(mask(w) for w in maximal)
+        self.revisions: dict[tuple, tuple[int, ...]] = {}
 
     def _maximal_viable(self, sig: Signature, n: int) -> list[int]:
         """The maximal viable sets as masks, by branching on violated entries.

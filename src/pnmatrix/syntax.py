@@ -18,7 +18,7 @@ import weakref
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 
 class ParseError(ValueError):
@@ -223,6 +223,11 @@ def print_formulas(fs: Iterable[Formula]) -> list[str]:
     return [texts[f] for f in fs]
 
 
+def print_formula_list(fs: Iterable[Formula]) -> str:
+    """A formula list as ``parse_formula_list`` reads it: ``-`` when empty."""
+    return ", ".join(print_formulas(fs)) or "-"
+
+
 def formula_size(f: Formula) -> int:
     """Number of nodes in the formula tree (repeated subtrees counted each time)."""
     return f.size
@@ -258,16 +263,18 @@ def subformula_closure(formulas: Iterable[Formula]) -> list[Formula]:
     return sorted(nodes, key=lambda g: (g.size, g._text or text.get(g, "")))
 
 
-def well_formed_node(g: Formula, sig: Signature) -> bool:
-    """True iff node g itself, not counting its arguments, fits the signature."""
-    if g.head is None:
-        return g.name not in sig
-    return g.head in sig and sig.arity(g.head) == len(g.args)
+def ill_formed_node(nodes: Iterable[Formula], sig: Signature) -> Optional[Formula]:
+    """The first of the nodes that does not itself (its arguments aside) fit the signature, or None."""
+    arity = sig._arity
+    for g in nodes:
+        if (g.name in arity) if g.head is None else arity.get(g.head) != len(g.args):
+            return g
+    return None
 
 
 def well_formed(f: Formula, sig: Signature) -> bool:
-    """True iff every App node uses a declared connective at its declared arity."""
-    return all(well_formed_node(g, sig) for g in _walk([f]))
+    """True iff every node of f fits the signature (see ``ill_formed_node``)."""
+    return ill_formed_node(_walk([f]), sig) is None
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +398,8 @@ class MonolithMap:
 
     Maintains a bijection between monolith formulas (head outside the
     subsignature) and fresh variables named "m1", "m2", ... in first-encounter
-    order, plus an injective renaming "p" -> "v_p" of ordinary variables.
+    order, plus an injective renaming "p" -> "v_p" of ordinary variables; a
+    name the subsignature declares gets one more "m" or "v_" in front.
     One map should be used per translation session so that the same monolith
     always gets the same fresh variable across the session's formulas.
     """
@@ -400,10 +408,12 @@ class MonolithMap:
         self.var_of_monolith: dict[Formula, str] = {}
         self.monolith_of_var: dict[str, Formula] = {}
 
-    def fresh_for(self, monolith: Formula) -> str:
+    def fresh_for(self, monolith: Formula, sub_sig: Signature) -> str:
         if monolith in self.var_of_monolith:
             return self.var_of_monolith[monolith]
         name = f"m{len(self.var_of_monolith) + 1}"
+        while name in sub_sig:
+            name = f"m{name}"
         self.var_of_monolith[monolith] = name
         self.monolith_of_var[name] = monolith
         return name
@@ -414,8 +424,12 @@ def skeleton(f: Formula, sub_sig: Signature, mm: MonolithMap) -> tuple[Formula, 
 
     Connectives of sub_sig are kept; variables p are renamed to v_p; any other
     subformula is a monolith and is replaced by its fresh variable from mm.
+    Neither kind of name is one that sub_sig declares (see ``MonolithMap``).
     """
     def leaf(g: Formula) -> Var:
-        return Var(f"v_{g.name}") if g.head is None else Var(mm.fresh_for(g))
+        name = f"v_{g.name}" if g.head is None else mm.fresh_for(g, sub_sig)
+        while name in sub_sig:  # only a variable's (fresh_for's are undeclared)
+            name = f"v_{name}"
+        return Var(name)
 
     return _rebuild(f, leaf, lambda g: g.head in sub_sig), mm

@@ -5,6 +5,7 @@ import pytest
 from pnmatrix import (
     App,
     RefutationBounds,
+    SaturationWitness,
     SeparatorBounds,
     Signature,
     Var,
@@ -16,6 +17,7 @@ from pnmatrix import (
     formula_key,
     formula_pool,
     monadicity_report,
+    parse_formula_list,
     print_formula,
     reduct,
     refute_saturation,
@@ -226,6 +228,23 @@ class TestRefuter:
         r = refute_saturation(builtin("kleene-imp"), tight)
         assert not r.refuted  # the witness needs two conclusions
         assert r.bounds == tight
+
+
+class TestWitnessCheck:
+    """Each rejection of ``check_saturation_witness``, with its message."""
+
+    @pytest.mark.parametrize("gamma0, phi, problems", [
+        ("and(p, neg(p))", "-", ["witness needs a non-empty right-hand side"]),
+        ("-", "p, q", ["gamma0 does not entail phi collectively"]),
+        ("-", "p, neg(p), imp(p, p)", ["imp(p, p) already follows singly from gamma0"]),
+    ], ids=["empty-phi", "collective", "single"])
+    def test_rejections(self, gamma0, phi, problems):
+        m = builtin("bool2")
+        w = SaturationWitness(parse_formula_list(gamma0, m.sig), parse_formula_list(phi, m.sig))
+        assert check_saturation_witness(m, w) == problems
+
+    def test_an_empty_side_prints_as_a_dash(self):
+        assert SaturationWitness((), ()).pretty() == "- |- -"
 
 
 class TestRefuterReference:

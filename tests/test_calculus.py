@@ -37,6 +37,24 @@ class TestRuleParsing:
         with pytest.raises(ParseError, match="duplicate"):
             parse_calculus("a : p |- p\na : q |- q", SIG)
 
+    @pytest.mark.parametrize("text, message, offset", [
+        ("p |- q", "rule line needs a ':' after the rule name (at offset 0)", 0),
+        (" : p |- q", "empty rule name (at offset 0)", 0),
+        # the inner error's text already ends with its offset, which the
+        # prefixed error appends once more
+        ("a : p |- p\n\nb : p, q\n",
+         "line 3: rule line needs a '|-' separating the two sides (at offset 2) (at offset 2)", 2),
+    ], ids=["no-colon", "empty-name", "line-prefix"])
+    def test_rejections(self, text, message, offset):
+        with pytest.raises(ParseError) as e:
+            parse_calculus(text, SIG) if "\n" in text else parse_rule(text, SIG)
+        assert (str(e.value), e.value.offset) == (message, offset)
+
+    def test_pretty_prints_empty_sides_as_dashes(self):
+        r = parse_rule("none : - |-", SIG)
+        assert r.pretty() == "none : - |- -"
+        assert parse_rule(r.pretty(), SIG) == r
+
     def test_format_round_trip(self):
         cal = builtin_calculus("classical")
         again = parse_calculus(format_calculus(cal), SIG)

@@ -84,6 +84,29 @@ class TestMatrixFiles:
         with pytest.raises(FormatError, match="line 6"):
             read_matrix(bad)
 
+    NEG = "table neg:\n  0 : 1\n  1 : 0\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("signature:\n  neg 1\nvalues: 0 1\ndesignated: 1\n" + NEG + "table neg:\n",
+         "line 8: duplicate table for 'neg'"),
+        ("signature:\n  neg one\n", "line 2: bad signature line 'neg one'"),
+        ("values: 0 1\nhello\n", "line 2: unexpected line 'hello'"),
+        ("values: 0 1\ndesignated: 1\n", "line 2: missing signature block"),
+        ("signature:\n  neg 1\ndesignated: 1\n", "line 3: missing values line"),
+        ("signature:\n  neg 1\nvalues: 0 1\n", "line 3: missing designated line"),
+        ("signature:\n  neg 1\n  neg 1\nvalues: 0 1\ndesignated: 1\n" + NEG,
+         "line 8: duplicate connective in signature"),
+        ("signature:\n  neg 1\nvalues: 0 1\ndesignated: 2\n" + NEG,
+         "line 7: designated values ['2'] not in value set"),
+    ], ids=["duplicate-table", "signature-line", "unexpected-line", "no-signature",
+            "no-values", "no-designated", "duplicate-connective", "invalid-matrix"])
+    def test_rejections(self, text, message):
+        from pnmatrix import FormatError
+
+        with pytest.raises(FormatError) as e:
+            read_matrix(text)
+        assert str(e.value) == message
+
     def test_duplicate_row_rejected(self):
         from pnmatrix import FormatError
 

@@ -18,12 +18,14 @@ from pnmatrix import (
     decide_combined_ctx,
     decide_multiple,
     decide_with_axioms,
+    extend,
     fixture_names,
     make_matrix,
     parse_formula,
     parse_formula_list,
     prune,
     reduct,
+    rename_connectives,
     strict_product,
     subformula_closure,
     viable_components,
@@ -247,6 +249,52 @@ class TestContextDecision:
         message = f"formula {named} not well-formed over the combined signature"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             decide_combined_ctx(m1, m2, gamma, delta, ctx_extra=extra)
+
+
+class TestSkeletonNameClashes:
+    """A part may declare a connective named like a skeleton variable
+    (``m1``, ``v_p``, ...); the decision is then the one it gives once those
+    connectives are renamed to names no skeleton uses."""
+
+    QUERIES = [
+        ("imp(p, q)", "neg(imp(p, q))"),
+        ("p", "neg(p)"),
+        ("imp(p, q), p", "q"),
+        ("neg(neg(p))", "p"),
+        ("imp(neg(p), q), neg(p)", "q"),
+        ("neg(imp(p, p))", "imp(q, neg(q))"),
+    ]
+
+    @pytest.mark.parametrize("extra", [
+        {"m1": 0},
+        {"v_p": 1},
+        {"m1": 0, "mm1": 1, "m2": 2},
+        {"v_p": 0, "v_v_p": 1, "v_q": 0},
+    ], ids=lambda e: ",".join(e))
+    @pytest.mark.parametrize("mode", ["multiple", "single"])
+    def test_answers_as_after_renaming(self, extra, mode):
+        neg3, kimp = builtin("neg3"), builtin("kleene-imp")
+        part = extend(neg3, neg3.sig.union(Signature.of(extra)))
+        renamed = rename_connectives(part, {c: f"c{i}" for i, c in enumerate(extra)})
+        for left, right in self.QUERIES:
+            gamma = parse_formula_list(left, part.sig.union(kimp.sig))
+            delta = parse_formula_list(right, part.sig.union(kimp.sig))
+            if mode == "single" and len(delta) != 1:
+                continue
+            for pair, renamed_pair in (((part, kimp), (renamed, kimp)), ((kimp, part), (kimp, renamed))):
+                got = decide_combined_ctx(*pair, gamma, delta, mode=mode)
+                assert got == decide_combined_ctx(*renamed_pair, gamma, delta, mode=mode), (left, right)
+                assert got == reference_decide_combined_ctx(*pair, gamma, delta, mode=mode)
+
+    def test_both_kinds_of_answer_are_covered(self):
+        neg3, kimp = builtin("neg3"), builtin("kleene-imp")
+        part = extend(neg3, neg3.sig.union(Signature.of({"m1": 0, "v_p": 1})))
+        sig = part.sig.union(kimp.sig)
+        answers = {
+            decide_combined_ctx(part, kimp, parse_formula_list(left, sig), parse_formula_list(right, sig)).answer
+            for left, right in self.QUERIES
+        }
+        assert answers == {"yes", "no"}
 
 
 class TestAxioms:

@@ -150,6 +150,41 @@ class TestCountermodels:
         assert check_countermodel(m, [], delta, v.countermodel) == []
 
 
+class TestCountermodelCheck:
+    """Each rejection of ``check_countermodel``, with its message: the
+    query, the matrix and the assignment, written as text."""
+
+    @pytest.mark.parametrize("name, gamma, delta, assignment, violations", [
+        ("bool2", "-", "p, q", {"p": "0"},
+         ["assignment domain is not the subformula closure of the query"]),
+        ("bool2", "-", "p", {"p": "2"}, ["unknown values ['2'] in assignment"]),
+        ("bool2", "-", "neg(p)", {"neg(p)": "0"},
+         ["assignment domain is not the subformula closure of the query",
+          "argument of neg(p) missing from assignment"]),
+        ("bool2", "-", "neg(p)", {"p": "0", "neg(p)": "0"},
+         ["neg(p) -> 0 violates its table entry"]),
+        ("kleene-ks", "q", "p", {"p": "a", "q": "b"},
+         ["image of the assignment lies in no viable component"]),
+        ("bool2", "p", "-", {"p": "0"}, ["premise p not designated"]),
+        ("bool2", "-", "p", {"p": "1"}, ["conclusion p designated"]),
+    ], ids=["domain", "unknown-value", "missing-argument", "entry", "component",
+            "premise", "conclusion"])
+    def test_rejections(self, name, gamma, delta, assignment, violations):
+        m = builtin(name)
+        cm = Countermodel(
+            tuple((pf(m, f), v) for f, v in assignment.items()), frozenset(m.values)
+        )
+        gamma, delta = parse_formula_list(gamma, m.sig), parse_formula_list(delta, m.sig)
+        assert check_countermodel(m, gamma, delta, cm) == violations
+
+    def test_a_variable_named_like_a_connective_is_ill_formed(self):
+        m = builtin("bool2")
+        cm = Countermodel(((Var("neg"), "0"),), frozenset(m.values))
+        assert check_countermodel(m, [], [Var("neg")], cm) == [
+            "formula neg not well-formed over the matrix signature"
+        ]
+
+
 class TestDerivedState:
     """A matrix's viability report and compiled form live on the matrix."""
 

@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter: every import in the library is
-used, no module imports another module's private (underscore) names, and no
-module keeps a cache of its own outside the objects it derives data from."""
+used, no module imports another module's private (underscore) names or reads
+them off an object, and no module keeps a cache of its own outside the
+objects it derives data from."""
 
 import ast
 from pathlib import Path
@@ -71,6 +72,65 @@ def test_the_check_sees_a_private_import():
     )
     assert private_imports(source) == ["line 2: _Closure", "line 4: _walk"]
 
+
+def foreign_private_reads(source: str) -> list[str]:
+    """Reads of ``obj._name`` where the module itself does not define
+    ``_name`` (as a ``def`` or class, an assignment, a keyword argument or
+    a ``__slots__`` entry).  Reads through ``self`` and dunder names are
+    exempt."""
+    tree = ast.parse(source)
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id if isinstance(node, ast.Name) else node.attr)
+        elif isinstance(node, ast.keyword) and node.arg:
+            defined.add(node.arg)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets
+        ):
+            defined.update(c.value for c in ast.walk(node.value)
+                           if isinstance(c, ast.Constant) and isinstance(c.value, str))
+    out = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and node.attr.startswith("_")
+            and not (node.attr.startswith("__") and node.attr.endswith("__"))
+            and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+            and node.attr not in defined
+        ):
+            out.append((node.lineno, node.col_offset, ast.unparse(node)))
+    return [f"line {line}: {text}" for line, _, text in sorted(out)]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_private_reads_of_foreign_objects(path):
+    assert foreign_private_reads(path.read_text()) == []
+
+
+def test_the_check_sees_a_foreign_private_read():
+    source = (
+        "class A:\n    __slots__ = ('_text',)\n"
+        "    def _own(self):\n        return self._cache, self.__class__\n"  # exempt
+        "def f(a, sig, m):\n"
+        "    a._text, a._own(), make(_flag=1)._flag\n"  # defined here
+        "    return sig._arity, m.__dict__, m.compiled._seen\n"
+    )
+    assert foreign_private_reads(source) == ["line 7: sig._arity", "line 7: m.compiled._seen"]
+    # engine.Closure once read the signature's private arity map
+    engine_closure = (
+        "class Closure:\n"
+        "    def __init__(self, roots, sig):\n"
+        "        self.formulas = formulas = subformula_closure(roots)\n"
+        "        arity = sig._arity\n"
+        "        for f in formulas:\n"
+        "            if (f.name in arity) if f.head is None else arity.get(f.head) != len(f.args):\n"
+        "                raise ValueError(f'formula {print_formula(f)} not well-formed')\n"
+    )
+    assert foreign_private_reads(engine_closure) == ["line 4: sig._arity"]
 
 
 #: the one module-level cache the library keeps: builtin() hands out one

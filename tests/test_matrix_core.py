@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from pnmatrix import (
     MatrixError,
+    PNMatrix,
     Signature,
     ValueMap,
     builtin,
@@ -67,6 +68,21 @@ class TestValidation:
         )
         assert validate(m) == []
 
+    @pytest.mark.parametrize("values, designated, tables, message", [
+        (["0", "0"], ["0"], {"neg": {("0",): {"0"}}}, "duplicate value names"),
+        (["0", "1"], ["2"], {"neg": {("0",): {"1"}, ("1",): {"0"}}},
+         "designated values ['2'] not in value set"),
+        (["0", "1"], ["1"], {}, "missing tables for ['neg']"),
+        (["0"], ["0"], {"neg": {("0",): {"0"}}, "or": {}}, "tables for undeclared connectives ['or']"),
+        (["0"], ["0"], {"neg": {("0",): {"0"}, ("0", "0"): {"0"}}}, "unexpected entry neg('0', '0')"),
+    ], ids=["duplicate-values", "designated", "missing-table", "extra-table", "unexpected-entry"])
+    def test_rejections(self, values, designated, tables, message):
+        m = PNMatrix(Signature.of({"neg": 1}), tuple(values), frozenset(designated), tables)
+        assert validate(m) == [message]
+        with pytest.raises(MatrixError) as e:
+            make_matrix(m.sig, values, designated, tables)
+        assert str(e.value) == message
+
     def test_negative_arity_reported(self):
         with pytest.raises(MatrixError, match="negative arity -1"):
             make_matrix(Signature.of({"x": -1}), ["a"], ["a"], {"x": {}})
@@ -98,12 +114,20 @@ class TestClassification:
         for name, kind in expected.items():
             assert classify(builtin(name)) == kind, name
 
+    def test_partial_and_nondeterministic(self):
+        m = make_matrix(Signature.of({"neg": 1}), ["0", "1"], ["1"], {"neg": {("0",): [], ("1",): ["0", "1"]}})
+        assert classify(m) == "PNmatrix"
+
 
 @st.composite
 def random_pnmatrices(draw, max_values=7):
-    """0 to max_values values; entries may be empty (partial) or hold several values."""
+    """0 to max_values values; entries may be empty (partial) or hold several values.
+    A cell is drawn as one bitmask over the values, which is much cheaper
+    to draw than a set of them."""
     values = [f"v{i}" for i in range(draw(st.integers(0, max_values)))]
-    cells = st.sets(st.sampled_from(values)) if values else st.just(set())
+    cells = st.integers(0, (1 << len(values)) - 1).map(
+        lambda mask: {v for i, v in enumerate(values) if mask >> i & 1}
+    )
     sig = draw(st.sampled_from([{"c": 0, "neg": 1, "imp": 2}, {"neg": 1, "imp": 2}, {"imp": 2}]))
     tables = {
         name: {tup: draw(cells) for tup in itertools.product(values, repeat=k)}
@@ -288,6 +312,19 @@ class TestStrictHoms:
         m = builtin("bool2")
         bad = ValueMap.of({"0": "1", "1": "1"})
         assert "strictness" in check_strict_hom(bad, m, m)
+
+    @pytest.mark.parametrize("source, target, mapping, message", [
+        ("neg3", "bool2", {"0": "0", "h": "0", "1": "1"},
+         "target signature is not a subsignature of the source"),
+        ("bool2", "bool2", {"0": "0"}, "map not total: missing '1'"),
+        ("bool2", "bool2", {"0": "0", "1": "x"}, "value '1' maps to unknown value 'x'"),
+        ("bool2", "bool2", {"0": "1", "1": "1"}, "strictness violated at '0' -> '1'"),
+        ("kleene-ks", "kleene-ks", {"0": "0", "a": "a", "b": "1", "1": "b"},
+         "and('a', '1'): image ['a'] not within []"),
+    ], ids=["signature", "total", "target", "strict", "structure"])
+    def test_rejections(self, source, target, mapping, message):
+        h = ValueMap.of(mapping)
+        assert check_strict_hom(h, builtin(source), builtin(target)) == message
 
     def test_value_map_is_a_value_object(self):
         h = ValueMap.of({"b": "0", "a": "1"})

@@ -31,6 +31,7 @@ from pnmatrix import (
     variables,
     well_formed,
 )
+from pnmatrix.syntax import ill_formed_node, print_formula_list
 
 SIG = Signature.of({"top": 0, "neg": 1, "and": 2, "imp": 2})
 ROOT = Path(__file__).resolve().parents[1]
@@ -111,9 +112,25 @@ class TestParsing:
         fs = parse_formula_list("p, and(p, q), top", SIG)
         assert len(fs) == 3 and fs[2] == App("top", ())
 
+    @pytest.mark.parametrize("text, message, offset", [
+        ("neg(p # a comment runs to the end of the line", "expected ')', found '' (at offset 45)", 45),
+        ("neg(p) $", "unexpected character '$' (at offset 7)", 7),
+        ("or(p, q)", "undeclared connective 'or' (at offset 0)", 0),
+    ], ids=["comment", "character", "connective"])
+    def test_rejections(self, text, message, offset):
+        with pytest.raises(ParseError) as e:
+            parse_formula(text, SIG)
+        assert (str(e.value), e.value.offset) == (message, offset)
+
     @given(formulas())
     def test_print_parse_round_trip(self, f):
         assert parse_formula(print_formula(f), SIG) == f
+
+    @given(st.lists(formulas(), max_size=3))
+    def test_list_print_parse_round_trip(self, fs):
+        text = print_formula_list(fs)
+        assert text == (", ".join(map(print_formula, fs)) or "-")
+        assert parse_formula_list(text, SIG) == tuple(fs)
 
 
 class TestSubformulas:
@@ -144,6 +161,12 @@ class TestSubformulas:
         f = parse_formula("imp(and(p, q), neg(p))", SIG)
         assert variables(f) == {"p", "q"}
 
+    def test_first_ill_formed_node(self):
+        nodes = [Var("p"), App("neg", (Var("p"),)), Var("neg"), App("and", (Var("p"),))]
+        assert ill_formed_node(nodes, SIG) is Var("neg")
+        assert ill_formed_node(nodes[3:], SIG) is nodes[3]
+        assert ill_formed_node(nodes[:2], SIG) is None
+
     def test_well_formed(self):
         assert well_formed(parse_formula("neg(p)", SIG), SIG)
         assert not well_formed(App("neg", ()), SIG)
@@ -170,6 +193,15 @@ class TestSkeleton:
         mm = MonolithMap()
         s, _ = skeleton(f, sub, mm)
         assert unskeleton(s, mm) is f
+
+    def test_fresh_names_skip_declared_connectives(self):
+        sub = Signature.of({"m1": 0, "mm1": 1, "neg": 1, "v_p": 0})
+        mm = MonolithMap()
+        assert skeleton(parse_formula("neg(and(p, q))", SIG), sub, mm)[0] == App("neg", (Var("mmm1"),))
+        assert skeleton(parse_formula("imp(p, q)", SIG), sub, mm)[0] == Var("m2")
+        assert [print_formula(mm.monolith_of_var[v]) for v in ("mmm1", "m2")] == ["and(p, q)", "imp(p, q)"]
+        assert skeleton(Var("p"), sub, mm)[0] == Var("v_v_p")
+        assert skeleton(Var("q"), sub, mm)[0] == Var("v_q")
 
 
 class TestInterning:

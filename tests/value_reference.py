@@ -64,7 +64,7 @@ def reference_value_vector(m, a, budget=float("inf")):
     comp = m.compiled
     out = [set() for _ in m.values]
     key = itemgetter(*variables, cl.node[a])
-    for _, w in comp.components:
+    for w in comp.components:
         dom = [w] * len(cl.formulas)
         acc = set()
         if _propagate(cl, comp, dom):
