@@ -1,10 +1,11 @@
 """Analysis tools: value separators, saturation refutation, split advice.
 
 A separator for two values is a one-variable formula whose possible-value
-sets at those values are both non-empty and exactly one of which lies inside
-the designated set; a matrix is monadic (over a subsignature) when every pair
-of distinct usable values has one.  The saturation refuter searches, within
-explicit bounds, for a finitely generated theory witnessing that a matrix
+set at one of them lies inside the designated set and at the other outside
+it, both non-empty (strict separation: a set that meets both designated and
+undesignated values separates nothing); a matrix is monadic (over a
+subsignature) when every pair of distinct usable values has one.  The
+saturation refuter searches, within explicit bounds, for a finitely generated theory witnessing that a matrix
 fails to be saturated.  Split advice combines the two with a divergence
 battery comparing a matrix against the strict product of two of its reducts.
 """
@@ -140,8 +141,12 @@ def _first_separators(m: PNMatrix, pairs, bounds: SeparatorBounds) -> dict:
     candidates = itertools.islice(_candidate_vectors(m, bounds.max_depth), bounds.max_candidates)
     while todo and (candidate := next(candidates, None)):
         f, vec = candidate
-        # per value of p: None if f takes no value, else whether all it takes are designated
-        side = {v: s <= m.designated if s else None for v, s in zip(m.values, vec)}
+        # per value of p: whether f is designated there, when it always is or
+        # never is; None when f takes no value or both kinds (nothing separates)
+        side = {}
+        for v, s in zip(m.values, vec):
+            kinds = {x in m.designated for x in s}
+            side[v] = kinds.pop() if len(kinds) == 1 else None
         for x, y in todo:
             if {side[x], side[y]} == {True, False}:
                 found[x, y] = f
@@ -155,8 +160,10 @@ def find_separator(
     y: str,
     bounds: SeparatorBounds = SeparatorBounds(),
 ) -> Optional[Formula]:
-    """First one-variable formula (in enumeration order) separating x from y;
-    the search stops there.  No formula separates a value from itself."""
+    """First one-variable formula (in enumeration order) separating x from y:
+    designated whenever its variable is one of them, undesignated whenever
+    it is the other.  The search stops there.  No formula separates a value
+    from itself."""
     for v in (x, y):
         if v not in m.values:
             raise ValueError(f"unknown value {v!r}")
@@ -273,35 +280,66 @@ def refute_saturation(
     whole (otherwise no subset can witness).  A negative result only means
     no witness exists within these bounds.
 
-    Each base below ``max_premises`` formulas keeps the set of pool
-    formulas it entails.  A base entails, by monotonicity, whatever its
-    sub-bases one formula smaller entail, and every such sub-base has a
+    Each base below ``max_premises`` formulas keeps its context and the set
+    of pool formulas it entails.  A base entails, by monotonicity, whatever
+    its sub-bases one formula smaller entail, and every such sub-base has a
     smaller size sum, so it was checked before; those formulas are not
     asked again.  The rest are swept by ``PremiseContext.unentailed``, whose
-    extended countermodels refute many at once.
+    extended countermodels refute many at once.  A base's context is that
+    of its sub-base without the last formula, grown by it
+    (``PremiseContext.with_premise``), so its fixpoints are grown rather
+    than rebuilt.
+
+    Countermodels also carry over from base to base.  An extended one is a
+    valuation of the whole pool closure within one viable component, so if
+    it designates the set S, it refutes ``gamma0 |- a`` for every base
+    gamma0 inside S and every a outside S, and the collective
+    ``gamma0 |- n`` whenever n misses S.  So the designation mask
+    (``PremiseContext.countermodel_mask``) of every countermodel extended
+    for a sweep or a collective check is kept.  A sweep takes the kept
+    masks that designate its base, and every candidate one of them leaves
+    undesignated counts as unentailed without a search; a collective check
+    is skipped when one of them misses all of n.  The masks number at most
+    one per extended countermodel, and so one per search asked, within the
+    bounds.  Every fact used is exact, so ``refuted``, ``witness`` and
+    ``theories_checked`` are those of one search per pool formula and base.
     """
     variables = ("p", "q", "r", "s", "t")[: bounds.max_vars]
     pool = formula_pool(m.sig, variables, bounds.max_depth, cap=bounds.max_pool)
     bases: list[tuple[Formula, ...]] = []
     for size in range(bounds.max_premises + 1):
         bases.extend(itertools.combinations(pool, size))
-    bases.sort(
-        key=lambda g: (
-            sum(formula_size(f) for f in g),
-            tuple(sorted(print_formula(f) for f in g)),
-        )
-    )
+    sizes = {f: formula_size(f) for f in pool}
+    texts = {f: print_formula(f) for f in pool}
+    bases.sort(key=lambda g: (sum([sizes[f] for f in g]), sorted([texts[f] for f in g])))
     cl = Closure(pool, m.sig)  # one context per base answers all its queries over it
-    entails: dict[tuple[Formula, ...], set[Formula]] = {}  # per base below max_premises
+    # per base below max_premises: its context and the pool formulas it entails
+    below: dict[tuple[Formula, ...], tuple[PremiseContext, set[Formula]]] = {}
+    found: list[int] = []  # the designation mask of every extended countermodel
     checked = 0
     for gamma0 in bases:
         checked += 1
-        context = PremiseContext(m, cl, gamma0)
+        if gamma0:  # gamma0[:-1] has a smaller size sum, so it came before
+            context = below[gamma0[:-1]][0].with_premise(gamma0[-1])
+        else:
+            context = PremiseContext(m, cl, gamma0)
+        own = sum(1 << cl.node[f] for f in gamma0)
+        covering = [d for d in found if d & own == own]  # they designate gamma0
+        known = len(covering)
         subs = itertools.combinations(gamma0, len(gamma0) - 1) if gamma0 else ()
-        n = context.unentailed(pool, set(gamma0).union(*(entails[g] for g in subs)))
+        entailed = set(gamma0).union(*(below[g][1] for g in subs))
+        n = context.unentailed(pool, entailed, covering)
+        found += covering[known:]
         if len(gamma0) < bounds.max_premises:
-            entails[gamma0] = set(pool).difference(n)
-        if not n or context.decide(n).answer != "yes":
+            below[gamma0] = context, set(pool).difference(n)
+        if not n:
+            continue
+        avoided = sum(1 << cl.node[f] for f in n)
+        if any(not d & avoided for d in covering):  # a known countermodel to gamma0 |- n
+            continue
+        d = context.countermodel_mask(n)
+        if d is not None:
+            found.append(d)
             continue
         for size in range(1, bounds.max_phi + 1):
             for phi in itertools.combinations(n, size):

@@ -38,35 +38,39 @@ class Calculus:
 
 
 def parse_rule(line: str, sig: Signature) -> Rule:
-    """Parse `name : A1, A2 |- B1, B2`; either side may be `-` or empty."""
-    if ":" not in line:
+    """Parse `name : A1, A2 |- B1, B2`; either side may be `-` or empty.
+    A ParseError's offset counts from the start of the line."""
+    colon = line.find(":")
+    if colon < 0:
         raise ParseError("rule line needs a ':' after the rule name", 0)
-    name, _, body = line.partition(":")
-    name = name.strip()
+    name = line[:colon].strip()
     if not name:
         raise ParseError("empty rule name", 0)
-    if "|-" not in body:
-        raise ParseError("rule line needs a '|-' separating the two sides", line.index(":"))
-    left, _, right = body.partition("|-")
-    return Rule(
-        name=name,
-        premises=parse_formula_list(left, sig),
-        conclusions=parse_formula_list(right, sig),
-    )
+    turnstile = line.find("|-", colon)
+    if turnstile < 0:
+        raise ParseError("rule line needs a '|-' separating the two sides", colon)
+    sides = []
+    for start, end in ((colon + 1, turnstile), (turnstile + 2, len(line))):
+        try:
+            sides.append(parse_formula_list(line[start:end], sig))
+        except ParseError as e:
+            raise ParseError(e.message, start + e.offset) from None
+    return Rule(name, *sides)
 
 
 def parse_calculus(text: str, sig: Signature) -> Calculus:
-    """One rule per non-blank line; '#' starts a comment."""
+    """One rule per non-blank line; '#' starts a comment.  A ParseError
+    names the line, and its offset counts from the start of that line."""
     rules = []
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.split("#", 1)[0]
+        if not line.strip():
             continue
         try:
             r = parse_rule(line, sig)
         except ParseError as e:
-            raise ParseError(f"line {lineno}: {e.args[0]}", e.offset) from None
+            raise ParseError(f"line {lineno}: {e.message}", e.offset) from None
         if r.name in seen:
             raise ParseError(f"line {lineno}: duplicate rule name {r.name!r}", 0)
         seen.add(r.name)

@@ -208,16 +208,15 @@ def _power(args) -> PNMatrix:
 
 def _extend(args) -> PNMatrix:
     m = _load_matrix(args.matrix)
-    additions = {}
+    added = Signature()
     for spec in args.add:
         if "/" not in spec:
             raise ValueError(f"--add wants NAME/ARITY, got {spec!r}")
         name, _, arity = spec.partition("/")
         if not arity.isdigit():
             raise ValueError(f"bad arity in {spec!r}")
-        if additions.setdefault(name, int(arity)) != int(arity):
-            raise ValueError(f"connective {name!r} declared with arities {additions[name]} and {int(arity)}")
-    return extend(m, m.sig.union(Signature.of(additions)))
+        added = added.union(Signature.of({name: int(arity)}))  # raises on a second arity
+    return extend(m, m.sig.union(added))
 
 
 def _reduct(args) -> PNMatrix:

@@ -41,6 +41,15 @@ premises and every conclusion and asks one context each query;
 ``decide_multiple`` is its one-query case.  The saturation refuter indexes
 its formula pool once and makes one context per theory base.
 
+A context can also be grown by one premise b (``with_premise``).  The
+fixpoint of gamma plus b in a component is then the fixpoint of gamma
+there, with b narrowed to designated values and propagated from b alone:
+the greatest arc-consistent fixpoint below given domains is unique, and
+gamma's lies between that of gamma plus b and the domains it starts from.
+Each grown fixpoint is made on first need, from the parent's, which is made
+on first need in turn; the sub-closure every query reaches is walked only
+when the context first searches.
+
 A context also sweeps a list of candidates for those the premises do not
 entail singly (``PremiseContext.unentailed``).  When a candidate's search
 finds a countermodel, it is extended over the rest of the closure in
@@ -50,8 +59,14 @@ for a variable and among those of its table entry for a compound node
 (there is one, since the component is viable).  The premises lie in the
 searched sub-closure, so the extension still designates them all, and
 every later candidate it leaves undesignated is refuted without a search
-of its own.  The possible values of a one-variable formula come from the
-same first-solution search, asked again with each value found dropped.
+of its own.  The extension is a valuation of the whole closure within one
+viable component, so it serves any premise set over the closure: if it
+designates the set S, it refutes every single conclusion outside S, and
+every conclusion set that misses S, from any premises inside S.  Its
+designation mask (``countermodel_mask``) can therefore be handed to the
+sweeps of other premise sets.  The possible values of a one-variable
+formula come from the same first-solution search, asked again with each
+value found dropped.
 """
 
 from __future__ import annotations
@@ -274,10 +289,10 @@ def _search_component(comp: CompiledMatrix, cl: Closure, dom: list[int], ids):
     indices by node id.
     """
     n = len(ids)
-    if n == 0:
-        return [], 0
-    heads, args, tables = cl.heads, cl.args, comp.tables
     assignment = [0] * len(dom)
+    if n == 0:
+        return assignment, 0
+    heads, args, tables = cl.heads, cl.args, comp.tables
     explored = 0
 
     def candidates(i: int):
@@ -308,17 +323,26 @@ class PremiseContext:
     """The premises gamma over an indexed closure, answering one query at a
     time (see the module docstring).  Its fixpoints narrow gamma and the set
     ``common`` of conclusions; the other conclusions of a query are its own.
+    A context made by ``with_premise`` grows each fixpoint from its parent's.
     """
 
-    def __init__(self, m: PNMatrix, cl: Closure, gamma: Sequence[Formula], common=frozenset()):
-        self.m, self.cl, self.common = m, cl, common
+    def __init__(
+        self, m: PNMatrix, cl: Closure, gamma: Sequence[Formula], common=frozenset(), parent=None
+    ):
+        self.m, self.cl, self.common, self.gamma = m, cl, common, gamma
         self.premises = [cl.node[f] for f in gamma]
         self.shared = [cl.node[f] for f in common]
-        # the ids every query reaches; None when that is the whole closure,
-        # which holds, unwalked, when the premises and common hold every root
-        whole = common.union(gamma).issuperset(cl.roots)
-        self.base = None if whole else cl.reach(self.premises + self.shared)
+        self.parent = parent  # the context of gamma[:-1], or None
+        # every query reaches the whole closure when the premises and common
+        # hold every root; else the ids they reach, walked on the first search
+        self.whole = common.union(gamma).issuperset(cl.roots)
+        self.base: Optional[set[int]] = None
         self.fixpoints: list[Optional[list[int]]] = []  # per component reached: domains, or None
+
+    def with_premise(self, b: Formula) -> PremiseContext:
+        """The context of gamma plus b: each of its fixpoints is this one's
+        with b narrowed to designated values, propagated from b alone."""
+        return PremiseContext(self.m, self.cl, (*self.gamma, b), self.common, self)
 
     def decide(self, delta: Iterable[Formula]) -> Verdict:
         """Does ``gamma |- delta`` hold?  delta's formulas lie in the closure."""
@@ -330,48 +354,98 @@ class PremiseContext:
         w_names = self.m.compiled.viability.maximal[tried - 1]
         return Verdict("no", Countermodel(assignment, w_names), tried, explored)
 
-    def unentailed(self, candidates: Iterable[Formula], entailed: set[Formula]) -> list[Formula]:
+    def countermodel_mask(self, delta: Iterable[Formula]) -> Optional[int]:
+        """The closure ids the first countermodel to ``gamma |- delta``
+        designates once extended over the whole closure, as a mask (bit i
+        for node i); None when gamma entails delta."""
+        tried, solution, ids, _ = self._search(delta)
+        if solution is None:
+            return None
+        return self._extend(solution, ids, self.m.compiled.components[tried - 1])
+
+    def unentailed(
+        self,
+        candidates: Iterable[Formula],
+        entailed: set[Formula],
+        designations: Optional[list[int]] = None,
+    ) -> list[Formula]:
         """The candidates outside ``entailed`` that gamma does not entail
         singly, in candidate order.  A countermodel found for one is extended
         over the whole closure, and every later candidate it leaves
-        undesignated is refuted with it (see the module docstring)."""
-        refuted = set()  # ids left undesignated by an extended countermodel
+        undesignated is refuted with it (see the module docstring).
+
+        ``designations`` holds the masks (``countermodel_mask``) of extended
+        countermodels, found for any premise set over this closure, that
+        designate every premise of gamma.  Such a countermodel refutes
+        ``gamma |- a`` for every a it leaves undesignated, so those
+        candidates are refuted without a search.  The mask of each countermodel this sweep
+        extends is appended, one per search that finds one.
+        """
+        designations = [] if designations is None else designations
+        kept = -1  # ids every known countermodel designates
+        for d in designations:
+            kept &= d
+        node = self.cl.node
         out = []
         for a in candidates:
             if a in entailed:
                 continue
-            if self.cl.node[a] not in refuted:
-                tried, solution, ids, _ = self._search([a])
-                if solution is None:
+            if kept >> node[a] & 1:
+                d = self.countermodel_mask([a])
+                if d is None:
                     continue
-                refuted |= self._extend(solution, ids, self.m.compiled.components[tried - 1])
+                designations.append(d)
+                kept &= d
             out.append(a)
         return out
+
+    def _fixpoint(self, k: int) -> Optional[list[int]]:
+        """The domains at the fixpoint in the k-th component (None if one
+        empties), made on first need and after those of the components
+        before it."""
+        fixpoints = self.fixpoints
+        if k == len(fixpoints):
+            cl, comp = self.cl, self.m.compiled
+            if self.parent is None:
+                dom = [comp.components[k]] * len(cl.formulas)
+                for i in self.premises:
+                    dom[i] &= comp.designated
+                for i in self.shared:
+                    dom[i] &= ~comp.designated
+                good = all(dom) and _propagate(cl, comp, dom)
+            else:
+                # the parent's fixpoint with b narrowed (see the module docstring)
+                dom = self.parent._fixpoint(k)
+                b = self.premises[-1]
+                good = dom is not None and dom[b] & comp.designated
+                if good:
+                    dom = dom.copy()
+                    dom[b] &= comp.designated
+                    good = _propagate(cl, comp, dom, [b])
+            fixpoints.append(dom if good else None)
+        return fixpoints[k]
 
     def _search(self, delta: Iterable[Formula]):
         """The first countermodel to ``gamma |- delta`` in search order:
         (components tried, assignment by node id or None, the ids it
         covers in ascending order, nodes explored)."""
-        cl, fixpoints = self.cl, self.fixpoints
+        cl = self.cl
         comp = self.m.compiled
-        designated, undesignated = comp.designated, ~comp.designated
+        undesignated = ~comp.designated
         own = [cl.node[f] for f in delta if f not in self.common]
         ids = None
         explored = 0
-        for tried, w in enumerate(comp.components, start=1):
-            if tried > len(fixpoints):
-                dom = [w] * len(cl.formulas)
-                for i in self.premises:
-                    dom[i] &= designated
-                for i in self.shared:
-                    dom[i] &= undesignated
-                fixpoints.append(dom if all(dom) and _propagate(cl, comp, dom) else None)
-            dom = fixpoints[tried - 1]
+        for tried in range(1, len(comp.components) + 1):
+            dom = self._fixpoint(tried - 1)
             # an empty domain empties one in the query's own fixpoint as well
             if dom is None or not all(dom[c] & undesignated for c in own):
                 continue
             if ids is None:  # the query's sub-closure, ascending and as a set
-                inside = None if self.base is None else cl.reach(own, self.base)
+                inside = None
+                if not self.whole:
+                    if self.base is None:
+                        self.base = cl.reach(self.premises + self.shared)
+                    inside = cl.reach(own, self.base)
                 ids = range(len(dom)) if inside is None else sorted(inside)
             if own:
                 dom = dom.copy()
@@ -385,8 +459,8 @@ class PremiseContext:
                 return tried, solution, ids, explored
         return len(comp.components), None, ids, explored
 
-    def _extend(self, solution: list[int], ids, w: int) -> set[int]:
-        """The ids left undesignated once a countermodel on ``ids`` is
+    def _extend(self, solution: list[int], ids, w: int) -> int:
+        """The mask of the ids designated once a countermodel on ``ids`` is
         extended, in ascending id order, over the whole closure within its
         component mask w: each node takes the lowest undesignated value it
         can (a value of w for a variable, of its table entry and w for a
@@ -394,7 +468,7 @@ class PremiseContext:
         heads, args, tables = self.cl.heads, self.cl.args, self.m.compiled.tables
         designated = self.m.compiled.designated
         covered = set(ids)
-        left = set()
+        out = 0
         for i, v in enumerate(solution):
             if i not in covered:
                 can = w if heads[i] is None else tables[heads[i]]
@@ -403,9 +477,9 @@ class PremiseContext:
                 can &= w
                 low = can & ~designated or can
                 solution[i] = v = (low & -low).bit_length() - 1
-            if not designated >> v & 1:
-                left.add(i)
-        return left
+            if designated >> v & 1:
+                out |= 1 << i
+        return out
 
 
 def decide_multiple(m: PNMatrix, gamma: Iterable[Formula], delta: Iterable[Formula]) -> Verdict:

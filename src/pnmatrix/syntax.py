@@ -22,11 +22,12 @@ from typing import Iterable, Iterator, Mapping, Optional, Union
 
 
 class ParseError(ValueError):
-    """Raised on malformed formula text; carries the byte offset of the problem."""
+    """Raised on malformed formula text; carries the message and the byte
+    offset of the problem."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
-        self.offset = offset
+        self.message, self.offset = message, offset
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,10 @@ from pnmatrix import (
     fixture_names,
     formula_key,
     formula_pool,
+    make_matrix,
     monadicity_report,
     parse_formula_list,
+    possible_value_vector,
     print_formula,
     reduct,
     refute_saturation,
@@ -25,7 +27,11 @@ from pnmatrix import (
     split_advice,
 )
 
+from hypothesis import given, settings, strategies as st
+
+from corpus import seeded
 from refuter_reference import reference_refute_saturation
+from test_engine import small_matrices
 
 
 def sub_sig(m, names):
@@ -89,6 +95,17 @@ class TestFormulaPool:
         pool = formula_pool(sig, ("p", "q", "r"), 2, 6)
         # three variables and top, then two of the three size-2 negations
         assert [print_formula(f) for f in pool] == ["p", "q", "r", "top", "neg(p)", "neg(q)"]
+
+
+def assert_strict_separators(m):
+    """Every separator found takes only designated values at one of its
+    two values and only undesignated ones at the other."""
+    report = monadicity_report(m, bounds=SeparatorBounds(max_depth=2, max_candidates=200))
+    for (x, y), f in report.pairs:
+        if f is not None:
+            vec = dict(zip(m.values, possible_value_vector(m, f)))
+            kinds = {frozenset(z in m.designated for z in vec[v]) for v in (x, y)}
+            assert kinds == {frozenset([True]), frozenset([False])}, (x, y, f)
 
 
 class TestSeparators:
@@ -178,6 +195,35 @@ class TestSeparators:
         assert print_formula(find_separator(luk, "0", "h")) == "nabla(p)"
 
 
+    def test_a_set_with_both_kinds_separates_nothing(self):
+        # D = {a, b}; with p = a, u(p) may take a designated value or c
+        sig = Signature.of({"u": 1})
+        u = {("a",): {"a", "b", "c"}, ("b",): {"a", "b"}, ("c",): {"c"}}
+        m = make_matrix(sig, ["a", "b", "c"], ["a", "b"], {"u": u})
+        assert find_separator(m, "a", "b") is None
+        report = monadicity_report(m)
+        assert not report.monadic
+        assert [pair for pair, f in report.pairs if f is None] == [("a", "b")]
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_matrices())
+    def test_separators_are_strict(self, m):
+        assert_strict_separators(m)
+
+    def test_separators_of_total_nmatrices_are_strict(self):
+        # entries with several values make mixed sets common
+        rng = seeded("strict separators")
+        sig = Signature.of({"u": 1, "b": 2})
+        values = ["a", "b", "c"]
+
+        def cell():
+            return {v for v in values if rng.random() < 0.5} or {rng.choice(values)}
+
+        for _ in range(60):
+            tables = {c: {t: cell() for t in itertools.product(values, repeat=k)} for c, k in sig}
+            assert_strict_separators(make_matrix(sig, values, cell(), tables))
+
+
 class TestRefuter:
     @pytest.mark.parametrize("name, refuted, checked, witness", [
         ("bool2", True, 1, "- |- p, neg(p)"),
@@ -265,22 +311,42 @@ class TestRefuterReference:
         assert refute_saturation(m, bounds) == reference_refute_saturation(m, bounds)
 
     def test_single_searches_on_sources(self, monkeypatch):
-        """The sweeps of ``sources`` ask 1,374 single-conclusion searches;
-        one per pool formula outside each base would be 6,648."""
+        """The sweeps of ``sources`` ask 320 single-conclusion searches and
+        78 collective ones; one per pool formula outside each base, and one
+        collective check per base, would be 6,648 and 301."""
         import pnmatrix.engine as engine
 
-        singles = []
+        sizes = []
         search = engine.PremiseContext._search
 
         def counted(self, delta):
             delta = tuple(delta)
-            singles.extend(delta[:1] if len(delta) == 1 else ())
+            sizes.append(len(delta))
             return search(self, delta)
 
         monkeypatch.setattr(engine.PremiseContext, "_search", counted)
         r = refute_saturation(builtin("sources"))
         assert (r.refuted, r.theories_checked) == (False, 301)
-        assert len(singles) == 1374
+        assert (sizes.count(1), len(sizes) - sizes.count(1)) == (320, 78)
+
+
+class TestRefuterOnRandomMatrices:
+    """refute_saturation against ``refuter_reference`` on random partial
+    Nmatrices, under small bounds."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        small_matrices(),
+        st.integers(1, 2),
+        st.integers(0, 14),
+        st.integers(0, 3),
+        st.integers(1, 3),
+    )
+    def test_matches_the_per_formula_sweep(self, m, max_vars, max_pool, max_premises, max_phi):
+        bounds = RefutationBounds(
+            max_vars=max_vars, max_pool=max_pool, max_premises=max_premises, max_phi=max_phi
+        )
+        assert refute_saturation(m, bounds) == reference_refute_saturation(m, bounds)
 
 
 class TestSplitAdvice:

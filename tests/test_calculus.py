@@ -40,15 +40,26 @@ class TestRuleParsing:
     @pytest.mark.parametrize("text, message, offset", [
         ("p |- q", "rule line needs a ':' after the rule name (at offset 0)", 0),
         (" : p |- q", "empty rule name (at offset 0)", 0),
-        # the inner error's text already ends with its offset, which the
-        # prefixed error appends once more
         ("a : p |- p\n\nb : p, q\n",
-         "line 3: rule line needs a '|-' separating the two sides (at offset 2) (at offset 2)", 2),
+         "line 3: rule line needs a '|-' separating the two sides (at offset 2)", 2),
     ], ids=["no-colon", "empty-name", "line-prefix"])
     def test_rejections(self, text, message, offset):
         with pytest.raises(ParseError) as e:
             parse_calculus(text, SIG) if "\n" in text else parse_rule(text, SIG)
         assert (str(e.value), e.value.offset) == (message, offset)
+
+    @pytest.mark.parametrize("text, message, offset", [
+        ("a : p |- and(p)", "connective 'and' expects 2 arguments, got 1 (at offset 9)", 9),
+        ("a : and(p) |- p", "connective 'and' expects 2 arguments, got 1 (at offset 4)", 4),
+        ("a : p |- p\n  b : p |- q)  # a comment\n",
+         "line 2: expected 'eof', found ')' (at offset 12)", 12),
+    ], ids=["conclusion", "premise", "indented-line"])
+    def test_formula_offsets_count_from_the_line_start(self, text, message, offset):
+        with pytest.raises(ParseError) as e:
+            parse_calculus(text, SIG) if "\n" in text else parse_rule(text, SIG)
+        assert (str(e.value), e.value.offset) == (message, offset)
+        line = text.splitlines()[-1]
+        assert line[offset] in "a)"  # the offending token
 
     def test_pretty_prints_empty_sides_as_dashes(self):
         r = parse_rule("none : - |-", SIG)

@@ -135,6 +135,16 @@ class TestContextDecision:
         with pytest.raises(ValueError, match="cap"):
             decide_combined_ctx(m1, m2, [deep], [parse_formula("p", union)])
 
+    def test_mode_errors(self):
+        m1, m2 = builtin("neg3"), reduct_with_meta(builtin("bool2"), ["and"])
+        union = m1.sig.union(m2.sig)
+        p, q = parse_formula("p", union), parse_formula("q", union)
+        with pytest.raises(ValueError, match="^bad mode 'both'$"):
+            decide_combined_ctx(m1, m2, [p], [p], mode="both")
+        for delta in ([], [p, q]):
+            with pytest.raises(ValueError, match="^single mode takes exactly one conclusion$"):
+                decide_combined_ctx(m1, m2, [p], delta, mode="single")
+
     def test_matches_the_partition_loop(self):
         # every fixture pair that has a common signature, both modes, with
         # and without an extra context formula
@@ -342,6 +352,23 @@ class TestAxioms:
         with pytest.raises(ValueError, match="more than 7 axiom instances"):
             axiom_instances(second, u[:2], cap=7)
         assert built == []
+
+    def test_cap_counts_the_instances_of_all_axioms(self):
+        # each axiom alone stays within the cap; together they pass it
+        u = subformula_closure([self.pf("squig(p, p)")])
+        first = self.axioms().axioms[:1]  # two variables: 2 ** 2 instances
+        assert len(axiom_instances(first, u, cap=4)) == 4
+        with pytest.raises(ValueError, match="^more than 4 axiom instances$"):
+            axiom_instances(first + (self.pf("p"),), u, cap=4)
+
+    def test_cap_error_answers_unknown(self):
+        # 13 subformulas and a three-variable axiom: 13 ** 3 instances at depth 1
+        m = builtin("bool2")
+        k = AxiomSet("K3", (parse_formula("imp(p, imp(q, r))", m.sig),))
+        a = parse_formula("neg(" * 12 + "p" + ")" * 12, m.sig)
+        d = decide_with_axioms(m, k, [], a)
+        assert (d.answer, d.depth_used, d.instances_used) == ("unknown", 1, 0)
+        assert d.note == f"more than {combine.INSTANCE_CAP} axiom instances"
 
     def test_cap_check_counts_distinct_targets(self):
         u = subformula_closure([self.pf("squig(p, p)")])

@@ -627,6 +627,70 @@ class TestUnentailed:
             assert_sweeps_match(make_matrix(RANDOM_SIG, values, cell(), tables), pool, 1)
 
 
+class TestCarryOver:
+    """What the saturation refuter carries from one base to the next: the
+    fixpoints of a context grown one premise at a time, and the designation
+    masks of extended countermodels."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_matrices(), st.integers(3, 9), st.data())
+    def test_grown_fixpoints_equal_fresh_ones(self, m, cap, data):
+        pool = formula_pool(m.sig, ("p", "q"), 2, cap)
+        cl = Closure(pool, m.sig)
+        gamma = data.draw(st.lists(st.sampled_from(pool), max_size=3))
+        grown = PremiseContext(m, cl, ())
+        for b in gamma:
+            if data.draw(st.booleans()):  # the parent's fixpoints made before the child's
+                grown.decide([b])
+            grown = grown.with_premise(b)
+        fresh = PremiseContext(m, cl, gamma)
+        for k in range(len(m.compiled.components)):
+            assert grown._fixpoint(k) == fresh._fixpoint(k), k
+        assert [grown.decide([a]) for a in pool] == [fresh.decide([a]) for a in pool]
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_matrices(), st.integers(3, 9), st.data())
+    def test_a_mask_refutes_every_base_it_designates(self, m, cap, data):
+        pool = formula_pool(m.sig, ("p", "q"), 2, cap)
+        cl = Closure(pool, m.sig)
+        gamma = data.draw(st.lists(st.sampled_from(pool), max_size=2))
+        delta = data.draw(st.lists(st.sampled_from(pool), max_size=3))
+        d = PremiseContext(m, cl, gamma).countermodel_mask(delta)
+        assert (d is None) == (decide_multiple(m, gamma, delta).answer == "yes")
+        if d is None:
+            return
+        designated = [f for f in pool if d >> cl.node[f] & 1]
+        assert set(gamma) <= set(designated) and set(delta).isdisjoint(designated)
+        base = data.draw(st.lists(st.sampled_from(designated), max_size=3)) if designated else []
+        rest = [a for a in pool if a not in designated]
+        # one valuation designates the base and none of the rest
+        assert decide_multiple(m, base, rest).answer == "no"
+
+    def test_a_mask_values_every_node(self):
+        # with no premises and no conclusions the search covers no node;
+        # the extension still gives each one a value: p is 0, so neg(p) is 1
+        m = builtin("bool2")
+        pool = parse_formula_list("p, neg(p)", m.sig)
+        cl = Closure(pool, m.sig)
+        assert PremiseContext(m, cl, ()).countermodel_mask([]) == 1 << cl.node[pool[1]]
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_matrices(), st.integers(3, 9))
+    def test_sweeps_with_carried_masks(self, m, cap):
+        pool = formula_pool(m.sig, ("p", "q"), 2, cap)
+        cl = Closure(pool, m.sig)
+        found = []
+        for gamma in (g for size in range(3) for g in itertools.combinations(pool, size)):
+            context = PremiseContext(m, cl, gamma)
+            expected = [a for a in pool if a not in gamma and context.decide([a]).answer == "no"]
+            own = sum(1 << cl.node[f] for f in gamma)
+            covering = [d for d in found if d & own == own]
+            known = len(covering)
+            assert context.unentailed(pool, set(gamma), covering) == expected, gamma
+            assert all(d & own == own for d in covering[known:])
+            found += covering[known:]
+
+
 def uncached_propagate(cl, m, dom, narrowed=None, inside=None):
     """``engine._propagate`` as it was before revisions were memoised: every
     revision runs over the combinations of its argument domains.  Entries

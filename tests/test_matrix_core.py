@@ -248,6 +248,20 @@ class TestCombinators:
         with pytest.raises(MatrixError):
             sum_matrices([builtin("neg3"), builtin("bool2")])
 
+    def test_signature_and_size_errors(self):
+        neg3, bool2 = builtin("neg3"), builtin("bool2")
+        with pytest.raises(MatrixError, match="^reduct target is not a subsignature$"):
+            reduct(neg3, bool2.sig)
+        with pytest.raises(
+            MatrixError, match="^extension target does not contain the matrix signature$"
+        ):
+            extend(bool2, neg3.sig)
+        with pytest.raises(MatrixError, match="^sum of zero matrices$"):
+            sum_matrices([])
+        # the cap is checked on the value count, before any table is built
+        with pytest.raises(MatrixError, match=r"^sum would have 4098 values \(cap 4096\)$"):
+            sum_matrices([bool2] * 2049)
+
     def test_sum_tags_and_blocks_cross_terms(self):
         m = builtin("neg3")
         s = sum_matrices([m, m])
