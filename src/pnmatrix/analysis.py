@@ -8,6 +8,9 @@ subsignature) when every pair of distinct usable values has one.  The
 saturation refuter searches, within explicit bounds, for a finitely generated theory witnessing that a matrix
 fails to be saturated.  Split advice combines the two with a divergence
 battery comparing a matrix against the strict product of two of its reducts.
+The product entails no more than the matrix, so the battery asks the matrix
+only where the product refutes; like the refuter, it indexes its formulas
+once and lets each extended countermodel refute many queries.
 """
 
 from __future__ import annotations
@@ -17,8 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .engine import (
-    Closure, PremiseContext, Verdict, decide_batch, decide_multiple, decide_single,
-    possible_value_vector,
+    Closure, PremiseContext, Verdict, decide_multiple, decide_single, possible_value_vector,
 )
 from .matrix_core import PNMatrix, reduct, strict_product, viable_components
 from .syntax import (
@@ -393,10 +395,33 @@ def split_advice(
     """Assess splitting a matrix into its sig1/sig2 reducts.
 
     Runs a deterministic battery of one-variable single-premise queries
-    against the strict product of the two reducts (the product can only be
-    weaker, so any divergence is hard evidence the split loses consequences),
-    then a separator search over the shared subsignature and a saturation
-    refutation on the matrix itself to pick a verdict.
+    against the strict product of the two reducts, then a separator search
+    over the shared subsignature and a saturation refutation on the matrix
+    itself to pick a verdict.  A divergence is hard evidence the split loses
+    consequences.
+
+    The product can only be weaker: whatever it entails, m entails.  Take a
+    countermodel over m within a viable component W and pair each value
+    with itself, x to (x, x).  The pairs (x, x) for x in W are product
+    values, and they form a viable set of the product: its entry on them
+    holds (y, y) for every y in m's entry, since a connective both reducts
+    keep gives m's entry on each side, and one a side lacks leaves that
+    side unconstrained.  A pair is designated when x is, so the paired
+    valuation is a countermodel over the product.  Hence m is asked only
+    about the pairs the product refutes, and the divergences are exactly
+    the product's "no"s that m entails.
+
+    Both sides index the battery's formulas once and keep, as
+    ``refute_saturation`` does, the designation mask of every countermodel
+    their sweeps extend.  Per premise, the product sweeps its conclusions
+    (``PremiseContext.unentailed``, handed the kept masks that designate the
+    premise), and m sweeps those the product refutes.  A premise's context
+    on a side is that side's context without premises grown by it
+    (``PremiseContext.with_premise``), so its fixpoints are propagated from
+    the premise alone.  A divergence's two verdicts are then decided on the
+    premise's contexts; by the sub-closure argument of the ``engine`` module
+    they are those of a closure of the query alone.  The divergences follow
+    the battery's order.
     """
     _check_bounds(samples=samples)
     union = sig1.union(sig2)
@@ -405,27 +430,41 @@ def split_advice(
     shared = sig1.intersection(sig2)
     product = strict_product(reduct(m, sig1), reduct(m, sig2))
     forms = formula_pool(union, ("p",), max_depth=2, cap=5000)
+    sizes = {f: formula_size(f) for f in forms}
+    texts = {f: print_formula(f) for f in forms}
     pairs = sorted(
         ((a, b) for a in forms for b in forms if a != b),
-        key=lambda ab: (
-            formula_size(ab[0]) + formula_size(ab[1]),
-            print_formula(ab[0]),
-            print_formula(ab[1]),
-        ),
+        key=lambda ab: (sizes[ab[0]] + sizes[ab[1]], texts[ab[0]], texts[ab[1]]),
     )[:samples]
     conclusions: dict[Formula, list[Formula]] = {}
     for a, b in pairs:
         conclusions.setdefault(a, []).append(b)
-    verdicts = {}  # (premise, conclusion): (matrix verdict, product verdict)
+    cl = Closure(list(dict.fromkeys(itertools.chain.from_iterable(pairs))), union)
+
+    def sweep(root: PremiseContext, found: list[int], a: Formula, bs: list[Formula]):
+        """a's context, grown from a side's context without premises, and
+        the bs it does not entail; found holds that side's kept masks and
+        gains those the sweep extends."""
+        context = root.with_premise(a)
+        own = 1 << cl.node[a]
+        covering = [d for d in found if d & own]  # they designate a
+        known = len(covering)
+        n = context.unentailed(bs, set(), covering)
+        found += covering[known:]
+        return context, n
+
+    product_root, m_root = PremiseContext(product, cl, ()), PremiseContext(m, cl, ())
+    product_masks, m_masks = [], []  # each side's kept masks
+    diverging = {}
     for a, bs in conclusions.items():
-        queries = [[b] for b in bs]
-        both = zip(decide_batch(m, [a], queries), decide_batch(product, [a], queries))
-        verdicts.update(((a, b), vs) for b, vs in zip(bs, both))
-    divergences = []
-    for a, b in pairs:
-        vm, vp = verdicts[a, b]
-        if vm.answer != vp.answer:
-            divergences.append(Divergence(a, b, vm, vp))
+        product_context, refuted = sweep(product_root, product_masks, a, bs)
+        m_context, unentailed = sweep(m_root, m_masks, a, refuted)
+        for b in refuted:
+            if b not in unentailed:
+                diverging[a, b] = Divergence(
+                    a, b, m_context.decide([b]), product_context.decide([b])
+                )
+    divergences = [diverging[ab] for ab in pairs if ab in diverging]
     separators = monadicity_report(m, shared)
     saturation = refute_saturation(m)
     if divergences:

@@ -1,8 +1,9 @@
 """Deterministic pseudo-random formula/query corpus for cross-checks."""
 
+import itertools
 import random
 
-from pnmatrix import App, Var, subformula_closure
+from pnmatrix import App, Var, make_matrix, subformula_closure
 
 
 def random_formula(rng, sig, variables, depth):
@@ -40,3 +41,18 @@ def random_query(
 
 def seeded(name: str) -> random.Random:
     return random.Random(f"corpus:{name}")
+
+
+def total_nmatrices(name, sig, values, count):
+    """``count`` seeded total Nmatrices over sig and values.  Each cell, and
+    then the designated set, holds each value with chance 1/2, or one value
+    drawn at random when that leaves it empty; entries with several values
+    make mixed possible-value sets common."""
+    rng = seeded(name)
+
+    def cell():
+        return {v for v in values if rng.random() < 0.5} or {rng.choice(values)}
+
+    for _ in range(count):
+        tables = {c: {t: cell() for t in itertools.product(values, repeat=k)} for c, k in sig}
+        yield make_matrix(sig, values, cell(), tables)

@@ -12,6 +12,7 @@ from pnmatrix import (
     builtin,
     check_saturation_witness,
     decide_multiple,
+    decide_single,
     find_separator,
     fixture_names,
     formula_key,
@@ -25,12 +26,14 @@ from pnmatrix import (
     refute_saturation,
     restrict,
     split_advice,
+    strict_product,
 )
 
 from hypothesis import given, settings, strategies as st
 
-from corpus import seeded
+from corpus import total_nmatrices
 from refuter_reference import reference_refute_saturation
+from split_reference import reference_battery, reference_split_advice
 from test_engine import small_matrices
 
 
@@ -195,6 +198,24 @@ class TestSeparators:
         assert print_formula(find_separator(luk, "0", "h")) == "nabla(p)"
 
 
+    def test_a_nullary_connective_is_only_a_leaf(self):
+        # k is a candidate at depth 0 and an argument of u at depth 1, and
+        # is never applied to the generators itself
+        sig = Signature.of({"k": 0, "u": 1})
+        u = {("a",): {"c"}, ("b",): {"a"}, ("c",): {"b"}}
+        m = make_matrix(sig, ["a", "b", "c"], ["a"], {"k": {(): {"a"}}, "u": u})
+        report = monadicity_report(m, bounds=SeparatorBounds(max_depth=1))
+        assert [(pair, print_formula(f)) for pair, f in report.pairs] == [
+            (("a", "b"), "p"), (("a", "c"), "p"), (("b", "c"), "u(p)"),
+        ]
+
+    def test_an_unknown_pair_has_no_row(self):
+        table = monadicity_report(builtin("bool2"))
+        assert print_formula(table.separator("1", "0")) == "p"
+        with pytest.raises(KeyError) as e:
+            table.separator("0", "7")
+        assert e.value.args == (("0", "7"),)
+
     def test_a_set_with_both_kinds_separates_nothing(self):
         # D = {a, b}; with p = a, u(p) may take a designated value or c
         sig = Signature.of({"u": 1})
@@ -211,17 +232,9 @@ class TestSeparators:
         assert_strict_separators(m)
 
     def test_separators_of_total_nmatrices_are_strict(self):
-        # entries with several values make mixed sets common
-        rng = seeded("strict separators")
         sig = Signature.of({"u": 1, "b": 2})
-        values = ["a", "b", "c"]
-
-        def cell():
-            return {v for v in values if rng.random() < 0.5} or {rng.choice(values)}
-
-        for _ in range(60):
-            tables = {c: {t: cell() for t in itertools.product(values, repeat=k)} for c, k in sig}
-            assert_strict_separators(make_matrix(sig, values, cell(), tables))
+        for m in total_nmatrices("strict separators", sig, ["a", "b", "c"], 60):
+            assert_strict_separators(m)
 
 
 class TestRefuter:
@@ -383,3 +396,121 @@ class TestSplitAdvice:
         with pytest.raises(ValueError, match="samples"):
             split_advice(luk, first, second, samples=-1)
         assert split_advice(luk, first, second, samples=0).samples_run == 0
+
+
+class TestSplitSignatures:
+    @pytest.mark.parametrize("second", [{"and": 2}, {"neg": 2}], ids=["unknown", "arity"])
+    def test_signatures_outside_the_matrix_are_rejected(self, second):
+        luk = builtin("luk3")
+        with pytest.raises(
+            ValueError, match="^split signatures must cover a subsignature of the matrix$"
+        ):
+            split_advice(luk, sub_sig(luk, ["imp"]), Signature.of(second))
+
+
+def single_connective_splits(m):
+    """Every pair of one-connective subsignatures of m, a connective with
+    itself included."""
+    names = [c for c, _ in m.sig]
+    return [
+        (sub_sig(m, [c1]), sub_sig(m, [c2]))
+        for c1, c2 in itertools.combinations_with_replacement(names, 2)
+    ]
+
+
+def assert_product_is_weaker(m, sig1, sig2, samples=200):
+    """Every battery pair the product of the reducts entails, m entails."""
+    product = strict_product(reduct(m, sig1), reduct(m, sig2))
+    for a, b in reference_battery(sig1.union(sig2), samples):
+        if decide_single(product, [a], b).answer == "yes":
+            assert decide_single(m, [a], b).answer == "yes", (a, b)
+
+
+BENCHMARK_SPLITS = [  # those of scripts/split_advisor.py
+    ("luk3", ["neg", "imp"], ["nabla"]),
+    ("luk3", ["neg", "imp"], ["nabla", "imp"]),
+    ("kleene-ks", ["and", "neg"], ["or", "neg"]),
+]
+SAMPLES = [0, 1, 37, 200]
+
+
+class TestSplitReference:
+    """split_advice against ``split_reference``, which asks the matrix and
+    the product every battery pair, one premise at a time."""
+
+    @pytest.mark.parametrize("samples", SAMPLES)
+    @pytest.mark.parametrize("name, first, second", BENCHMARK_SPLITS)
+    def test_benchmark_splits(self, name, first, second, samples):
+        m = builtin(name)
+        sig1, sig2 = sub_sig(m, first), sub_sig(m, second)
+        assert split_advice(m, sig1, sig2, samples) == reference_split_advice(m, sig1, sig2, samples)
+
+    @pytest.mark.parametrize("samples", SAMPLES)
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_single_connective_splits(self, name, samples):
+        m = builtin(name)
+        for sig1, sig2 in single_connective_splits(m):
+            expected = reference_split_advice(m, sig1, sig2, samples)
+            assert split_advice(m, sig1, sig2, samples) == expected, (sig1, sig2)
+
+    def test_total_nmatrices(self):
+        sig = Signature.of({"u": 1, "b": 2})
+        splits = [(["u"], ["b"]), (["u", "b"], ["b"])]
+        for m in total_nmatrices("split advice", sig, ["a", "b", "c"], 12):
+            for first, second in splits:
+                sig1, sig2 = sub_sig(m, first), sub_sig(m, second)
+                assert split_advice(m, sig1, sig2) == reference_split_advice(m, sig1, sig2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        small_matrices(),
+        st.sets(st.sampled_from(["c", "neg", "imp"])),
+        st.sets(st.sampled_from(["c", "neg", "imp"])),
+        st.sampled_from(SAMPLES),
+    )
+    def test_small_matrices(self, m, first, second, samples):
+        sig1, sig2 = sub_sig(m, first), sub_sig(m, second)
+        assert split_advice(m, sig1, sig2, samples) == reference_split_advice(m, sig1, sig2, samples)
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_the_product_is_weaker_on_fixtures(self, name):
+        m = builtin(name)
+        for sig1, sig2 in single_connective_splits(m):
+            assert_product_is_weaker(m, sig1, sig2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        small_matrices(),
+        st.sets(st.sampled_from(["c", "neg", "imp"])),
+        st.sets(st.sampled_from(["c", "neg", "imp"])),
+    )
+    def test_the_product_is_weaker_on_small_matrices(self, m, first, second):
+        assert_product_is_weaker(m, sub_sig(m, first), sub_sig(m, second), samples=60)
+
+    @pytest.mark.parametrize("split, searches", [
+        (BENCHMARK_SPLITS[0], 124),
+        (BENCHMARK_SPLITS[1], 101),
+        (BENCHMARK_SPLITS[2], 120),
+    ], ids=["luk3-nabla", "luk3-nabla-imp", "kleene-ks"])
+    def test_battery_searches(self, monkeypatch, split, searches):
+        """The battery asks 124, 101 and 120 searches on the benchmark
+        splits, those deciding the divergences included; one search per
+        pair and side, as the reference asks, would be 400 each."""
+        import pnmatrix.analysis as analysis
+        import pnmatrix.engine as engine
+
+        name, first, second = split
+        m = builtin(name)
+        saturation = refute_saturation(m)  # answered before the count starts
+        monkeypatch.setattr(analysis, "refute_saturation", lambda m: saturation)
+        asked = []
+        search = engine.PremiseContext._search
+
+        def counted(self, delta):
+            asked.append(delta)
+            return search(self, delta)
+
+        monkeypatch.setattr(engine.PremiseContext, "_search", counted)
+        sv = split_advice(m, sub_sig(m, first), sub_sig(m, second))
+        assert sv.samples_run == 200
+        assert len(asked) == searches

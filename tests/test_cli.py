@@ -278,6 +278,71 @@ class TestExitCodes:
         assert e.value.code == EXIT_ERROR
 
 
+LUK3_DIVERGENCES = [
+    f"{q}: matrix says yes, split product says no"
+    for q in (
+        "neg(nabla(p)) |- neg(p)",
+        "neg(p) |- neg(nabla(p))",
+        "imp(neg(p), p) |- nabla(p)",
+        "nabla(p) |- imp(neg(p), p)",
+        "neg(nabla(p)) |- nabla(neg(p))",
+        "neg(p) |- imp(nabla(p), p)",
+        "imp(nabla(p), neg(p)) |- neg(p)",
+        "imp(neg(p), nabla(p)) |- nabla(p)",
+        "imp(neg(p), p) |- nabla(nabla(p))",
+        "imp(p, neg(p)) |- nabla(neg(p))",
+        "imp(p, p) |- imp(p, nabla(p))",
+        "nabla(nabla(p)) |- imp(neg(p), p)",
+        "nabla(neg(p)) |- imp(p, nabla(p))",
+        "nabla(neg(p)) |- imp(p, neg(p))",
+        "neg(nabla(p)) |- imp(p, nabla(p))",
+    )
+]
+
+
+def split_json(monadic, refuted, verdict, witness):
+    """The text ``split-advice --json`` prints at the default 200 samples."""
+    lines = ",\n".join(f'    "{w}"' for w in witness)
+    return (
+        '{\n  "bounds": {\n    "samples": 200\n  },\n  "components": {\n'
+        f'    "monadic": {monadic},\n    "samples_run": 200,\n'
+        f'    "saturation_refuted": {refuted}\n  }},\n  "verdict": "{verdict}",\n'
+        + (f'  "witness": [\n{lines}\n  ]\n}}\n' if witness else '  "witness": []\n}\n')
+    )
+
+
+class TestSuccessOutput:
+    """What the success paths print, byte for byte, with their exit codes."""
+
+    @pytest.mark.parametrize("argv, code, out", [
+        ("split-advice --matrix luk3 --first neg,imp --second nabla", EXIT_NO,
+         "verdict: unsafe-evidence\n" + "".join(f"{d}\n" for d in LUK3_DIVERGENCES)),
+        ("split-advice --matrix luk3 --first neg,imp --second nabla --json", EXIT_NO,
+         split_json("false", "true", "unsafe-evidence", LUK3_DIVERGENCES)),
+        ("split-advice --matrix kleene-ks --first and,neg --second or,neg", EXIT_YES,
+         "verdict: split-safe-multiple\n"),
+        ("split-advice --matrix kleene-ks --first and,neg --second or,neg --json", EXIT_YES,
+         split_json("true", "true", "split-safe-multiple", [])),
+        ("separators --matrix luk3 --pair 0,h", EXIT_YES, "nabla(p)\n"),
+        ("separators --matrix luk3 --pair 0,h --json", EXIT_YES,
+         '{\n  "verdict": "found",\n  "witness": "nabla(p)"\n}\n'),
+        ("decide --matrix kleene-ks --mode single --premises p,neg(p) --conclusions q", EXIT_NO,
+         "no\ncountermodel: p -> b, q -> 0, neg(p) -> b\n"),
+        ("decide --matrix kleene-ks --mode single --premises p,neg(p) --conclusions q --json",
+         EXIT_NO,
+         '{\n  "verdict": "no",\n  "witness": {\n    "assignment": {\n'
+         '      "neg(p)": "b",\n      "p": "b",\n      "q": "0"\n    },\n'
+         '    "component": [\n      "0",\n      "1",\n      "b"\n    ]\n  }\n}\n'),
+        ("decide --matrix bool2 --mode single --premises p --conclusions p", EXIT_YES, "yes\n"),
+    ], ids=[
+        "split-unsafe", "split-unsafe-json", "split-safe", "split-safe-json",
+        "separator", "separator-json", "single-no", "single-no-json", "single-yes",
+    ])
+    def test_stdout(self, capsys, argv, code, out):
+        assert run_cli(argv.split()) == code
+        assert capsys.readouterr().out == out
+
+
 class TestJsonOutput:
     def run_json(self, capsys, argv):
         rc = run_cli(argv + ["--json"])

@@ -337,6 +337,34 @@ class TestPossibleValues:
         a = parse_formula("botop", m.sig)
         assert possible_value_vector(m, a) == (frozenset({"0", "1"}),) * 2
 
+    def test_arc_consistent_values_that_no_prevaluation_takes(self, monkeypatch):
+        # with p = 0, the first solution has every node 0 and shows the whole
+        # entry imp(0, 0) = {0, 2}.  neg(p) is 0 or 1 and neg(neg(p)) is 0,
+        # 1 or 2, so arcs still support imp(neg(p), neg(neg(p))) = 1 through
+        # the pair (0, 2); but neg(neg(p)) = 2 needs neg(p) = 1, so the
+        # search asked for 1 finds nothing, and the loop stops there
+        sig = Signature.of({"neg": 1, "imp": 2})
+        imp = {
+            ("0", "0"): {"0", "2"}, ("0", "1"): {"0"}, ("0", "2"): {"1"},
+            ("1", "0"): {"0"}, ("1", "1"): {"1"}, ("1", "2"): {"2"},
+            ("2", "0"): {"0"}, ("2", "1"): {"2"}, ("2", "2"): {"2"},
+        }
+        neg = {("0",): {"0", "1"}, ("1",): {"2"}, ("2",): {"2"}}
+        m = make_matrix(sig, ["0", "1", "2"], ["1"], {"neg": neg, "imp": imp})
+        a = parse_formula("imp(neg(p), neg(neg(p)))", sig)
+        found = []
+        search = engine._search_component
+
+        def recorded(*args):
+            solution, explored = search(*args)
+            found.append(solution is not None)
+            return solution, explored
+
+        monkeypatch.setattr(engine, "_search_component", recorded)
+        assert possible_values(m, a, "0") == {"0", "2"} == brute_possible_values(m, a, "0")
+        assert found == [True, False]
+        assert possible_value_vector(m, a) == ({"0", "2"}, {"2"}, {"2"})
+
 
 class TestOracleAgreement:
     def test_random_queries_against_brute_force(self):

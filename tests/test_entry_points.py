@@ -43,6 +43,14 @@ def test_cli_names_resolve_on_first_use():
     assert proc.stdout.splitlines() == ["pnmatrix.cli_io", "3", "('0', '1')", "False False"]
 
 
+def test_an_unknown_name_is_an_attribute_error():
+    import pnmatrix
+
+    with pytest.raises(AttributeError) as e:
+        pnmatrix.no_such_name
+    assert str(e.value) == "module 'pnmatrix' has no attribute 'no_such_name'"
+
+
 def test_module_entry_point_runs_quietly():
     proc = run_python("-m", "pnmatrix.cli_io", "decide", "--matrix", "bool2", "--conclusions", "p")
     assert proc.returncode == 1
