@@ -123,9 +123,7 @@ def _candidate_vectors(m: PNMatrix, max_depth: int):
         fresh_set = set(fresh)
         generators += fresh
         nxt: set[Formula] = set()
-        for c, k in m.sig:
-            if k == 0:
-                continue
+        for c, k in m.sig:  # a nullary c has no argument tuple holding a fresh one
             for args in itertools.product(generators, repeat=k):
                 if any(a in fresh_set for a in args):
                     nxt.add(App(c, tuple(args)))
@@ -271,6 +269,41 @@ def check_saturation_witness(m: PNMatrix, w: SaturationWitness) -> list[str]:
     return problems
 
 
+def _bases(pool: list[Formula], most: int):
+    """Every combination of at most ``most`` pool formulas, by size sum and
+    then by their sorted texts, each in pool order; made one size sum at a
+    time, so a caller that stops early sorts no later sum.
+
+    The pool is in ``formula_key`` order, so a combination in pool order
+    takes its formulas of each size, in pool order, before the larger ones.
+    No two combinations share a key, since distinct formulas print apart.
+    """
+    groups: dict[int, list[Formula]] = {}  # the pool's formulas of each size
+    for f in pool:
+        groups.setdefault(formula_size(f), []).append(f)
+    sizes = sorted(groups)
+
+    def summing(start: int, left: int, total: int):
+        """The combinations of at most ``left`` formulas, all of sizes
+        ``sizes[start:]``, whose sizes sum to ``total``."""
+        if total == 0:
+            yield ()
+            return
+        for i in range(start, len(sizes)):
+            s = sizes[i]
+            if s > total:
+                break
+            for c in range(1, min(left, total // s) + 1):
+                for rest in summing(i + 1, left - c, total - c * s):
+                    for head in itertools.combinations(groups[s], c):
+                        yield head + rest
+
+    texts = {f: print_formula(f) for f in pool}
+    largest = sum(sorted(map(formula_size, pool), reverse=True)[:most])
+    for total in range(largest + 1):
+        yield from sorted(summing(0, most, total), key=lambda g: sorted([texts[f] for f in g]))
+
+
 def refute_saturation(
     m: PNMatrix, bounds: RefutationBounds = RefutationBounds()
 ) -> RefutationResult:
@@ -281,6 +314,10 @@ def refute_saturation(
     and a base is explored further only if it entails that collection as a
     whole (otherwise no subset can witness).  A negative result only means
     no witness exists within these bounds.
+
+    Bases come by size sum and then by their sorted texts.  They are made
+    one size sum at a time and sorted only within it (``_bases``), so a
+    matrix refuted at its first base builds no other.
 
     Each base below ``max_premises`` formulas keeps its context and the set
     of pool formulas it entails.  A base entails, by monotonicity, whatever
@@ -303,23 +340,25 @@ def refute_saturation(
     undesignated counts as unentailed without a search; a collective check
     is skipped when one of them misses all of n.  The masks number at most
     one per extended countermodel, and so one per search asked, within the
-    bounds.  Every fact used is exact, so ``refuted``, ``witness`` and
+    bounds.
+
+    The witness loop tries the subsets phi of n, smallest first, from two
+    formulas on: the base entails no formula of n singly, so no single one
+    is a witness.  A kept mask that designates the base and misses all of
+    phi refutes ``gamma0 |- phi``, so phi is skipped, as the collective
+    check is.  Otherwise one search answers phi: without a countermodel,
+    phi is the witness; with one, its mask is kept for the later subsets
+    and bases.  Every fact used is exact, so ``refuted``, ``witness`` and
     ``theories_checked`` are those of one search per pool formula and base.
     """
     variables = ("p", "q", "r", "s", "t")[: bounds.max_vars]
     pool = formula_pool(m.sig, variables, bounds.max_depth, cap=bounds.max_pool)
-    bases: list[tuple[Formula, ...]] = []
-    for size in range(bounds.max_premises + 1):
-        bases.extend(itertools.combinations(pool, size))
-    sizes = {f: formula_size(f) for f in pool}
-    texts = {f: print_formula(f) for f in pool}
-    bases.sort(key=lambda g: (sum([sizes[f] for f in g]), sorted([texts[f] for f in g])))
     cl = Closure(pool, m.sig)  # one context per base answers all its queries over it
     # per base below max_premises: its context and the pool formulas it entails
     below: dict[tuple[Formula, ...], tuple[PremiseContext, set[Formula]]] = {}
     found: list[int] = []  # the designation mask of every extended countermodel
     checked = 0
-    for gamma0 in bases:
+    for gamma0 in _bases(pool, bounds.max_premises):
         checked += 1
         if gamma0:  # gamma0[:-1] has a smaller size sum, so it came before
             context = below[gamma0[:-1]][0].with_premise(gamma0[-1])
@@ -343,9 +382,13 @@ def refute_saturation(
         if d is not None:
             found.append(d)
             continue
-        for size in range(1, bounds.max_phi + 1):
+        for size in range(2, bounds.max_phi + 1):  # gamma0 entails no single a in n
             for phi in itertools.combinations(n, size):
-                if context.decide(phi).answer == "yes":
+                avoided = sum(1 << cl.node[f] for f in phi)
+                if any(not d & avoided for d in covering):  # a known countermodel
+                    continue
+                d = context.countermodel_mask(phi)
+                if d is None:
                     witness = SaturationWitness(gamma0=gamma0, phi=phi)
                     return RefutationResult(
                         refuted=True,
@@ -353,6 +396,8 @@ def refute_saturation(
                         bounds=bounds,
                         theories_checked=checked,
                     )
+                covering.append(d)
+                found.append(d)
     return RefutationResult(
         refuted=False, witness=None, bounds=bounds, theories_checked=checked
     )
@@ -386,6 +431,30 @@ class SplitVerdict:
     samples_run: int
 
 
+def _battery(forms: list[Formula], samples: int) -> list[tuple[Formula, Formula]]:
+    """The first ``samples`` ordered pairs of distinct forms, by size sum and
+    then by the texts of the two; made one size sum at a time, up to the sum
+    that fills ``samples``."""
+    groups: dict[int, list[Formula]] = {}  # the forms of each size
+    for f in forms:
+        groups.setdefault(formula_size(f), []).append(f)
+    texts = {f: print_formula(f) for f in forms}
+    pairs: list[tuple[Formula, Formula]] = []
+    for total in range(2, 2 * max(groups, default=0) + 1):
+        if len(pairs) >= samples:
+            break
+        level = [
+            (a, b)
+            for s, firsts in groups.items()
+            for a in firsts
+            for b in groups.get(total - s, ())
+            if a != b
+        ]
+        level.sort(key=lambda ab: (texts[ab[0]], texts[ab[1]]))
+        pairs += level[: samples - len(pairs)]
+    return pairs
+
+
 def split_advice(
     m: PNMatrix,
     sig1: Signature,
@@ -411,6 +480,10 @@ def split_advice(
     about the pairs the product refutes, and the divergences are exactly
     the product's "no"s that m entails.
 
+    The battery's pairs come by size sum, then by the texts of premise and
+    conclusion.  They are made one size sum at a time, up to the sum that
+    fills ``samples`` (``_battery``), so no later pair is built or sorted.
+
     Both sides index the battery's formulas once and keep, as
     ``refute_saturation`` does, the designation mask of every countermodel
     their sweeps extend.  Per premise, the product sweeps its conclusions
@@ -429,13 +502,7 @@ def split_advice(
         raise ValueError("split signatures must cover a subsignature of the matrix")
     shared = sig1.intersection(sig2)
     product = strict_product(reduct(m, sig1), reduct(m, sig2))
-    forms = formula_pool(union, ("p",), max_depth=2, cap=5000)
-    sizes = {f: formula_size(f) for f in forms}
-    texts = {f: print_formula(f) for f in forms}
-    pairs = sorted(
-        ((a, b) for a in forms for b in forms if a != b),
-        key=lambda ab: (sizes[ab[0]] + sizes[ab[1]], texts[ab[0]], texts[ab[1]]),
-    )[:samples]
+    pairs = _battery(formula_pool(union, ("p",), max_depth=2, cap=5000), samples)
     conclusions: dict[Formula, list[Formula]] = {}
     for a, b in pairs:
         conclusions.setdefault(a, []).append(b)

@@ -17,6 +17,7 @@ from pnmatrix import (
     fixture_names,
     formula_key,
     formula_pool,
+    formula_size,
     make_matrix,
     monadicity_report,
     parse_formula_list,
@@ -341,6 +342,108 @@ class TestRefuterReference:
         r = refute_saturation(builtin("sources"))
         assert (r.refuted, r.theories_checked) == (False, 301)
         assert (sizes.count(1), len(sizes) - sizes.count(1)) == (320, 78)
+
+
+def counted_searches(monkeypatch):
+    """Every ``PremiseContext`` search asked from now on, in order: its
+    conclusions, and whether the premises entail them."""
+    import pnmatrix.engine as engine
+
+    asked = []
+    search = engine.PremiseContext._search
+
+    def counted(self, delta):
+        delta = tuple(delta)
+        out = search(self, delta)
+        asked.append((delta, out[1] is None))
+        return out
+
+    monkeypatch.setattr(engine.PremiseContext, "_search", counted)
+    return asked
+
+
+class TestRefuterSearches:
+    """How many searches the refuter asks.  Its witness loop starts at two
+    conclusions and skips each set a kept countermodel refutes, so on every
+    refuted fixture it asks one search, the witness's."""
+
+    @pytest.mark.parametrize("name, singles, others", [
+        ("bool2", 6, 2),
+        ("bool2n", 60, 2),
+        ("kleene-imp", 40, 6),
+        ("kleene-ks", 150, 9),
+        ("luk-imp", 7, 2),
+        ("luk3", 10, 2),
+        ("neg3", 61, 7),
+        ("sources", 320, 78),
+    ])
+    def test_searches_per_fixture(self, monkeypatch, name, singles, others):
+        asked = counted_searches(monkeypatch)
+        r = refute_saturation(builtin(name))
+        sizes = [len(delta) for delta, _ in asked]
+        assert (sizes.count(1), len(sizes) - sizes.count(1)) == (singles, others)
+        if r.refuted:
+            # the last base's collective check is the last "yes" but one;
+            # after it comes the witness loop
+            yes = [i for i, (_, entailed) in enumerate(asked) if entailed]
+            assert asked[yes[-2] + 1:] == [(r.witness.phi, True)]
+
+
+class TestRefuterOnTotalNmatrices:
+    """refute_saturation against ``refuter_reference`` on seeded total
+    Nmatrices, where the witness loop runs often: most of them are
+    refuted once two conclusions are allowed, some only with three."""
+
+    @pytest.mark.parametrize("max_phi", [1, 2, 3])
+    def test_matches_the_per_formula_sweep(self, max_phi):
+        sig = Signature.of({"u": 1, "b": 2})
+        bounds = RefutationBounds(max_pool=12, max_phi=max_phi)
+        witnesses = []
+        for m in total_nmatrices("refuter witnesses", sig, ["a", "b", "c"], 60):
+            r = refute_saturation(m, bounds)
+            assert r == reference_refute_saturation(m, bounds)
+            if r.refuted:
+                witnesses.append(len(r.witness.phi))
+        assert max(witnesses, default=1) == max_phi  # some witness needs every conclusion allowed
+
+
+def sorted_bases(pool, most):
+    """Every combination of at most ``most`` pool formulas, built in full
+    and sorted by size sum and then by sorted texts."""
+    bases = [g for k in range(most + 1) for g in itertools.combinations(pool, k)]
+    return sorted(
+        bases,
+        key=lambda g: (sum(formula_size(f) for f in g), sorted(print_formula(f) for f in g)),
+    )
+
+
+class TestSizeSumGeneration:
+    """The refuter's bases and the split battery's pairs, made one size sum
+    at a time, equal the full lists sorted."""
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_bases_equal_the_sorted_list(self, name):
+        from pnmatrix.analysis import _bases
+
+        sig = builtin(name).sig
+        for variables, depth in itertools.product((("p",), ("p", "q"), ("p", "q", "r")), range(4)):
+            full = formula_pool(sig, variables, depth, cap=60)
+            for cap, most in itertools.product((0, 1, 5, 24, 60), range(4)):
+                if cap == 60 and most == 3:
+                    continue  # 34,220 bases of three: the sort alone takes seconds
+                pool = full[:cap]
+                assert list(_bases(pool, most)) == sorted_bases(pool, most), (variables, depth, cap)
+
+    @pytest.mark.parametrize("samples", [0, 1, 37, 200, 5000])
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_battery_equals_the_sorted_pairs(self, name, samples):
+        from pnmatrix.analysis import _battery
+
+        m = builtin(name)
+        for sig1, sig2 in single_connective_splits(m):
+            union = sig1.union(sig2)
+            forms = formula_pool(union, ("p",), max_depth=2, cap=5000)
+            assert _battery(forms, samples) == reference_battery(union, samples), union
 
 
 class TestRefuterOnRandomMatrices:

@@ -490,3 +490,141 @@ class TestFileCommands:
             ]
         )
         assert rc == EXIT_YES
+
+
+NEG3_SQUARED = """\
+signature:
+  neg 1
+values: 0&0 0&h 0&1 h&0 h&h h&1 1&0 1&h 1&1
+designated: 1&1
+table neg:
+  0&0 : 1&1
+  0&h : 1&h
+  0&1 : 1&0
+  h&0 : h&1
+  h&h : h&h
+  h&1 : h&0
+  1&0 : 0&1
+  1&h : 0&h
+  1&1 : 0&0
+"""
+
+NEG3_PRODUCT = """\
+signature:
+  neg 1
+values: 0|0 0|h h|0 h|h 1|1
+designated: 1|1
+table neg:
+  0|0 : 1|1
+  0|h : -
+  h|0 : -
+  h|h : h|h
+  1|1 : 0|0
+"""
+
+#: a matrix file with a blank line, a comment line, a trailing comment and
+#: a value x that no valuation can use
+SPURIOUS_X = """\
+signature:
+  neg 1
+
+# x has no negation
+values: 0 1 x
+designated: 1  # the true value
+table neg:
+  0 : 1
+  1 : 0
+  x : -
+"""
+
+REFUSED = (
+    "left input is not saturated (witness: - |- p, nabla(neg(p))); "
+    "its single-conclusion logic is not captured by the product"
+)
+
+
+def verdict_json(verdict, witness=None):
+    """The text ``--json`` prints for a payload of a verdict and maybe a witness."""
+    if witness is None:
+        return f'{{\n  "verdict": "{verdict}"\n}}\n'
+    return f'{{\n  "verdict": "{verdict}",\n  "witness": "{witness}"\n}}\n'
+
+
+class TestMatrixFileLines:
+    def test_blank_and_comment_lines_are_skipped(self):
+        m = read_matrix(SPURIOUS_X)
+        assert m.values == ("0", "1", "x") and m.designated == {"1"}
+        assert m == read_matrix(SPURIOUS_X.replace("\n\n", "\n").replace("# x has no negation\n", ""))
+
+
+class TestMatrixCommandOutput:
+    """The success paths of ``parse``, ``power``, ``prune`` and ``combine``,
+    byte for byte: stdout, the exit code and any file written."""
+
+    @pytest.mark.parametrize("argv, code, out", [
+        (["parse", "--matrix", "luk3", "--formula", "imp( p ,nabla(q))"], EXIT_YES,
+         "imp(p, nabla(q))\n"),
+        (["parse", "--matrix", "luk3", "--formula", "imp( p ,nabla(q))", "--json"], EXIT_YES,
+         '{\n  "verdict": "ok",\n  "witness": "imp(p, nabla(q))"\n}\n'),
+        (["power", "--matrix", "neg3", "--exponent", "2"], EXIT_YES, NEG3_SQUARED),
+        (["combine", "--left", "neg3", "--right", "neg3"], EXIT_YES, NEG3_PRODUCT),
+        (["combine", "--left", "neg3", "--right", "neg3", "--json"], EXIT_YES,
+         verdict_json("exact")),
+        (["combine", "--left", "neg3", "--right", "neg3", "--mode", "single"], EXIT_YES,
+         NEG3_PRODUCT),
+        (["combine", "--left", "luk3", "--right", "bool2", "--mode", "single"], EXIT_NO,
+         f"refused: {REFUSED}\n"),
+        (["combine", "--left", "luk3", "--right", "bool2", "--mode", "single", "--json"], EXIT_NO,
+         verdict_json("refused", REFUSED)),
+    ], ids=[
+        "parse", "parse-json", "power", "combine-multiple", "combine-multiple-json",
+        "combine-single-known", "combine-refused", "combine-refused-json",
+    ])
+    def test_stdout(self, capsys, argv, code, out):
+        assert run_cli(argv) == code
+        assert capsys.readouterr().out == out
+
+    def test_power_writes_its_file(self, tmp_path, capsys):
+        out = tmp_path / "square"
+        argv = ["power", "--matrix", "neg3", "--exponent", "2", "--output", str(out)]
+        assert run_cli(argv) == EXIT_YES
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == NEG3_SQUARED
+
+    def test_prune_drops_the_unusable_value(self, tmp_path, capsys):
+        source, out = tmp_path / "spurious", tmp_path / "pruned"
+        source.write_text(SPURIOUS_X)
+        pruned = "signature:\n  neg 1\nvalues: 0 1\ndesignated: 1\ntable neg:\n  0 : 1\n  1 : 0\n"
+        assert run_cli(["prune", "--matrix", str(source)]) == EXIT_YES
+        assert capsys.readouterr().out == pruned
+        assert run_cli(["prune", "--matrix", str(source), "--output", str(out)]) == EXIT_YES
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == pruned
+
+    def test_single_mode_over_a_matrix_file_is_conditional(self, tmp_path, capsys):
+        # a matrix read from a file carries no saturation flag, so the
+        # refuter runs on it and finds nothing within its bounds
+        source, out = tmp_path / "neg3", tmp_path / "combined"
+        source.write_text(format_matrix(builtin("neg3")))
+        argv = ["combine", "--left", str(source), "--right", "neg3", "--mode", "single"]
+        assert run_cli(argv + ["--json", "--output", str(out)]) == EXIT_YES
+        assert capsys.readouterr().out == verdict_json("conditional-on-saturation")
+        assert out.read_text() == NEG3_PRODUCT
+
+
+class TestRefuterOutput:
+    """``refute-saturation``'s human output on every fixture."""
+
+    @pytest.mark.parametrize("name, code, out", [
+        ("bool2", EXIT_NO, "not saturated: - |- p, neg(p)"),
+        ("bool2n", EXIT_NO, "not saturated: pl(botop, p) |- botop, p"),
+        ("kleene-imp", EXIT_NO, "not saturated: imp(p, p) |- p, imp(p, q)"),
+        ("kleene-ks", EXIT_NO, "not saturated: p, neg(p) |- q, neg(q)"),
+        ("luk-imp", EXIT_NO, "not saturated: - |- imp(p, q), imp(q, p)"),
+        ("luk3", EXIT_NO, "not saturated: - |- p, nabla(neg(p))"),
+        ("neg3", EXIT_UNKNOWN, "no counterexample within bounds"),
+        ("sources", EXIT_UNKNOWN, "no counterexample within bounds"),
+    ])
+    def test_stdout(self, capsys, name, code, out):
+        assert run_cli(["refute-saturation", "--matrix", name]) == code
+        assert capsys.readouterr().out == out + "\n"
