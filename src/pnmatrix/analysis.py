@@ -10,7 +10,7 @@ fails to be saturated.  Split advice combines the two with a divergence
 battery comparing a matrix against the strict product of two of its reducts.
 The product entails no more than the matrix, so the battery asks the matrix
 only where the product refutes; like the refuter, it indexes its formulas
-once and lets each extended countermodel refute many queries.
+once and lets the countermodels the engine keeps refute many queries.
 """
 
 from __future__ import annotations
@@ -54,13 +54,16 @@ def formula_pool(
 
     Built size by size: a formula of size s applies a connective to
     arguments whose sizes sum to s - 1, so each size needs only smaller
-    ones, and the pool stops at the size that reaches the cap.
+    ones, and the pool stops at the size that reaches the cap.  Without a
+    variable or a constant nothing can be built, and the pool is empty.
     """
     _check_bounds(max_depth=max_depth, cap=cap)
     connectives = [(c, k) for c, k in sig if k > 0]
     leaves = list(dict.fromkeys(
         [Var(v) for v in variables] + [App(c, ()) for c, k in sig if k == 0]
     ))
+    if not leaves:
+        return []
     depth = dict.fromkeys(leaves, 0)
     by_size: list[list[Formula]] = [[], leaves]  # formulas of each size
     widest = max((k for _, k in connectives), default=0)
@@ -323,72 +326,41 @@ def refute_saturation(
     of pool formulas it entails.  A base entails, by monotonicity, whatever
     its sub-bases one formula smaller entail, and every such sub-base has a
     smaller size sum, so it was checked before; those formulas are not
-    asked again.  The rest are swept by ``PremiseContext.unentailed``, whose
-    extended countermodels refute many at once.  A base's context is that
-    of its sub-base without the last formula, grown by it
-    (``PremiseContext.with_premise``), so its fixpoints are grown rather
-    than rebuilt.
-
-    Countermodels also carry over from base to base.  An extended one is a
-    valuation of the whole pool closure within one viable component, so if
-    it designates the set S, it refutes ``gamma0 |- a`` for every base
-    gamma0 inside S and every a outside S, and the collective
-    ``gamma0 |- n`` whenever n misses S.  So the designation mask
-    (``PremiseContext.countermodel_mask``) of every countermodel extended
-    for a sweep or a collective check is kept.  A sweep takes the kept
-    masks that designate its base, and every candidate one of them leaves
-    undesignated counts as unentailed without a search; a collective check
-    is skipped when one of them misses all of n.  The masks number at most
-    one per extended countermodel, and so one per search asked, within the
-    bounds.
+    asked again.  The rest are swept by ``PremiseContext.unentailed``.  A
+    base's context is that of its sub-base without the last formula, grown
+    by it (``PremiseContext.with_premise``), so its fixpoints are grown
+    rather than rebuilt, and every context shares the countermodels the
+    engine keeps: a sweep, a collective check (``PremiseContext.entails``)
+    or a witness check that a countermodel kept for an earlier base or
+    query answers asks no search (see the ``engine`` module docstring).
 
     The witness loop tries the subsets phi of n, smallest first, from two
     formulas on: the base entails no formula of n singly, so no single one
-    is a witness.  A kept mask that designates the base and misses all of
-    phi refutes ``gamma0 |- phi``, so phi is skipped, as the collective
-    check is.  Otherwise one search answers phi: without a countermodel,
-    phi is the witness; with one, its mask is kept for the later subsets
-    and bases.  Every fact used is exact, so ``refuted``, ``witness`` and
-    ``theories_checked`` are those of one search per pool formula and base.
+    is a witness.  Every fact used is exact, so ``refuted``, ``witness``
+    and ``theories_checked`` are those of one search per pool formula and
+    base.
     """
     variables = ("p", "q", "r", "s", "t")[: bounds.max_vars]
     pool = formula_pool(m.sig, variables, bounds.max_depth, cap=bounds.max_pool)
-    cl = Closure(pool, m.sig)  # one context per base answers all its queries over it
+    # one context per base answers all its queries over the pool's closure
+    root = PremiseContext(m, Closure(pool, m.sig), ())
     # per base below max_premises: its context and the pool formulas it entails
     below: dict[tuple[Formula, ...], tuple[PremiseContext, set[Formula]]] = {}
-    found: list[int] = []  # the designation mask of every extended countermodel
     checked = 0
     for gamma0 in _bases(pool, bounds.max_premises):
         checked += 1
-        if gamma0:  # gamma0[:-1] has a smaller size sum, so it came before
-            context = below[gamma0[:-1]][0].with_premise(gamma0[-1])
-        else:
-            context = PremiseContext(m, cl, gamma0)
-        own = sum(1 << cl.node[f] for f in gamma0)
-        covering = [d for d in found if d & own == own]  # they designate gamma0
-        known = len(covering)
+        # gamma0[:-1] has a smaller size sum, so it came before
+        context = below[gamma0[:-1]][0].with_premise(gamma0[-1]) if gamma0 else root
         subs = itertools.combinations(gamma0, len(gamma0) - 1) if gamma0 else ()
         entailed = set(gamma0).union(*(below[g][1] for g in subs))
-        n = context.unentailed(pool, entailed, covering)
-        found += covering[known:]
+        n = context.unentailed(pool, entailed)
         if len(gamma0) < bounds.max_premises:
             below[gamma0] = context, set(pool).difference(n)
-        if not n:
-            continue
-        avoided = sum(1 << cl.node[f] for f in n)
-        if any(not d & avoided for d in covering):  # a known countermodel to gamma0 |- n
-            continue
-        d = context.countermodel_mask(n)
-        if d is not None:
-            found.append(d)
+        if not n or not context.entails(n):
             continue
         for size in range(2, bounds.max_phi + 1):  # gamma0 entails no single a in n
             for phi in itertools.combinations(n, size):
-                avoided = sum(1 << cl.node[f] for f in phi)
-                if any(not d & avoided for d in covering):  # a known countermodel
-                    continue
-                d = context.countermodel_mask(phi)
-                if d is None:
+                if context.entails(phi):
                     witness = SaturationWitness(gamma0=gamma0, phi=phi)
                     return RefutationResult(
                         refuted=True,
@@ -396,8 +368,6 @@ def refute_saturation(
                         bounds=bounds,
                         theories_checked=checked,
                     )
-                covering.append(d)
-                found.append(d)
     return RefutationResult(
         refuted=False, witness=None, bounds=bounds, theories_checked=checked
     )
@@ -484,17 +454,16 @@ def split_advice(
     conclusion.  They are made one size sum at a time, up to the sum that
     fills ``samples`` (``_battery``), so no later pair is built or sorted.
 
-    Both sides index the battery's formulas once and keep, as
-    ``refute_saturation`` does, the designation mask of every countermodel
-    their sweeps extend.  Per premise, the product sweeps its conclusions
-    (``PremiseContext.unentailed``, handed the kept masks that designate the
-    premise), and m sweeps those the product refutes.  A premise's context
-    on a side is that side's context without premises grown by it
+    Both sides index the battery's formulas once.  Per premise, the product
+    sweeps its conclusions (``PremiseContext.unentailed``), and m sweeps
+    those the product refutes.  A premise's context on a side is that
+    side's context without premises grown by it
     (``PremiseContext.with_premise``), so its fixpoints are propagated from
-    the premise alone.  A divergence's two verdicts are then decided on the
-    premise's contexts; by the sub-closure argument of the ``engine`` module
-    they are those of a closure of the query alone.  The divergences follow
-    the battery's order.
+    the premise alone and it consults the countermodels the engine kept for
+    the side's earlier premises.  A divergence's two verdicts are then
+    decided on the premise's contexts; by the sub-closure argument of the
+    ``engine`` module they are those of a closure of the query alone.  The
+    divergences follow the battery's order.
     """
     _check_bounds(samples=samples)
     union = sig1.union(sig2)
@@ -507,25 +476,12 @@ def split_advice(
     for a, b in pairs:
         conclusions.setdefault(a, []).append(b)
     cl = Closure(list(dict.fromkeys(itertools.chain.from_iterable(pairs))), union)
-
-    def sweep(root: PremiseContext, found: list[int], a: Formula, bs: list[Formula]):
-        """a's context, grown from a side's context without premises, and
-        the bs it does not entail; found holds that side's kept masks and
-        gains those the sweep extends."""
-        context = root.with_premise(a)
-        own = 1 << cl.node[a]
-        covering = [d for d in found if d & own]  # they designate a
-        known = len(covering)
-        n = context.unentailed(bs, set(), covering)
-        found += covering[known:]
-        return context, n
-
     product_root, m_root = PremiseContext(product, cl, ()), PremiseContext(m, cl, ())
-    product_masks, m_masks = [], []  # each side's kept masks
     diverging = {}
     for a, bs in conclusions.items():
-        product_context, refuted = sweep(product_root, product_masks, a, bs)
-        m_context, unentailed = sweep(m_root, m_masks, a, refuted)
+        product_context, m_context = product_root.with_premise(a), m_root.with_premise(a)
+        refuted = product_context.unentailed(bs, set())
+        unentailed = m_context.unentailed(refuted, set())
         for b in refuted:
             if b not in unentailed:
                 diverging[a, b] = Divergence(

@@ -50,23 +50,27 @@ Each grown fixpoint is made on first need, from the parent's, which is made
 on first need in turn; the sub-closure every query reaches is walked only
 when the context first searches.
 
-A context also sweeps a list of candidates for those the premises do not
-entail singly (``PremiseContext.unentailed``).  When a candidate's search
-finds a countermodel, it is extended over the rest of the closure in
+A context also keeps and consults countermodels.  A countermodel found by
+``countermodel_mask`` is extended over the rest of the closure in
 ascending id order within its component: each node takes the lowest
 undesignated value it can, else the lowest, among the component's values
 for a variable and among those of its table entry for a compound node
 (there is one, since the component is viable).  The premises lie in the
-searched sub-closure, so the extension still designates them all, and
-every later candidate it leaves undesignated is refuted without a search
-of its own.  The extension is a valuation of the whole closure within one
-viable component, so it serves any premise set over the closure: if it
-designates the set S, it refutes every single conclusion outside S, and
-every conclusion set that misses S, from any premises inside S.  Its
-designation mask (``countermodel_mask``) can therefore be handed to the
-sweeps of other premise sets.  The possible values of a one-variable
-formula come from the same first-solution search, asked again with each
-value found dropped.
+searched sub-closure, so the extension still designates them all.  It is
+a valuation of the whole closure within one viable component, so it
+serves any premise set over the closure: if it designates the set S, it
+refutes every single conclusion outside S, and every conclusion set that
+misses S, from any premises inside S.  So its designation mask is kept,
+in one list that a context without a parent starts and every context
+grown from it shares, and each context reads from that list the masks
+that designate its own premises.  ``entails`` answers "no" without a
+search when one of them misses the whole query.  ``unentailed`` sweeps a
+list of candidates for those the premises do not entail singly; a
+candidate that one of them leaves undesignated is refuted without a search
+of its own, and so is one that a countermodel found earlier in the sweep
+leaves undesignated.  The possible values of a one-variable formula come
+from the same first-solution search, asked again with each value found
+dropped.
 """
 
 from __future__ import annotations
@@ -323,7 +327,9 @@ class PremiseContext:
     """The premises gamma over an indexed closure, answering one query at a
     time (see the module docstring).  Its fixpoints narrow gamma and the set
     ``common`` of conclusions; the other conclusions of a query are its own.
-    A context made by ``with_premise`` grows each fixpoint from its parent's.
+    A context made by ``with_premise`` grows each fixpoint from its parent's
+    and shares its kept countermodel masks, of which it reads those that
+    designate its premises (see the module docstring).
     """
 
     def __init__(
@@ -338,6 +344,15 @@ class PremiseContext:
         self.whole = common.union(gamma).issuperset(cl.roots)
         self.base: Optional[set[int]] = None
         self.fixpoints: list[Optional[list[int]]] = []  # per component reached: domains, or None
+        # the designation masks of every countermodel extended by the root
+        # context or one grown from it, shared by them all; the first _read
+        # of them were read, and _covering holds those that designate gamma
+        self._kept: list[int] = [] if parent is None else parent._kept
+        self._read = 0
+        self._covering: list[int] = []
+        self._gamma = 0  # gamma's ids, as a mask
+        for i in self.premises:
+            self._gamma |= 1 << i
 
     def with_premise(self, b: Formula) -> PremiseContext:
         """The context of gamma plus b: each of its fixpoints is this one's
@@ -357,33 +372,35 @@ class PremiseContext:
     def countermodel_mask(self, delta: Iterable[Formula]) -> Optional[int]:
         """The closure ids the first countermodel to ``gamma |- delta``
         designates once extended over the whole closure, as a mask (bit i
-        for node i); None when gamma entails delta."""
+        for node i), which is kept; None when gamma entails delta."""
         tried, solution, ids, _ = self._search(delta)
         if solution is None:
             return None
-        return self._extend(solution, ids, self.m.compiled.components[tried - 1])
+        d = self._extend(solution, ids, self.m.compiled.components[tried - 1])
+        self._kept.append(d)
+        return d
 
-    def unentailed(
-        self,
-        candidates: Iterable[Formula],
-        entailed: set[Formula],
-        designations: Optional[list[int]] = None,
-    ) -> list[Formula]:
+    def entails(self, delta: Iterable[Formula]) -> bool:
+        """Does ``gamma |- delta`` hold?  No without a search when a kept
+        countermodel designates gamma and misses all of delta; otherwise one
+        search answers, and the countermodel it finds is kept."""
+        delta = tuple(delta)
+        avoided = 0
+        for f in delta:
+            avoided |= 1 << self.cl.node[f]
+        if any(not d & avoided for d in self._known()):
+            return False
+        return self.countermodel_mask(delta) is None
+
+    def unentailed(self, candidates: Iterable[Formula], entailed: set[Formula]) -> list[Formula]:
         """The candidates outside ``entailed`` that gamma does not entail
-        singly, in candidate order.  A countermodel found for one is extended
-        over the whole closure, and every later candidate it leaves
-        undesignated is refuted with it (see the module docstring).
-
-        ``designations`` holds the masks (``countermodel_mask``) of extended
-        countermodels, found for any premise set over this closure, that
-        designate every premise of gamma.  Such a countermodel refutes
-        ``gamma |- a`` for every a it leaves undesignated, so those
-        candidates are refuted without a search.  The mask of each countermodel this sweep
-        extends is appended, one per search that finds one.
+        singly, in candidate order.  A candidate that a kept countermodel
+        designating gamma leaves undesignated is refuted without a search;
+        so is every later one that a countermodel found for a candidate,
+        extended and kept, leaves undesignated (see the module docstring).
         """
-        designations = [] if designations is None else designations
-        kept = -1  # ids every known countermodel designates
-        for d in designations:
+        kept = -1  # ids every kept countermodel designating gamma designates
+        for d in self._known():
             kept &= d
         node = self.cl.node
         out = []
@@ -394,10 +411,18 @@ class PremiseContext:
                 d = self.countermodel_mask([a])
                 if d is None:
                     continue
-                designations.append(d)
                 kept &= d
             out.append(a)
         return out
+
+    def _known(self) -> list[int]:
+        """The kept masks that designate every premise of gamma, read from
+        the shared list from where the last call stopped."""
+        kept, gamma = self._kept, self._gamma
+        if self._read < len(kept):
+            self._covering += [d for d in kept[self._read:] if d & gamma == gamma]
+            self._read = len(kept)
+        return self._covering
 
     def _fixpoint(self, k: int) -> Optional[list[int]]:
         """The domains at the fixpoint in the k-th component (None if one

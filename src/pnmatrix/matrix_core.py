@@ -165,11 +165,10 @@ class FormatError(ValueError):
 def read_matrix(text: str) -> PNMatrix:
     lines = text.splitlines()
     sig_pairs: list[tuple[str, int]] = []
-    values: list[str] = []
-    designated: list[str] = []
+    values: Optional[list[str]] = None
+    designated: Optional[list[str]] = None
     tables: dict[str, dict[tuple[str, ...], frozenset[str]]] = {}
     section = None  # None | "signature" | ("table", name)
-    seen_values = seen_designated = False
 
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -179,13 +178,15 @@ def read_matrix(text: str) -> PNMatrix:
             section = "signature"
             continue
         if line.startswith("values:"):
+            if values is not None:
+                raise FormatError("duplicate values line", lineno)
             values = line[len("values:"):].split()
-            seen_values = True
             section = None
             continue
         if line.startswith("designated:"):
+            if designated is not None:
+                raise FormatError("duplicate designated line", lineno)
             designated = line[len("designated:"):].split()
-            seen_designated = True
             section = None
             continue
         if line.startswith("table ") and line.endswith(":"):
@@ -211,6 +212,8 @@ def read_matrix(text: str) -> PNMatrix:
             if out_tokens == ["-"]:
                 out: frozenset[str] = frozenset()
             elif out_tokens == ["*"]:
+                if values is None:
+                    raise FormatError("'*' before the values line", lineno)
                 out = frozenset(values)
             else:
                 out = frozenset(out_tokens)
@@ -222,9 +225,9 @@ def read_matrix(text: str) -> PNMatrix:
 
     if not sig_pairs:
         raise FormatError("missing signature block", len(lines))
-    if not seen_values:
+    if values is None:
         raise FormatError("missing values line", len(lines))
-    if not seen_designated:
+    if designated is None:
         raise FormatError("missing designated line", len(lines))
     names = [n for n, _ in sig_pairs]
     if len(set(names)) != len(names):

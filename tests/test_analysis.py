@@ -100,6 +100,14 @@ class TestFormulaPool:
         # three variables and top, then two of the three size-2 negations
         assert [print_formula(f) for f in pool] == ["p", "q", "r", "top", "neg(p)", "neg(q)"]
 
+    def test_no_leaves_build_nothing(self):
+        # without a variable or a constant no formula exists at any depth;
+        # walking the sizes of a depth-30 formula would not finish
+        sig = Signature.of({"neg": 1, "and": 2})
+        assert formula_pool(sig, (), 30, 24) == []
+        r = refute_saturation(builtin("sources"), RefutationBounds(max_vars=0, max_depth=30))
+        assert (r.refuted, r.theories_checked) == (False, 1)
+
 
 def assert_strict_separators(m):
     """Every separator found takes only designated values at one of its

@@ -98,8 +98,15 @@ class TestMatrixFiles:
          "line 8: duplicate connective in signature"),
         ("signature:\n  neg 1\nvalues: 0 1\ndesignated: 2\n" + NEG,
          "line 7: designated values ['2'] not in value set"),
+        ("signature:\n  neg 1\ntable neg:\n  0 : *\n  1 : 0\nvalues: 0 1\ndesignated: 1\n",
+         "line 4: '*' before the values line"),
+        ("signature:\n  neg 1\nvalues: 0 1\nvalues: 0 1 2\ndesignated: 1\n" + NEG,
+         "line 4: duplicate values line"),
+        ("signature:\n  neg 1\nvalues: 0 1\ndesignated: 1\ndesignated: 0\n" + NEG,
+         "line 5: duplicate designated line"),
     ], ids=["duplicate-table", "signature-line", "unexpected-line", "no-signature",
-            "no-values", "no-designated", "duplicate-connective", "invalid-matrix"])
+            "no-values", "no-designated", "duplicate-connective", "invalid-matrix",
+            "star-before-values", "duplicate-values", "duplicate-designated"])
     def test_rejections(self, text, message):
         from pnmatrix import FormatError
 
@@ -311,6 +318,198 @@ def split_json(monadic, refuted, verdict, witness):
     )
 
 
+#: what ``decide --json`` prints for p, neg(p) |- q over kleene-ks, in either mode
+KLEENE_KS_NO_JSON = (
+    '{\n  "verdict": "no",\n  "witness": {\n    "assignment": {\n'
+    '      "neg(p)": "b",\n      "p": "b",\n      "q": "0"\n    },\n'
+    '    "component": [\n      "0",\n      "1",\n      "b"\n    ]\n  }\n}\n'
+)
+
+KLEENE_KS_INFO_JSON = """\
+{
+  "components": [
+    [
+      "0",
+      "1",
+      "a"
+    ],
+    [
+      "0",
+      "1",
+      "b"
+    ]
+  ],
+  "verdict": "Pmatrix",
+  "witness": {
+    "designated": [
+      "1",
+      "b"
+    ],
+    "spurious": [],
+    "values": [
+      "0",
+      "a",
+      "b",
+      "1"
+    ]
+  }
+}
+"""
+
+FIXTURES = """\
+bool2        matrix    2 values  two-valued truth tables
+bool2n       Nmatrix   2 values  two-valued non-deterministic connectives
+kleene-imp   matrix    3 values  three-valued weak implication
+kleene-ks    Pmatrix   4 values  partial four-valued merge of two three-valued readings
+luk-imp      matrix    3 values  three-valued strong implication
+luk3         matrix    3 values  three-valued logic with possibility operator
+neg3         matrix    3 values  three-valued negation only
+sources      Nmatrix   4 values  four-valued aggregation of unreliable information sources
+"""
+
+FIXTURES_JSON = """\
+{
+  "components": [
+    {
+      "description": "two-valued truth tables",
+      "kind": "matrix",
+      "known_saturated": true,
+      "name": "bool2",
+      "values": 2
+    },
+    {
+      "description": "two-valued non-deterministic connectives",
+      "kind": "Nmatrix",
+      "known_saturated": false,
+      "name": "bool2n",
+      "values": 2
+    },
+    {
+      "description": "three-valued weak implication",
+      "kind": "matrix",
+      "known_saturated": false,
+      "name": "kleene-imp",
+      "values": 3
+    },
+    {
+      "description": "partial four-valued merge of two three-valued readings",
+      "kind": "Pmatrix",
+      "known_saturated": false,
+      "name": "kleene-ks",
+      "values": 4
+    },
+    {
+      "description": "three-valued strong implication",
+      "kind": "matrix",
+      "known_saturated": false,
+      "name": "luk-imp",
+      "values": 3
+    },
+    {
+      "description": "three-valued logic with possibility operator",
+      "kind": "matrix",
+      "known_saturated": false,
+      "name": "luk3",
+      "values": 3
+    },
+    {
+      "description": "three-valued negation only",
+      "kind": "matrix",
+      "known_saturated": true,
+      "name": "neg3",
+      "values": 3
+    },
+    {
+      "description": "four-valued aggregation of unreliable information sources",
+      "kind": "Nmatrix",
+      "known_saturated": true,
+      "name": "sources",
+      "values": 4
+    }
+  ],
+  "verdict": "ok"
+}
+"""
+
+LUK3_MONADIC_JSON = """\
+{
+  "bounds": {
+    "max_depth": 3
+  },
+  "components": [
+    {
+      "pair": [
+        "0",
+        "h"
+      ],
+      "separator": "nabla(p)"
+    },
+    {
+      "pair": [
+        "0",
+        "1"
+      ],
+      "separator": "p"
+    },
+    {
+      "pair": [
+        "h",
+        "1"
+      ],
+      "separator": "p"
+    }
+  ],
+  "verdict": "monadic"
+}
+"""
+
+KLEENE_IMP_DEPTH0_JSON = """\
+{
+  "bounds": {
+    "max_depth": 0
+  },
+  "components": [
+    {
+      "pair": [
+        "0",
+        "h"
+      ],
+      "separator": null
+    },
+    {
+      "pair": [
+        "0",
+        "1"
+      ],
+      "separator": "p"
+    },
+    {
+      "pair": [
+        "h",
+        "1"
+      ],
+      "separator": "p"
+    }
+  ],
+  "verdict": "not-shown-monadic"
+}
+"""
+
+
+CLASSICAL = [
+    "truth", "non-contradiction", "excluded-middle", "and-elim-1", "and-elim-2", "and-intro",
+    "or-intro-1", "or-intro-2", "or-elim", "imp-cases", "modus-ponens", "imp-intro",
+]
+
+
+def rules_json(verdict, rules):
+    """The text ``check-rules --json`` prints for (name, sound) pairs."""
+    entries = ",\n".join(
+        f'    {{\n      "rule": "{r}",\n      "sound": {s}\n    }}' for r, s in rules
+    )
+    return f'{{\n  "components": [\n{entries}\n  ],\n  "verdict": "{verdict}"\n}}\n'
+
+
 class TestSuccessOutput:
     """What the success paths print, byte for byte, with their exit codes."""
 
@@ -329,18 +528,78 @@ class TestSuccessOutput:
         ("decide --matrix kleene-ks --mode single --premises p,neg(p) --conclusions q", EXIT_NO,
          "no\ncountermodel: p -> b, q -> 0, neg(p) -> b\n"),
         ("decide --matrix kleene-ks --mode single --premises p,neg(p) --conclusions q --json",
-         EXIT_NO,
-         '{\n  "verdict": "no",\n  "witness": {\n    "assignment": {\n'
-         '      "neg(p)": "b",\n      "p": "b",\n      "q": "0"\n    },\n'
-         '    "component": [\n      "0",\n      "1",\n      "b"\n    ]\n  }\n}\n'),
+         EXIT_NO, KLEENE_KS_NO_JSON),
         ("decide --matrix bool2 --mode single --premises p --conclusions p", EXIT_YES, "yes\n"),
+        ("decide --matrix kleene-ks --premises p,neg(p) --conclusions q", EXIT_NO,
+         "no\ncountermodel: p -> b, q -> 0, neg(p) -> b\n"),
+        ("decide --matrix kleene-ks --premises p,neg(p) --conclusions q --json", EXIT_NO,
+         KLEENE_KS_NO_JSON),
+        ("decide --matrix bool2 --conclusions p,neg(p)", EXIT_YES, "yes\n"),
+        ("decide --matrix bool2 --conclusions p,neg(p) --json", EXIT_YES,
+         '{\n  "verdict": "yes",\n  "witness": null\n}\n'),
+        ("info --matrix kleene-ks", EXIT_YES,
+         "kind: Pmatrix\nvalues: 0 a b 1\ndesignated: b 1\n"
+         "maximal viable: {0 1 a}, {0 1 b}\nspurious: (none)\n"),
+        ("info --matrix kleene-ks --json", EXIT_YES, KLEENE_KS_INFO_JSON),
+        ("fixtures", EXIT_YES, FIXTURES),
+        ("fixtures --json", EXIT_YES, FIXTURES_JSON),
+        ("monadic --matrix luk3", EXIT_YES, "0,h: nabla(p)\n0,1: p\nh,1: p\nmonadic\n"),
+        ("monadic --matrix luk3 --json", EXIT_YES, LUK3_MONADIC_JSON),
+        ("monadic --matrix kleene-imp --max-depth 0", EXIT_UNKNOWN,
+         "0,h: not found\n0,1: p\nh,1: p\nnot shown monadic within bounds\n"),
+        ("monadic --matrix kleene-imp --max-depth 0 --json", EXIT_UNKNOWN,
+         KLEENE_IMP_DEPTH0_JSON),
+        ("check-rules --matrix bool2 --calculus classical", EXIT_YES,
+         "".join(f"{r}: sound\n" for r in CLASSICAL)),
+        ("check-rules --matrix bool2 --calculus classical --json", EXIT_YES,
+         rules_json("all-sound", [(r, "true") for r in CLASSICAL])),
+        ("decide-combined --left kleene-imp --right luk-imp --premises imp(p,p)"
+         " --conclusions p,imp(p,q)", EXIT_YES, "yes (not certified)\n"),
+        ("decide-combined --left kleene-imp --right luk-imp --premises imp(p,p)"
+         " --conclusions p,imp(p,q) --json", EXIT_YES,
+         '{\n  "components": {\n    "certified": false\n  },\n'
+         '  "verdict": "yes",\n  "witness": null\n}\n'),
+        ("decide-combined --left kleene-imp --right luk-imp --premises p --conclusions q",
+         EXIT_NO, "no (not certified)\nfailing partition: p / q\n"),
+        ("decide-combined --left kleene-imp --right luk-imp --premises p --conclusions q --json",
+         EXIT_NO,
+         '{\n  "components": {\n    "certified": false\n  },\n  "verdict": "no",\n'
+         '  "witness": {\n    "high": [\n      "q"\n    ],\n    "low": [\n      "p"\n    ]\n'
+         '  }\n}\n'),
+        ("axiom-derive --matrix bool2 --axioms imp(p,imp(q,p)) --premises p"
+         " --conclusion imp(q,p)", EXIT_YES, "yes\n"),
+        ("axiom-derive --matrix bool2 --axioms imp(p,imp(q,p)) --premises p"
+         " --conclusion imp(q,p) --json", EXIT_YES,
+         '{\n  "bounds": {\n    "depth": 2,\n    "instances": 9\n  },\n  "verdict": "yes"\n}\n'),
+        ("axiom-derive --matrix bool2 --axioms imp(p,imp(q,p)) --conclusion q --depth 1",
+         EXIT_UNKNOWN, "unknown (no derivation found at this instantiation depth)\n"),
+        ("axiom-derive --matrix bool2 --axioms imp(p,imp(q,p)) --conclusion q --depth 1 --json",
+         EXIT_UNKNOWN,
+         '{\n  "bounds": {\n    "depth": 1,\n    "instances": 1\n  },\n'
+         '  "verdict": "unknown"\n}\n'),
     ], ids=[
         "split-unsafe", "split-unsafe-json", "split-safe", "split-safe-json",
         "separator", "separator-json", "single-no", "single-no-json", "single-yes",
+        "multiple-no", "multiple-no-json", "multiple-yes", "multiple-yes-json", "info", "info-json",
+        "fixtures", "fixtures-json", "monadic", "monadic-json", "not-shown-monadic",
+        "not-shown-monadic-json", "check-rules", "check-rules-json", "combined-yes",
+        "combined-yes-json", "combined-no", "combined-no-json", "axiom-yes", "axiom-yes-json",
+        "axiom-unknown", "axiom-unknown-json",
     ])
     def test_stdout(self, capsys, argv, code, out):
         assert run_cli(argv.split()) == code
         assert capsys.readouterr().out == out
+
+    def test_check_rules_from_a_file(self, tmp_path, capsys):
+        rules = tmp_path / "rules"
+        rules.write_text("id : p |- p\nbad-lem : - |- p, neg(p)\n")
+        argv = ["check-rules", "--matrix", "kleene-ks", "--rules", str(rules)]
+        assert run_cli(argv) == EXIT_NO
+        assert capsys.readouterr().out == "id: sound\nbad-lem: NOT sound\n"
+        assert run_cli(argv + ["--json"]) == EXIT_NO
+        assert capsys.readouterr().out == rules_json(
+            "unsound", [("id", "true"), ("bad-lem", "false")]
+        )
 
 
 class TestJsonOutput:

@@ -656,9 +656,9 @@ class TestUnentailed:
 
 
 class TestCarryOver:
-    """What the saturation refuter carries from one base to the next: the
-    fixpoints of a context grown one premise at a time, and the designation
-    masks of extended countermodels."""
+    """What a context carries to those grown from it: its fixpoints, grown
+    one premise at a time, and the designation masks of the countermodels
+    it and they extend, kept once per root."""
 
     @settings(max_examples=100, deadline=None)
     @given(small_matrices(), st.integers(3, 9), st.data())
@@ -705,18 +705,55 @@ class TestCarryOver:
     @settings(max_examples=100, deadline=None)
     @given(small_matrices(), st.integers(3, 9))
     def test_sweeps_with_carried_masks(self, m, cap):
+        # every base of at most two formulas, grown from one root in size
+        # order, sweeps as one search per formula does, and each mask its
+        # sweep keeps designates the base
         pool = formula_pool(m.sig, ("p", "q"), 2, cap)
         cl = Closure(pool, m.sig)
-        found = []
+        root = PremiseContext(m, cl, ())
+        contexts = {}
         for gamma in (g for size in range(3) for g in itertools.combinations(pool, size)):
-            context = PremiseContext(m, cl, gamma)
-            expected = [a for a in pool if a not in gamma and context.decide([a]).answer == "no"]
-            own = sum(1 << cl.node[f] for f in gamma)
-            covering = [d for d in found if d & own == own]
-            known = len(covering)
-            assert context.unentailed(pool, set(gamma), covering) == expected, gamma
-            assert all(d & own == own for d in covering[known:])
-            found += covering[known:]
+            context = contexts[gamma[:-1]].with_premise(gamma[-1]) if gamma else root
+            contexts[gamma] = context
+            fresh = PremiseContext(m, cl, gamma)
+            expected = [a for a in pool if a not in gamma and fresh.decide([a]).answer == "no"]
+            known = len(root._kept)
+            assert context.unentailed(pool, set(gamma)) == expected, gamma
+            for d in root._kept[known:]:
+                assert all(d >> cl.node[f] & 1 for f in gamma), gamma
+
+    def test_a_kept_mask_must_miss_the_whole_query(self):
+        # p, neg(p) hold collectively over bool2, though each countermodel
+        # the sweep keeps misses one of them
+        m = builtin("bool2")
+        pool = parse_formula_list("p, neg(p)", m.sig)
+        root = PremiseContext(m, Closure(pool, m.sig), ())
+        assert root.unentailed(pool, set()) == list(pool)
+        assert root.entails(pool)
+        assert not root.with_premise(pool[0]).entails(pool[1:])
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_matrices(), st.integers(3, 9), st.data())
+    def test_kept_masks_answer_as_searches_do(self, m, cap, data):
+        # contexts grown from one root share what they keep, so later
+        # queries are answered from countermodels found for earlier ones
+        pool = formula_pool(m.sig, ("p", "q"), 2, cap)
+        root = PremiseContext(m, Closure(pool, m.sig), ())
+        for _ in range(data.draw(st.integers(1, 6))):
+            gamma = data.draw(st.lists(st.sampled_from(pool), max_size=2))
+            context = root
+            for b in gamma:
+                context = context.with_premise(b)
+            if data.draw(st.booleans()):
+                expected = [a for a in pool if decide_single(m, gamma, a).answer == "no"]
+                assert context.unentailed(pool, set()) == expected, gamma
+                # as the refuter's collective check asks: every kept mask
+                # designating gamma meets some formula of expected
+                collective = decide_multiple(m, gamma, expected).answer == "yes"
+                assert context.entails(expected) == collective, gamma
+            delta = data.draw(st.lists(st.sampled_from(pool), max_size=3))
+            expected = decide_multiple(m, gamma, delta).answer == "yes"
+            assert context.entails(delta) == expected, (gamma, delta)
 
 
 def uncached_propagate(cl, m, dom, narrowed=None, inside=None):
