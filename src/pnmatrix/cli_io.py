@@ -4,6 +4,11 @@ Run it as ``pnmatrix`` or ``python -m pnmatrix.cli_io``.  ``import pnmatrix``
 does not load this module; ``pnmatrix.run_cli`` and the ``EXIT_*`` codes load
 it on first use.  Each subcommand is a function of the parsed arguments that
 returns the exit code; ``build_parser`` binds it to its subparser.
+
+This module loads only matrices, formulas and fixtures.  A subcommand that
+decides, checks rules, analyses or combines imports ``engine``, ``calculus``,
+``analysis`` or ``combine`` when it runs, so that a process pays only for the
+layers its command uses.
 """
 
 from __future__ import annotations
@@ -14,24 +19,6 @@ import os
 import sys
 from typing import Callable, Optional, Sequence
 
-from .analysis import (
-    SeparatorBounds,
-    find_separator,
-    monadicity_report,
-    refute_saturation,
-    split_advice,
-)
-from .calculus import Calculus, calculus_sound, parse_calculus
-from .combine import (
-    AxiomSet,
-    SaturationRefused,
-    combine_multiple,
-    combine_single_power,
-    combine_single_saturated,
-    decide_combined_ctx,
-    decide_with_axioms,
-)
-from .engine import decide_multiple, decide_single
 from .fixtures import builtin, builtin_calculus, fixture_names
 from .matrix_core import (
     PNMatrix,
@@ -53,6 +40,7 @@ from .syntax import (
     print_formula,
     print_formula_list,
     print_formulas,
+    subformulas,
 )
 
 #: the description ``pnmatrix --help`` prints
@@ -229,6 +217,8 @@ def _prune(args) -> PNMatrix:
 
 
 def _decide(args) -> int:
+    from .engine import decide_multiple, decide_single
+
     m = _load_matrix(args.matrix)
     gamma = parse_formula_list(args.premises, m.sig)
     delta = parse_formula_list(args.conclusions, m.sig)
@@ -247,6 +237,8 @@ def _decide(args) -> int:
 
 
 def _check_rules(args) -> int:
+    from .calculus import Calculus, calculus_sound, parse_calculus
+
     m = _load_matrix(args.matrix)
     if args.rules:
         with open(args.rules, encoding="utf-8") as fh:
@@ -256,6 +248,24 @@ def _check_rules(args) -> int:
             cal = builtin_calculus(args.calculus)
         except KeyError as e:
             raise ValueError(e.args[0]) from None
+        used = Signature.of(
+            (g.head, len(g.args))
+            for r in cal.rules
+            for f in r.premises + r.conclusions
+            for g in subformulas(f)
+            if g.head is not None
+        )
+        have = dict(m.sig)
+        misfits = [
+            f"{n}/{k}" + (f" (the matrix has {n}/{have[n]})" if n in have else "")
+            for n, k in used
+            if have.get(n) != k
+        ]
+        if misfits:
+            raise ValueError(
+                f"calculus {args.calculus!r} uses connectives the matrix lacks: "
+                + ", ".join(misfits)
+            )
         cal = Calculus(sig=m.sig, rules=cal.rules)
     report = calculus_sound(m, cal)
     payload = {
@@ -274,6 +284,8 @@ def _check_rules(args) -> int:
 
 
 def _separators(args) -> int:
+    from .analysis import SeparatorBounds, find_separator
+
     m = _load_matrix(args.matrix)
     pair = [x.strip() for x in args.pair.split(",")]
     if len(pair) != 2:
@@ -293,6 +305,8 @@ def _separators(args) -> int:
 
 
 def _monadic(args) -> int:
+    from .analysis import SeparatorBounds, monadicity_report
+
     m = _load_matrix(args.matrix)
     sub_sig = _parse_sub_sig(args.subsignature, m.sig) if args.subsignature else None
     table = monadicity_report(m, sub_sig, bounds=SeparatorBounds(max_depth=args.max_depth))
@@ -314,6 +328,8 @@ def _monadic(args) -> int:
 
 
 def _refute_saturation(args) -> int:
+    from .analysis import refute_saturation
+
     m = _load_matrix(args.matrix)
     result = refute_saturation(m)
     bounds = result.bounds.__dict__
@@ -340,6 +356,8 @@ def _refute_saturation(args) -> int:
 
 
 def _split_advice(args) -> int:
+    from .analysis import split_advice
+
     m = _load_matrix(args.matrix)
     sig1 = _parse_sub_sig(args.first, m.sig)
     sig2 = _parse_sub_sig(args.second, m.sig)
@@ -365,6 +383,13 @@ def _split_advice(args) -> int:
 
 
 def _combine(args) -> int:
+    from .combine import (
+        SaturationRefused,
+        combine_multiple,
+        combine_single_power,
+        combine_single_saturated,
+    )
+
     if args.mode == "multiple" and args.power is not None:
         raise ValueError("--power applies only to --mode single")
     left, right = _load_matrix(args.left), _load_matrix(args.right)
@@ -386,6 +411,8 @@ def _combine(args) -> int:
 
 
 def _decide_combined(args) -> int:
+    from .combine import decide_combined_ctx
+
     left, right = _load_matrix(args.left), _load_matrix(args.right)
     union = left.sig.union(right.sig)
     gamma = parse_formula_list(args.premises, union)
@@ -413,6 +440,8 @@ def _decide_combined(args) -> int:
 
 
 def _axiom_derive(args) -> int:
+    from .combine import AxiomSet, decide_with_axioms
+
     m = _load_matrix(args.matrix)
     axioms = AxiomSet(
         name="cli", axioms=parse_formula_list(args.axioms, m.sig)

@@ -18,9 +18,8 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from .analysis import RefutationResult, refute_saturation
 from .engine import Closure, PremiseContext, decide_single
 from .matrix_core import PNMatrix, power, strict_product, strict_product_is_total
 from .syntax import (
@@ -34,6 +33,9 @@ from .syntax import (
     subformula_closure,
     variables,
 )
+
+if TYPE_CHECKING:
+    from .analysis import RefutationResult
 
 #: partition enumeration is exponential in the context size
 CTX_CAP = 12
@@ -76,6 +78,8 @@ def combine_single_saturated(m1: PNMatrix, m2: PNMatrix) -> CombinedLogic:
     bounds.  The result is exact when both inputs are flagged as known
     saturated in their metadata, and conditional on saturation otherwise.
     """
+    from .analysis import refute_saturation  # the one use of the analysis layer here
+
     for side, m in (("left", m1), ("right", m2)):
         if not m.meta.get("known_saturated"):
             result = refute_saturation(m)

@@ -6,11 +6,13 @@ returns the same object every time.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .calculus import Calculus, parse_calculus
 from .matrix_core import PNMatrix, make_matrix
 from .syntax import Signature
+
+if TYPE_CHECKING:
+    from .calculus import Calculus
 
 
 def _table(cols: Sequence[str], rows: dict[str, Sequence[str]]):
@@ -256,6 +258,8 @@ def calculus_names() -> tuple[str, ...]:
 
 
 def builtin_calculus(name: str) -> Calculus:
+    from .calculus import parse_calculus  # it loads the engine, which the matrices do not need
+
     if name not in _CALCULI:
         raise KeyError(
             f"unknown calculus {name!r}; available: {', '.join(calculus_names())}"

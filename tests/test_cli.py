@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,7 @@ from pnmatrix import (
     make_matrix,
     power,
     read_matrix,
+    reduct,
     rename_connectives,
     run_cli,
     strict_product,
@@ -221,13 +223,41 @@ class TestExitCodes:
             ("check-rules --matrix bool2 --calculus nope",
              "unknown calculus 'nope'; available: bool2n, classical, kleene-ks, sources"),
             ("separators --matrix bool2 --pair 0", "--pair wants two comma-separated values"),
+            ("check-rules --matrix kleene-ks --calculus classical",
+             "calculus 'classical' uses connectives the matrix lacks: imp/2, top/0"),
+            ("check-rules --matrix kleene-ks --calculus classical --json",
+             "calculus 'classical' uses connectives the matrix lacks: imp/2, top/0"),
         ],
-        ids=["fixture", "connective", "add", "arity", "single", "calculus", "pair"],
+        ids=["fixture", "connective", "add", "arity", "single", "calculus", "pair",
+             "calculus-signature", "calculus-signature-json"],
     )
     def test_argument_errors_name_no_line(self, capsys, argv, message):
         # only errors read from a matrix file have a line number
         assert run_cli(argv.split()) == EXIT_ERROR
         assert capsys.readouterr().err == f"pnmatrix: error: {message}\n"
+
+    def test_check_rules_names_a_connective_of_another_arity(self, tmp_path, capsys):
+        path = tmp_path / "neg2"
+        path.write_text(format_matrix(rename_connectives(builtin("luk-imp"), {"imp": "neg"})))
+        argv = ["check-rules", "--matrix", str(path), "--calculus", "classical"]
+        for extra in ([], ["--json"]):
+            assert run_cli(argv + extra) == EXIT_ERROR
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "pnmatrix: error: calculus 'classical' uses connectives the matrix lacks: "
+                "and/2, imp/2, neg/1 (the matrix has neg/2), or/2, top/0\n"
+            )
+
+    def test_check_rules_needs_only_the_connectives_the_rules_use(self, tmp_path, capsys):
+        # the bool2n calculus is parsed over botop too, but no rule uses it
+        path = tmp_path / "no-botop"
+        path.write_text(format_matrix(reduct(builtin("bool2n"), Signature.of(
+            {"box": 1, "squig": 2, "pl": 2}))))
+        assert run_cli(["check-rules", "--matrix", str(path), "--calculus", "bool2n"]) == EXIT_YES
+        assert capsys.readouterr().out == (
+            "necessitation: sound\nmodus-ponens: sound\npl-intro: sound\npl-elim: sound\n"
+        )
 
     def test_deeply_nested_formula_decides(self, capsys):
         deep = "neg(" * 1200 + "p" + ")" * 1200
@@ -600,6 +630,22 @@ class TestSuccessOutput:
         assert capsys.readouterr().out == rules_json(
             "unsound", [("id", "true"), ("bad-lem", "false")]
         )
+
+
+#: ``pnmatrix --help`` and each subcommand's ``--help``: exit code and stdout
+#: at 80 columns, as the command line printed them when its imports were all
+#: at the top of the module (argparse's layout as of Python 3.11)
+HELP = json.loads((Path(__file__).parent / "cli_help.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("argv", list(HELP))
+def test_help_is_unchanged(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as e:
+        run_cli(argv.split())
+    assert e.value.code == HELP[argv]["code"]
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (HELP[argv]["stdout"], "")
 
 
 class TestJsonOutput:

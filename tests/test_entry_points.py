@@ -1,5 +1,7 @@
 """The package, its command line and the demo scripts, each in a fresh interpreter."""
 
+import importlib
+import json
 import os
 import subprocess
 import sys
@@ -49,6 +51,132 @@ def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError) as e:
         pnmatrix.no_such_name
     assert str(e.value) == "module 'pnmatrix' has no attribute 'no_such_name'"
+
+
+def test_import_loads_no_submodule():
+    proc = run_python(
+        "-c", "import sys, pnmatrix\nprint([m for m in sys.modules if m.startswith('pnmatrix.')])"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+#: the public names of the package, by the module that defines them, as
+#: ``__init__`` imported them before it resolved them on first use
+EXPORTS = {
+    "syntax": (
+        "App", "Formula", "MonolithMap", "ParseError", "Signature", "Substitution", "Var",
+        "apply_substitution", "formula_key", "formula_size", "parse_formula",
+        "parse_formula_list", "print_formula", "skeleton", "subformula_closure",
+        "subformulas", "variables", "well_formed",
+    ),
+    "matrix_core": (
+        "FormatError", "MatrixError", "PNMatrix", "ValueMap", "ViabilityReport",
+        "check_strict_hom", "classify", "extend", "format_matrix", "inclusion",
+        "make_matrix", "power", "projection", "prune", "read_matrix", "reduct",
+        "rename_connectives", "restrict", "strict_product", "sum_matrices", "validate",
+        "viable_components",
+    ),
+    "engine": (
+        "Countermodel", "Verdict", "check_countermodel", "decide_batch", "decide_multiple",
+        "decide_single", "possible_value_vector", "possible_values",
+    ),
+    "calculus": (
+        "Calculus", "Rule", "SoundnessReport", "calculus_sound", "format_calculus",
+        "parse_calculus", "parse_rule", "rule_sound",
+    ),
+    "analysis": (
+        "Divergence", "RefutationBounds", "RefutationResult", "SaturationWitness",
+        "SeparatorBounds", "SeparatorTable", "SplitVerdict", "check_saturation_witness",
+        "find_separator", "formula_pool", "monadicity_report", "refute_saturation",
+        "split_advice",
+    ),
+    "combine": (
+        "AxiomDecision", "AxiomSet", "CombinedDecision", "CombinedLogic", "SaturationRefused",
+        "axiom_instances", "combine_multiple", "combine_single_power",
+        "combine_single_saturated", "decide_combined_ctx", "decide_with_axioms",
+    ),
+    "fixtures": ("builtin", "builtin_calculus", "calculus_names", "fixture_names"),
+}
+#: ``pnmatrix.__all__``: the names above and the seven module names, sorted
+ALL = sorted([*EXPORTS, *(n for names in EXPORTS.values() for n in names)])
+
+
+def test_the_package_surface_before_first_use():
+    proc = run_python(
+        "-c",
+        "import json, sys, pnmatrix\n"
+        "names, listed = pnmatrix.__all__, dir(pnmatrix)\n"
+        "from pnmatrix import combine, matrix_core\n"
+        "print(json.dumps([names, listed, combine.CTX_CAP, matrix_core.__name__]))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    names, listed, cap, name = json.loads(proc.stdout)
+    assert len(ALL) == 91
+    assert names == ALL
+    assert set(ALL) <= set(listed)
+    assert (cap, name) == (12, "pnmatrix.matrix_core")
+
+
+def test_each_name_is_its_modules_object():
+    import pnmatrix
+
+    for module, names in EXPORTS.items():
+        home = importlib.import_module(f"pnmatrix.{module}")
+        assert getattr(pnmatrix, module) is home
+        for n in names:
+            assert getattr(pnmatrix, n) is getattr(home, n), n
+    star = {}
+    exec("from pnmatrix import *", star)
+    del star["__builtins__"]
+    assert sorted(star) == ALL
+    assert all(star[n] is getattr(pnmatrix, n) for n in ALL)
+
+
+#: what `python -m pnmatrix.cli_io ARGV` imports of the package, read at exit
+LOADED = """\
+import runpy, sys
+sys.argv[0] = 'pnmatrix'
+try:
+    runpy.run_module('pnmatrix.cli_io', run_name='__main__')
+except SystemExit as e:
+    code = e.code
+print(code, *sorted(m for m in sys.modules if m.startswith('pnmatrix.')))
+"""
+
+BASE = "pnmatrix.fixtures pnmatrix.matrix_core pnmatrix.syntax"
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ("fixtures", f"0 {BASE}"),
+    ("parse --matrix bool2 --formula neg(p)", f"0 {BASE}"),
+    ("info --matrix kleene-ks", f"0 {BASE}"),
+    ("product --left bool2 --right bool2", f"0 {BASE}"),
+    ("sum --matrix bool2 --matrix bool2", f"0 {BASE}"),
+    ("power --matrix bool2 --exponent 2", f"0 {BASE}"),
+    ("extend --matrix bool2 --add x/1", f"0 {BASE}"),
+    ("reduct --matrix bool2 --keep neg", f"0 {BASE}"),
+    ("prune --matrix kleene-ks", f"0 {BASE}"),
+    ("decide --matrix bool2 --conclusions p", f"1 pnmatrix.engine {BASE}"),
+    ("check-rules --matrix bool2 --calculus classical",
+     f"0 pnmatrix.calculus pnmatrix.engine {BASE}"),
+    ("decide-combined --left kleene-imp --right luk-imp --premises p --conclusions q",
+     f"1 pnmatrix.combine pnmatrix.engine {BASE}"),
+    ("axiom-derive --matrix bool2 --axioms imp(p,imp(q,p)) --premises p --conclusion imp(q,p)",
+     f"0 pnmatrix.combine pnmatrix.engine {BASE}"),
+    ("combine --left bool2 --right kleene-imp", f"0 pnmatrix.combine pnmatrix.engine {BASE}"),
+    ("combine --left bool2 --right bool2n --mode single",
+     f"1 pnmatrix.analysis pnmatrix.combine pnmatrix.engine {BASE}"),
+    ("monadic --matrix luk3", f"0 pnmatrix.analysis pnmatrix.engine {BASE}"),
+], ids=[
+    "fixtures", "parse", "info", "product", "sum", "power", "extend", "reduct", "prune",
+    "decide", "check-rules", "decide-combined", "axiom-derive", "combine-multiple",
+    "combine-single", "monadic",
+])
+def test_a_subcommand_loads_only_the_modules_it_calls(argv, loaded):
+    proc = run_python("-c", LOADED, *argv.split())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == loaded
 
 
 def test_module_entry_point_runs_quietly():
