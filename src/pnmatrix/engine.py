@@ -137,7 +137,10 @@ class Closure:
     or ``(heads[i], positions[i])`` when arguments repeat), and ``watch[i]``
     the compound nodes with node i among their arguments, then node i itself
     when it is compound: the nodes whose arcs a change of node i's domain
-    concerns (see ``_propagate``).
+    concerns (see ``_propagate``).  ``compound`` lists the compound ids in
+    ascending order and ``is_compound[i]`` marks them: a full propagation
+    starts with those as its queue and its queued marks.  The index is built
+    in one pass over the closure.
     """
 
     def __init__(self, roots: Sequence[Formula], sig: Signature):
@@ -146,23 +149,43 @@ class Closure:
         bad = ill_formed_node(formulas, sig)  # each node once; the first bad one is named
         if bad is not None:
             raise ValueError(f"formula {print_formula(bad)} not well-formed over the matrix signature")
-        self.node = node = {f: i for i, f in enumerate(formulas)}
-        self.heads = heads = [f.head for f in formulas]
-        self.args = args = [tuple([node[a] for a in f.args]) for f in formulas]
-        self.distinct = distinct = [
-            a if len(a) < 2 or len(set(a)) == len(a) else tuple(dict.fromkeys(a)) for a in args
-        ]
-        self.positions = positions = [
-            None if d is a else tuple(d.index(x) for x in a) for a, d in zip(args, distinct)
-        ]
-        self.keys = [h if p is None else (h, p) for h, p in zip(heads, positions)]
-        self.watch: list[list[int]] = [[] for _ in args]
-        for i, d in enumerate(distinct):
-            for a in d:
-                self.watch[a].append(i)
-        for i, h in enumerate(heads):
-            if h is not None:
-                self.watch[i].append(i)
+        self.node = node = {}
+        self.heads = heads = []
+        self.args = args_of = []
+        self.distinct = distinct_of = []
+        self.positions = positions_of = []
+        self.keys = keys = []
+        self.watch = watch = []
+        self.compound = compound = []
+        self.is_compound = is_compound = []
+        for i, f in enumerate(formulas):
+            node[f] = i
+            h = f.head
+            heads.append(h)
+            watch.append([])
+            if h is None:
+                args_of.append(())
+                distinct_of.append(())
+                positions_of.append(None)
+                keys.append(None)
+                is_compound.append(False)
+                continue
+            args = distinct = tuple([node[a] for a in f.args])
+            positions = None
+            if len(args) > 1 and len(set(args)) < len(args):
+                distinct = tuple(dict.fromkeys(args))
+                positions = tuple([distinct.index(x) for x in args])
+            args_of.append(args)
+            distinct_of.append(distinct)
+            positions_of.append(positions)
+            keys.append(h if positions is None else (h, positions))
+            for a in distinct:
+                watch[a].append(i)
+            compound.append(i)
+            is_compound.append(True)
+        # each compound node watches itself after every node that uses it
+        for i in compound:
+            watch[i].append(i)
 
     def reach(self, roots: Iterable[int], known: Iterable[int] = ()) -> set[int]:
         """The ids the roots reach through arguments, together with known,
@@ -204,8 +227,7 @@ def _propagate(cl: Closure, comp: CompiledMatrix, dom: list[int], narrowed=None,
     """
     heads, watch = cl.heads, cl.watch
     if narrowed is None:
-        pending = [i for i, h in enumerate(heads) if h is not None]
-        queued = [h is not None for h in heads]
+        pending, queued = cl.compound.copy(), cl.is_compound.copy()
     else:
         # a node outside the sub-closure counts as queued, so it never is
         pending, queued = [], [inside is not None] * len(heads)
@@ -222,7 +244,12 @@ def _propagate(cl: Closure, comp: CompiledMatrix, dom: list[int], narrowed=None,
         # fixpoint afterwards, so no change it makes queues it again
         i = pending.pop()
         distinct = distinct_of[i]
-        key = (keys[i], dom[i], *[dom[g] for g in distinct])
+        if len(distinct) == 1:
+            key = (keys[i], dom[i], dom[distinct[0]])
+        elif len(distinct) == 2:
+            key = (keys[i], dom[i], dom[distinct[0]], dom[distinct[1]])
+        else:
+            key = (keys[i], dom[i], *[dom[g] for g in distinct])
         revision = revisions.get(key)
         if revision is None:
             if len(revisions) >= REVISION_CAP:

@@ -18,6 +18,7 @@ import weakref
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 
@@ -101,6 +102,8 @@ _nodes: "weakref.WeakValueDictionary[tuple, Formula]" = weakref.WeakValueDiction
 _intern_lock = threading.RLock()
 #: larger nodes print their text when asked, so that a deep formula keeps no text per node
 _TEXT_SIZE = 64
+#: the closure order of nodes that all keep their text (see ``subformula_closure``)
+_size_and_text = attrgetter("size", "_text")
 
 
 class _Node:
@@ -255,12 +258,12 @@ def subformula_closure(formulas: Iterable[Formula]) -> list[Formula]:
     the text decide their order.
     """
     nodes = _walk(formulas)
-    text: dict[Formula, str] = {}
     big = [g for g in nodes if g._text is None]
-    if big:
-        sizes = Counter(g.size for g in big)
-        tied = [g for g in big if sizes[g.size] > 1]
-        text = dict(zip(tied, print_formulas(tied)))
+    if not big:
+        return sorted(nodes, key=_size_and_text)
+    sizes = Counter(g.size for g in big)
+    tied = [g for g in big if sizes[g.size] > 1]
+    text = dict(zip(tied, print_formulas(tied)))
     return sorted(nodes, key=lambda g: (g.size, g._text or text.get(g, "")))
 
 

@@ -34,6 +34,7 @@ from pnmatrix import engine
 from pnmatrix.engine import Closure, PremiseContext
 from pnmatrix.matrix_core import mask_bits
 
+from closure_reference import reference_closure
 from corpus import random_formula, random_query, seeded
 from oracle import brute_viable_sets, oracle_decide
 from value_reference import reference_value_vector
@@ -113,6 +114,13 @@ class TestCountermodels:
         # conclusion, would go unchecked
         cm = Countermodel(assignment=((p, "1"), (p, "0")), component=frozenset(m.values))
         assert check_countermodel(m, [], [p], cm) == ["p is assigned 2 times"]
+
+    def test_only_repeated_formulas_are_reported(self):
+        """Beside a formula assigned twice, one assigned once is not named."""
+        m = builtin("bool2")
+        p, q = pf(m, "p"), pf(m, "q")
+        cm = Countermodel(assignment=((p, "0"), (q, "0"), (p, "0")), component=frozenset(m.values))
+        assert check_countermodel(m, [], [p, q], cm) == ["p is assigned 2 times"]
 
     def test_ill_formed_node_is_named(self):
         """A node whose connective the matrix lacks, or has at another arity,
@@ -878,6 +886,70 @@ class TestPropagation:
         assert engine._propagate(cl, m.compiled, dom)
         assert dom == expected
         assert (dom[cl.node[pqp]], dom[cl.node[ppq]]) == (0b01, 0b10)
+
+
+def repeated_uses(sig, a, b):
+    """Applications of each connective of arity 2 or more in sig with
+    repeated arguments: all a, then a and b alternating, then b last."""
+    out = []
+    for c, k in sig:
+        if k >= 2:
+            out += [App(c, (a,) * k), App(c, ((a, b) * k)[:k]), App(c, (a,) * (k - 1) + (b,))]
+    return out
+
+
+#: the fields of ``Closure`` that ``closure_reference`` builds the old way
+CLOSURE_FIELDS = (
+    "roots", "formulas", "node", "heads", "args", "distinct", "positions", "keys", "watch",
+    "compound", "is_compound",
+)
+
+
+class TestClosureIndex:
+    """The one-pass index equals the construction it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(["ternary", *fixture_names()]),
+        st.randoms(use_true_random=False),
+        st.integers(1, 4),
+        st.integers(0, 3),
+    )
+    def test_index_equals_the_reference(self, name, rng, count, depth):
+        sig = TERNARY_SIG if name == "ternary" else builtin(name).sig
+        roots = [random_formula(rng, sig, ("p", "q", "r"), depth) for _ in range(count)]
+        roots += repeated_uses(sig, roots[0], roots[-1])
+        cl, ref = Closure(roots, sig), reference_closure(roots, sig)
+        for field in CLOSURE_FIELDS:
+            assert getattr(cl, field) == getattr(ref, field), field
+
+    def test_repeated_arguments(self):
+        """if(p, q, p) and imp(p, p) index their distinct arguments once, with positions."""
+        p, q = Var("p"), Var("q")
+        roots = [App("if", (p, q, p)), App("imp", (p, p))]
+        cl = Closure(roots, TERNARY_SIG)
+        ref = reference_closure(roots, TERNARY_SIG)
+        for field in CLOSURE_FIELDS:
+            assert getattr(cl, field) == getattr(ref, field), field
+        pqp, pp = cl.node[roots[0]], cl.node[roots[1]]
+        assert (cl.distinct[pqp], cl.positions[pqp]) == ((0, 1), (0, 1, 0))
+        assert (cl.distinct[pp], cl.positions[pp]) == ((0,), (0, 0))
+        assert cl.watch[0] == sorted([pp, pqp]) and cl.watch[pqp] == [pqp]
+
+    def test_first_ill_formed_node_in_closure_order_is_named(self):
+        """Of two ill-formed nodes, the first in closure order is named,
+        whatever the order of the roots."""
+        m = builtin("bool2")
+        p = Var("p")
+        roots = [App("neg", (p, p)), App("zap", (p,))]
+        message = "formula zap(p) not well-formed over the matrix signature"
+        with pytest.raises(ValueError) as ref:
+            reference_closure(roots, m.sig)
+        assert str(ref.value) == message
+        for order in (roots, roots[::-1]):
+            with pytest.raises(ValueError) as got:
+                Closure(order, m.sig)
+            assert str(got.value) == message
 
 
 def value_matrix(spec):
