@@ -17,6 +17,13 @@ For each workload and metric it prints the medians, the parent's range and
 quartiles, the change in percent, in how many pairs the change read lower,
 and whether every run was ``correct`` with ``failed`` 0.  ``--json`` writes
 the same as JSON, with every run's value.
+
+Each end-to-end metric also gets a verdict against its ``bound`` in
+``BENCHMARK.json`` (a fraction of the parent's median; lower is better):
+``worse`` when the change's median is above the parent's by more than the
+bound; ``unresolved`` when the parent's own range is wider than the bound
+and not every change run reads better than every parent run, since such a
+spread can hide a regression; ``within bound`` otherwise.
 """
 
 from __future__ import annotations
@@ -31,6 +38,9 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from pathlib import Path
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 def git(*args: str) -> str:
@@ -71,9 +81,26 @@ def run_once(rev: str, workload: str, seed: int, seconds: float, trace: int, whe
     return json.loads(lines[-1])
 
 
-def summarize(pairs: list[tuple[dict, dict]]) -> dict:
+def end_to_end_bounds() -> dict[str, float]:
+    """Each end-to-end metric's bound, read from ``BENCHMARK.json``."""
+    with open(BENCHMARK, encoding="utf-8") as fh:
+        return {m["name"]: m["bound"] for m in json.load(fh)["end_to_end"]}
+
+
+def verdict(old: list[float], new: list[float], bound: float) -> str:
+    """``worse``, ``unresolved`` or ``within bound`` (see the module docstring)."""
+    old_median = statistics.median(old)
+    if statistics.median(new) > old_median * (1 + bound):
+        return "worse"
+    if max(old) - min(old) > old_median * bound and not max(new) < min(old):
+        return "unresolved"
+    return "within bound"
+
+
+def summarize(pairs: list[tuple[dict, dict]], bounds: dict[str, float] | None = None) -> dict:
     """Per metric, the parent's and the change's runs and how they compare,
-    from (parent result, change result) pairs of ``perfbench/run.py``."""
+    from (parent result, change result) pairs of ``perfbench/run.py``; a
+    metric with a bound in ``bounds`` also gets its verdict."""
     results = [r for pair in pairs for r in pair]
     out = {"all_runs_correct_with_0_failed": all(r["correct"] and r["failed"] == 0 for r in results),
            "metrics": {}}
@@ -94,18 +121,22 @@ def summarize(pairs: list[tuple[dict, dict]]) -> dict:
             "change_pct": round(100 * (new_median - old_median) / old_median, 1) if old_median else None,
             "change_lower_in": f"{sum(c < p for p, c in zip(old, new))} of {len(pairs)}",
         }
+        if bounds and name in bounds:
+            out["metrics"][name]["verdict"] = verdict(old, new, bounds[name])
     return out
 
 
 def report(workload: str, summary: dict) -> list[str]:
     lines = [f"{workload}: every run correct with failed 0: "
              f"{'yes' if summary['all_runs_correct_with_0_failed'] else 'NO'}",
-             f"  {'metric (medians)':34} {'parent':>12} {'change':>12} {'p.range':>7} {'change':>8}  lower in"]
+             f"  {'metric (medians)':34} {'parent':>12} {'change':>12} {'p.range':>7} {'change':>8}"
+             f"  {'lower in':8}  verdict"]
     for name, s in summary["metrics"].items():
         range_pct = "-" if s["parent_range_pct"] is None else f"{s['parent_range_pct']:.1f}%"
         change_pct = "-" if s["change_pct"] is None else f"{s['change_pct']:+.1f}%"
         lines.append(f"  {name:34} {s['parent_median']:>12.6g} {s['change_median']:>12.6g} "
-                     f"{range_pct:>7} {change_pct:>8}  {s['change_lower_in']}")
+                     f"{range_pct:>7} {change_pct:>8}  {s['change_lower_in']:8}  {s.get('verdict', '')}"
+                     .rstrip())
     return lines
 
 
@@ -129,6 +160,7 @@ def main(argv=None) -> int:
     ap.add_argument("--json", help="write the summaries to this file")
     args = ap.parse_args(argv)
 
+    bounds = end_to_end_bounds()
     parent, change = revisions()
     print(f"parent {parent[:12]}, change {change[:12]}", flush=True)
     summaries = {}
@@ -147,7 +179,7 @@ def main(argv=None) -> int:
                     if "error" in got[side]:
                         print(f"  {workload} seed {seed} {side}: {got[side]['error']}", flush=True)
                 print(f"  {workload} pair {k + 1} of {len(args.seeds)} (seed {seed}) done", flush=True)
-            summaries[workload] = summarize(pairs)
+            summaries[workload] = summarize(pairs, bounds)
             print("\n".join(report(workload, summaries[workload])), flush=True)
     finally:
         shutil.rmtree(where, ignore_errors=True)

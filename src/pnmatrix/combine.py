@@ -158,7 +158,8 @@ def decide_combined_ctx(
     on the opposite side hold trivially and are skipped.  The answer is
     certified exact when the strict product of the parts is total, which
     ``strict_product_is_total`` reads off the parts without building the
-    product; so ``VALUE_CAP`` does not bound the parts.  Every context
+    product; so the build bound (``matrix_core.BUILD_CAP``) does not
+    limit the parts.  Every context
     formula must be well formed over the union of the signatures (a
     connective declared with two arities raises first); a ValueError names
     the first bad subformula as the caller wrote it.

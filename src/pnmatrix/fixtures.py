@@ -1,7 +1,8 @@
 """The builtin fixture matrices and the calculi that go with them.
 
 Each fixture is built on first request and then shared: `builtin(name)`
-returns the same object every time.
+returns the same object every time.  A matrix is read-only, so no caller
+can change the fixture another caller gets.
 """
 
 from __future__ import annotations

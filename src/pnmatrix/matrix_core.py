@@ -2,15 +2,17 @@
 
 A PNMatrix carries a finite ordered value set, a designated subset and, for
 each connective, a total table from value tuples to (possibly empty) sets of
-values.  This module provides the matrix algebra: classification, reducts,
-fully non-deterministic extensions, strict products, sums, finite powers,
+values.  It is a read-only value, assembled in one place, its initialiser.
+This module provides the matrix algebra: classification, reducts, fully
+non-deterministic extensions, strict products, sums, finite powers,
 viability analysis (maximal viable sets, found once per matrix in its
 ``CompiledMatrix`` by branching on violated table entries, with no carrier
-cap beyond ``VALUE_CAP``), pruning, and strict homomorphism checking.
+cap of its own), pruning, and strict homomorphism checking.
 
-Products, powers and sums share one builder.  It names the pair (x, y)
-"x|y", the tuple (x1, ..., xk) "x1&...&xk" and value x of summand i "i.x",
-and records each value's structure in ``meta["parts"]``.  `restrict`,
+Products, powers and sums share one builder, which bounds what a build may
+make (``BUILD_CAP``).  It names the pair (x, y) "x|y", the tuple
+(x1, ..., xk) "x1&...&xk" and value x of summand i "i.x", and records each
+value's structure in ``meta["parts"]``.  `restrict`,
 `prune`, `reduct`, `extend` and `rename_connectives` keep the parts of the
 values they keep; `projection` and `inclusion` read them, and refuse a matrix
 without them, such as one read from a file.
@@ -25,14 +27,17 @@ format cannot carry.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .syntax import Signature
 
-#: cap guarding the exponential constructions
-VALUE_CAP = 4096
+#: the most units one build of a product, sum or power may make: a value
+#: counts as many units as its part has components, and a table cell or an
+#: entry member one; at about 100 bytes a unit, some 200 MB
+BUILD_CAP = 2 ** 21
 
 Table = Mapping[tuple[str, ...], frozenset[str]]
 
@@ -41,15 +46,46 @@ class MatrixError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PNMatrix:
+    """A finite PNmatrix, a read-only value.
+
+    The initialiser is the one place a matrix is assembled.  It stores
+    read-only copies of every table, of the map of tables, of ``meta`` and
+    of ``meta["parts"]``, with each entry a frozenset, so nothing can change
+    under ``compiled``.  It does not validate; `make_matrix` does.  A matrix
+    is unhashable on purpose: it is compared by value, never used as a key.
+    """
+
     sig: Signature
     values: tuple[str, ...]
     designated: frozenset[str]
     tables: Mapping[str, Table]
     #: free-form metadata (fixture provenance, saturation flags, the structure
     #: of combined values under "parts"); not part of identity
-    meta: Mapping[str, object] = field(default_factory=dict, compare=False, hash=False)
+    meta: Mapping[str, object] = field(compare=False)
+
+    def __init__(
+        self,
+        sig: Signature,
+        values: Iterable[str],
+        designated: Iterable[str],
+        tables: Mapping[str, Mapping[tuple[str, ...], Iterable[str]]],
+        meta: Optional[Mapping[str, object]] = None,
+    ):
+        meta = dict(meta or {})
+        if "parts" in meta:
+            meta["parts"] = MappingProxyType(dict(meta["parts"]))
+        init = object.__setattr__
+        init(self, "sig", sig)
+        init(self, "values", tuple(values))
+        init(self, "designated", frozenset(designated))
+        init(self, "tables", MappingProxyType({
+            c: MappingProxyType({k: frozenset(v) for k, v in t.items()}) for c, t in tables.items()
+        }))
+        init(self, "meta", MappingProxyType(meta))
+
+    __hash__ = None
 
     def entry(self, conn: str, args: tuple[str, ...]) -> frozenset[str]:
         return self.tables[conn][args]
@@ -61,10 +97,15 @@ class PNMatrix:
         return all(len(e) <= 1 for t in self.tables.values() for e in t.values())
 
     # Derived data is built on first use and kept on the object.  Copies and
-    # pickles carry only the fields, so they start without it.
+    # pickles hand plain dicts back to the initialiser (a read-only map can be
+    # neither pickled nor deep-copied), so they start without it.
 
-    def __getstate__(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+    def __reduce__(self):
+        meta = dict(self.meta)
+        if "parts" in meta:
+            meta["parts"] = dict(meta["parts"])
+        tables = {c: dict(t) for c, t in self.tables.items()}
+        return type(self), (self.sig, self.values, self.designated, tables, meta)
 
     @cached_property
     def compiled(self) -> "CompiledMatrix":
@@ -79,14 +120,8 @@ def make_matrix(
     tables: Mapping[str, Mapping[tuple[str, ...], Iterable[str]]],
     meta: Optional[Mapping[str, object]] = None,
 ) -> PNMatrix:
-    """Normalize and validate a PNMatrix; raise MatrixError on any defect."""
-    m = PNMatrix(
-        sig=sig,
-        values=tuple(values),
-        designated=frozenset(designated),
-        tables={c: {k: frozenset(v) for k, v in t.items()} for c, t in tables.items()},
-        meta=dict(meta or {}),
-    )
+    """Build and validate a PNMatrix; raise MatrixError on any defect."""
+    m = PNMatrix(sig, values, designated, tables, meta)
     errors = validate(m)
     if errors:
         raise MatrixError("; ".join(errors))
@@ -123,9 +158,6 @@ def validate(m: PNMatrix) -> list[str]:
             errors.append(f"tables for undeclared connectives {sorted(extra)}")
     for name, arity in m.sig:
         table = m.tables.get(name)
-        if arity < 0:
-            errors.append(f"connective {name!r} has negative arity {arity}")
-            continue
         if table is None:
             continue
         expected = set(itertools.product(m.values, repeat=arity))
@@ -270,13 +302,8 @@ def format_matrix(m: PNMatrix) -> str:
 def reduct(m: PNMatrix, sub_sig: Signature) -> PNMatrix:
     if not sub_sig.is_subsignature_of(m.sig):
         raise MatrixError("reduct target is not a subsignature")
-    return PNMatrix(
-        sig=sub_sig,
-        values=m.values,
-        designated=m.designated,
-        tables={c: m.tables[c] for c in sub_sig.names()},
-        meta=_parts_meta(m, m.values),
-    )
+    tables = {c: m.tables[c] for c in sub_sig.names()}
+    return PNMatrix(sub_sig, m.values, m.designated, tables, _parts_meta(m, m.values))
 
 
 def extend(m: PNMatrix, big_sig: Signature) -> PNMatrix:
@@ -287,9 +314,7 @@ def extend(m: PNMatrix, big_sig: Signature) -> PNMatrix:
     tables = dict(m.tables)
     for name, arity in big_sig:
         if name not in m.sig:
-            # an empty table for a negative arity, which make_matrix rejects
-            cells = itertools.product(m.values, repeat=arity) if arity >= 0 else ()
-            tables[name] = {tup: full for tup in cells}
+            tables[name] = {tup: full for tup in itertools.product(m.values, repeat=arity)}
     # make_matrix rejects unwritable new names
     return make_matrix(big_sig, m.values, m.designated, tables, meta=_parts_meta(m, m.values))
 
@@ -317,13 +342,7 @@ def restrict(m: PNMatrix, keep: Iterable[str]) -> PNMatrix:
         }
         for c, t in m.tables.items()
     }
-    return PNMatrix(
-        sig=m.sig,
-        values=values,
-        designated=m.designated & keep_set,
-        tables=tables,
-        meta=_parts_meta(m, values),
-    )
+    return PNMatrix(m.sig, values, m.designated & keep_set, tables, _parts_meta(m, values))
 
 
 def _parts_meta(m: PNMatrix, values: Iterable[str]) -> dict:
@@ -339,30 +358,49 @@ def _parts_meta(m: PNMatrix, values: Iterable[str]) -> dict:
 # ---------------------------------------------------------------------------
 
 def _combination(
-    sig: Signature, parts: Sequence[tuple], name: Callable[[tuple], str],
-    designated: Iterable[tuple], entry: Callable[[str, tuple], Iterable[tuple]], **meta,
+    kind: str, sig: Signature, size: int, width: int, parts: Callable[[], Iterable[tuple]],
+    name: Callable[[tuple], str], designated: Callable[[tuple], bool],
+    entry: Callable[[str, tuple], Iterable[tuple]], **meta,
 ) -> PNMatrix:
-    """The matrix over the structured values `parts`, part p named `name(p)`.
+    """The `kind` of matrix over the `size` structured values `parts()`,
+    each of `width` components; part p is named `name(p)` and is designated
+    when `designated(p)`.
 
     `entry(c, combo)` gives the parts that connective c outputs on a tuple of
     parts.  ``meta["parts"]`` maps each value name back to its part.
+
+    Every product, sum and power is bounded here, by ``BUILD_CAP`` units: a
+    value counts `width` units, and a table cell and an entry member one.
+    The values and cells are counted from `size` before any part is made,
+    and the members as the tables fill, so a build past the bound raises
+    MatrixError before it takes the memory.  `size` may be a lower bound
+    when that is already past ``BUILD_CAP``.
     """
-    names = {p: name(p) for p in parts}
+    cells = sum(size ** k for _, k in sig)
+    units = size * width + cells
+    too_big = MatrixError(
+        f"{kind} needs more than {BUILD_CAP} values, table cells and entry members"
+        f" (at least {size} values and {cells} table cells)"
+    )
+    if units > BUILD_CAP:
+        raise too_big
+    names = {p: name(p) for p in parts()}
     if len(set(names.values())) != len(names):
         raise MatrixError("two combined values would get the same name")
-    tables = {
-        c: {
-            tuple(names[p] for p in combo): frozenset(names[q] for q in entry(c, combo))
-            for combo in itertools.product(parts, repeat=arity)
-        }
-        for c, arity in sig
-    }
+    tables = {}
+    for c, arity in sig:
+        table = tables[c] = {}
+        for combo in itertools.product(names, repeat=arity):
+            table[tuple(names[p] for p in combo)] = out = frozenset(names[q] for q in entry(c, combo))
+            units += len(out)
+            if units > BUILD_CAP:
+                raise too_big
     return PNMatrix(
-        sig=sig,
-        values=tuple(names.values()),
-        designated=frozenset(names[p] for p in designated),
-        tables=tables,
-        meta={"parts": {v: p for p, v in names.items()}, **meta},
+        sig,
+        names.values(),
+        (v for p, v in names.items() if designated(p)),
+        tables,
+        {"parts": {v: p for p, v in names.items()}, **meta},
     )
 
 
@@ -376,9 +414,7 @@ def strict_product(m1: PNMatrix, m2: PNMatrix) -> PNMatrix:
     """
     sig = m1.sig.union(m2.sig)  # raises on arity clash
     d1, d2 = m1.designated, m2.designated
-    pairs = [(x, y) for x in m1.values for y in m2.values if (x in d1) == (y in d2)]
-    if len(pairs) > VALUE_CAP:
-        raise MatrixError(f"strict product would have {len(pairs)} values (cap {VALUE_CAP})")
+    size = len(d1) * len(d2) + (len(m1.values) - len(d1)) * (len(m2.values) - len(d2))
     full1, full2 = frozenset(m1.values), frozenset(m2.values)
 
     def entry(c, combo):
@@ -386,8 +422,11 @@ def strict_product(m1: PNMatrix, m2: PNMatrix) -> PNMatrix:
         right = m2.entry(c, tuple(y for _, y in combo)) if c in m2.sig else full2
         return [(x, y) for x in left for y in right if (x in d1) == (y in d2)]
 
+    def pairs():
+        return ((x, y) for x in m1.values for y in m2.values if (x in d1) == (y in d2))
+
     return _combination(
-        sig, pairs, lambda p: f"{p[0]}|{p[1]}", [p for p in pairs if p[0] in d1], entry
+        "strict product", sig, size, 2, pairs, lambda p: f"{p[0]}|{p[1]}", lambda p: p[0] in d1, entry
     )
 
 
@@ -402,7 +441,7 @@ def strict_product_is_total(m1: PNMatrix, m2: PNMatrix) -> bool:
     bit 2: an undesignated one; a connective a side lacks gives its whole
     carrier).  The product is total iff, under every pattern both sides
     have, every two profiles share a bit.  Nothing is built, so
-    ``VALUE_CAP`` does not apply; an arity clash raises as in
+    ``BUILD_CAP`` does not apply; an arity clash raises as in
     ``strict_product``.
     """
     sig = m1.sig.union(m2.sig)  # raises on arity clash
@@ -433,9 +472,10 @@ def sum_matrices(ms: Sequence[PNMatrix]) -> PNMatrix:
     sig = ms[0].sig
     if any(m.sig != sig for m in ms):
         raise MatrixError("sum requires identical signatures")
-    tagged = [(i, x) for i, m in enumerate(ms) for x in m.values]
-    if len(tagged) > VALUE_CAP:
-        raise MatrixError(f"sum would have {len(tagged)} values (cap {VALUE_CAP})")
+    size = sum(len(m.values) for m in ms)
+
+    def tagged():
+        return ((i, x) for i, m in enumerate(ms) for x in m.values)
 
     def entry(c, combo):
         if not combo:  # a nullary entry is the union of the summands' entries
@@ -445,8 +485,10 @@ def sum_matrices(ms: Sequence[PNMatrix]) -> PNMatrix:
             return ()
         return [(i, x) for x in ms[i].entry(c, tuple(x for _, x in combo))]
 
-    designated = [(i, x) for i, x in tagged if x in ms[i].designated]
-    return _combination(sig, tagged, lambda p: f"{p[0]}.{p[1]}", designated, entry, summands=len(ms))
+    return _combination(
+        "sum", sig, size, 2, tagged, lambda p: f"{p[0]}.{p[1]}",
+        lambda p: p[1] in ms[p[0]].designated, entry, summands=len(ms),
+    )
 
 
 def power(m: PNMatrix, k: int) -> PNMatrix:
@@ -456,15 +498,19 @@ def power(m: PNMatrix, k: int) -> PNMatrix:
     """
     if k < 1:
         raise MatrixError("power requires k >= 1")
-    if len(m.values) ** k > VALUE_CAP:
-        raise MatrixError(f"power would have {len(m.values) ** k} values (cap {VALUE_CAP})")
-    tuples = list(itertools.product(m.values, repeat=k))
+    # past the bound for every k above 22 once there are two values, so a
+    # larger k is counted as 22, which keeps the count quick to compute
+    size = len(m.values) ** min(k, BUILD_CAP.bit_length())
+
+    def tuples():  # made once the bound holds: product(repeat=k) keeps k references
+        return itertools.product(m.values, repeat=k)
 
     def entry(c, combo):
         return itertools.product(*(m.entry(c, tuple(t[i] for t in combo)) for i in range(k)))
 
-    designated = [t for t in tuples if all(x in m.designated for x in t)]
-    return _combination(m.sig, tuples, "&".join, designated, entry)
+    return _combination(
+        "power", m.sig, size, k, tuples, "&".join, lambda t: all(x in m.designated for x in t), entry
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -39,12 +39,17 @@ class ParseError(ValueError):
 class Signature:
     """An arity-indexed family of connective names.
 
-    Names are unique across arities: a connective has exactly one arity.
-    Stored as a sorted tuple of (name, arity) pairs so signatures are
-    hashable and comparable.
+    Names are unique across arities: a connective has exactly one arity,
+    which is never negative.  Stored as a sorted tuple of (name, arity)
+    pairs so signatures are hashable and comparable.
     """
 
     connectives: tuple[tuple[str, int], ...] = ()
+
+    def __post_init__(self):
+        for name, k in self.connectives:
+            if k < 0:
+                raise ValueError(f"connective {name!r} has negative arity {k}")
 
     @staticmethod
     def of(mapping: Mapping[str, int] | Iterable[tuple[str, int]]) -> "Signature":

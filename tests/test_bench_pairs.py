@@ -73,3 +73,39 @@ def test_one_pair_and_the_report():
 def test_seed_lists():
     assert bench_pairs.seed_list("1-3,7") == [1, 2, 3, 7]
     assert bench_pairs.seed_list("5") == [5]
+
+
+def verdicts(parent_runs, change_runs, bound=0.25):
+    pairs = [(result(run_s=p), result(run_s=c)) for p, c in zip(parent_runs, change_runs)]
+    return bench_pairs.summarize(pairs, {"run_s": bound})["metrics"]["run_s"]["verdict"]
+
+
+def test_verdicts_against_the_bound():
+    # the change's median 1.3 is 30% above the parent's 1.0
+    assert verdicts([1.0, 1.0, 1.0], [1.3, 1.3, 1.3]) == "worse"
+    assert verdicts([1.0, 1.0, 1.0], [1.2, 1.2, 1.3]) == "within bound"
+    # the parent spans 0.8 to 1.1, 30% of its median: wider than the bound
+    assert verdicts([0.8, 1.0, 1.1], [0.9, 1.0, 1.0]) == "unresolved"
+    # unless every change run reads better than every parent run
+    assert verdicts([0.8, 1.0, 1.1], [0.7, 0.75, 0.79]) == "within bound"
+    assert verdicts([0.8, 1.0, 1.1], [0.7, 0.75, 0.8]) == "unresolved"
+    # a median past the bound is worse whatever the spread
+    assert verdicts([0.8, 1.0, 1.1], [1.3, 1.3, 1.3]) == "worse"
+    assert verdicts([0.8, 1.0, 1.1], [1.3, 1.3, 1.3], bound=0.4) == "within bound"
+
+
+def test_only_metrics_with_a_bound_get_a_verdict_column():
+    pairs = [(result(run_s=1.0, dfs_nodes=10), result(run_s=1.3, dfs_nodes=9))]
+    summary = bench_pairs.summarize(pairs, {"run_s": 0.25, "setup_s": 0.25})
+    assert summary["metrics"]["run_s"]["verdict"] == "worse"
+    assert "verdict" not in summary["metrics"]["dfs_nodes"]
+    lines = bench_pairs.report("cli", summary)
+    assert lines[1].split()[-1] == "verdict"
+    assert lines[2].split() == ["run_s", "1", "1.3", "0.0%", "+30.0%", "0", "of", "1", "worse"]
+    assert lines[3].split() == ["dfs_nodes", "10", "9", "0.0%", "-10.0%", "1", "of", "1"]
+
+
+def test_the_bounds_are_read_from_the_benchmark():
+    bounds = bench_pairs.end_to_end_bounds()
+    assert set(bounds) == {"setup_s", "run_s", "job_p50_ms", "peak_rss_mb"}
+    assert all(0 < b < 1 for b in bounds.values())

@@ -202,6 +202,16 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "pnmatrix: error: power requires k >= 1\n"
 
+    def test_a_product_past_the_build_bound_is_an_error(self, capsys):
+        argv = ["combine", "--left", "neg3", "--right", "sources", "--mode", "single", "--power", "3"]
+        assert run_cli(argv) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "pnmatrix: error: strict product needs more than 2097152 values, table cells and"
+            " entry members (at least 1464 values and 4288056 table cells)\n"
+        )
+
     def test_power_in_multiple_mode_is_an_error(self, capsys):
         argv = ["combine", "--left", "bool2", "--right", "bool2", "--mode", "multiple"]
         assert run_cli(argv + ["--power", "2", "--json"]) == EXIT_ERROR

@@ -228,11 +228,12 @@ class TestContextDecision:
                 assert d.certified is total and d.partitions_checked > 0
 
     def test_parts_past_the_value_cap_are_decided(self):
-        # the product would have 1 + 64 * 64 values; certified needs none of them
-        names = [f"v{i}" for i in range(65)]
+        # the product would have 1 + 1448 * 1448 values, past the build bound;
+        # certified needs none of them
+        names = [f"v{i}" for i in range(1449)]
         m = make_matrix(Signature.of({"neg": 1}), names, names[:1],
                         {"neg": {(v,): {v} for v in names}})
-        with pytest.raises(ValueError, match="cap"):
+        with pytest.raises(matrix_core.MatrixError, match="^strict product needs more than 2097152 values"):
             strict_product(m, m)
         neg_p = parse_formula("neg(p)", m.sig)
         d = decide_combined_ctx(m, m, [neg_p], [parse_formula("p", m.sig)])

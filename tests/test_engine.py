@@ -1,3 +1,4 @@
+import collections
 import copy
 import gc
 import itertools
@@ -5,7 +6,7 @@ import pickle
 import weakref
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pnmatrix import (
     App,
@@ -37,6 +38,7 @@ from pnmatrix.matrix_core import mask_bits
 from closure_reference import reference_closure
 from corpus import random_formula, random_query, seeded
 from oracle import brute_viable_sets, oracle_decide
+from power_reference import reference_decide_power
 from value_reference import reference_value_vector
 
 
@@ -1072,3 +1074,55 @@ class TestValueSearches:
         searches.clear()
         assert possible_values(pm, a, pm.values[3]) == frozenset(pm.values)
         assert len(searches) == 16
+
+
+#: two-valued classical tables over ``RANDOM_SIG``, with c false
+CLASSICAL = make_matrix(RANDOM_SIG, ["a", "b"], ["b"], {
+    "c": {(): {"a"}},
+    "neg": {("a",): {"b"}, ("b",): {"a"}},
+    "imp": {("a", "a"): {"b"}, ("a", "b"): {"b"}, ("b", "a"): {"a"}, ("b", "b"): {"b"}},
+})
+
+
+def assert_power_law(m, k, gamma, delta, pm=None):
+    """decide_multiple over ``power(m, k)`` answers as ``power_reference``
+    does from m, and every "no" on either side is a checked countermodel."""
+    pm = power(m, k) if pm is None else pm
+    v = decide_multiple(pm, gamma, delta)
+    answer, cm = reference_decide_power(m, k, gamma, delta)
+    assert v.answer == answer, (gamma, delta)
+    if answer == "no":
+        assert check_countermodel(pm, gamma, delta, v.countermodel) == []
+        assert check_countermodel(pm, gamma, delta, cm) == []
+    return answer
+
+
+class TestPowerConsequence:
+    """Consequence over a power, decided from its base (``power_reference``)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        small_matrices(),
+        st.sampled_from([2, 3]),
+        st.lists(random_formulas("pq"), max_size=2),
+        st.lists(random_formulas("pq"), max_size=3),
+    )
+    @example(CLASSICAL, 2, [], [Var("p"), App("neg", (Var("p"),))])  # refuted by a split alone
+    @example(CLASSICAL, 3, [Var("q")], [Var("p"), App("neg", (Var("p"),)), App("imp", (Var("q"), Var("p")))])
+    def test_random_matrices(self, m, k, gamma, delta):
+        assert_power_law(m, k, gamma, delta)
+
+    def test_sixteen_value_powers(self):
+        # power(bool2n, 4) is left out: some of its queries search for seconds
+        answers = collections.Counter()
+        for name, k in [("bool2", 4), ("sources", 2), ("kleene-ks", 2)]:
+            m = builtin(name)
+            pm = power(m, k)
+            assert len(pm.values) == 16
+            rng = seeded(f"power-consequence:{name}:{k}")
+            for _ in range(100):
+                gamma, delta = random_query(rng, m.sig, ("p", "q", "r", "s"), closure_cap=10)
+                answer = assert_power_law(m, k, gamma, delta, pm)
+                answers[answer, decide_multiple(m, gamma, delta).answer] += 1
+        # some queries fail over a power only through a proper split
+        assert answers["yes", "yes"] and answers["no", "no"] and answers["no", "yes"], answers

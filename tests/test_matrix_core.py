@@ -1,6 +1,10 @@
 import collections
+import copy
+import hashlib
 import itertools
 import pickle
+import re
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -32,6 +36,7 @@ from pnmatrix import (
     validate,
     viable_components,
 )
+from pnmatrix import combine_single_power, matrix_core
 from pnmatrix.matrix_core import strict_product_is_total
 
 from corpus import random_query, seeded
@@ -84,13 +89,13 @@ class TestValidation:
         assert str(e.value) == message
 
     def test_negative_arity_reported(self):
-        with pytest.raises(MatrixError, match="negative arity -1"):
-            make_matrix(Signature.of({"x": -1}), ["a"], ["a"], {"x": {}})
+        with pytest.raises(ValueError, match="^connective 'x' has negative arity -1$"):
+            Signature.of({"x": -1})
 
     def test_extend_reports_a_negative_arity(self):
-        m = builtin("bool2")
-        with pytest.raises(MatrixError, match="negative arity -1"):
-            extend(m, m.sig.union(Signature.of({"x": -1})))
+        # no signature with a negative arity can be made, so extend never sees one
+        with pytest.raises(ValueError, match="^connective 'x' has negative arity -1$"):
+            builtin("bool2").sig.union(Signature.of({"x": -1}))
 
     def test_empty_carrier_is_legal(self):
         m = make_matrix(Signature.of({"neg": 1}), [], [], {"neg": {}})
@@ -258,8 +263,10 @@ class TestCombinators:
             extend(bool2, neg3.sig)
         with pytest.raises(MatrixError, match="^sum of zero matrices$"):
             sum_matrices([])
-        # the cap is checked on the value count, before any table is built
-        with pytest.raises(MatrixError, match=r"^sum would have 4098 values \(cap 4096\)$"):
+        # the bound is checked on the value and cell counts, before any part is made
+        message = ("sum needs more than 2097152 values, table cells and entry members"
+                   " (at least 4098 values and 50384911 table cells)")
+        with pytest.raises(MatrixError, match=f"^{re.escape(message)}$"):
             sum_matrices([bool2] * 2049)
 
     def test_sum_tags_and_blocks_cross_terms(self):
@@ -536,3 +543,297 @@ class TestProductTotality:
         assert str(error.value) == str(product_error.value) == (
             "connective 'c' declared with arities 0 and 1"
         )
+
+
+# ---------------------------------------------------------------------------
+# matrices are read-only values
+# ---------------------------------------------------------------------------
+
+def kleene_luk3():
+    """A product with spurious values and parts, for the derived matrices."""
+    return strict_product(builtin("kleene-ks"), builtin("luk3"))
+
+
+MADE_BY = {
+    "make_matrix": lambda: only_neg(["a", "b"], ["a"]),
+    "read_matrix": lambda: read_matrix(format_matrix(builtin("bool2"))),
+    "builtin": lambda: builtin("bool2"),
+    "reduct": lambda: reduct(kleene_luk3(), Signature.of({"neg": 1, "imp": 2})),
+    "restrict": lambda: restrict(kleene_luk3(), kleene_luk3().values[::2]),
+    "prune": lambda: prune(kleene_luk3()),
+    "extend": lambda: extend(kleene_luk3(), kleene_luk3().sig.union(Signature.of({"box": 1}))),
+    "rename_connectives": lambda: rename_connectives(kleene_luk3(), {"imp": "to"}),
+    "strict_product": kleene_luk3,
+    "sum_matrices": lambda: sum_matrices([builtin("neg3"), builtin("neg3")]),
+    "power": lambda: power(builtin("neg3"), 2),
+}
+
+
+class TestReadOnly:
+    """Nothing can change a matrix after it is made, so nothing can change
+    under its compiled form, and ``builtin`` can share one object."""
+
+    @pytest.mark.parametrize("how", MADE_BY)
+    def test_tables_and_meta_are_read_only(self, how):
+        m = MADE_BY[how]()
+        assert ("parts" in m.meta) == (how not in ("make_matrix", "read_matrix", "builtin"))
+        c = next(iter(m.tables))
+        args = next(iter(m.tables[c]))
+        with pytest.raises(TypeError):
+            m.tables[c] = {}
+        with pytest.raises(TypeError):
+            m.tables[c][args] = frozenset()
+        with pytest.raises(TypeError):
+            m.meta["known_saturated"] = True
+        if "parts" in m.meta:
+            with pytest.raises(TypeError):
+                m.meta["parts"][m.values[0]] = ()
+
+    def test_the_initialiser_copies_what_it_is_given(self):
+        tables = {"neg": {("a",): {"b"}, ("b",): {"a"}}}
+        meta = {"parts": {"a": ("x",), "b": ("y",)}}
+        m = make_matrix(Signature.of({"neg": 1}), ["a", "b"], ["a"], tables, meta)
+        tables["neg"][("a",)] = {"a"}
+        tables["imp"] = {}
+        meta["parts"]["a"] = ("z",)
+        meta["summands"] = 1
+        assert dict(m.tables["neg"]) == {("a",): {"b"}, ("b",): {"a"}}
+        assert set(m.tables) == {"neg"}
+        assert dict(m.meta["parts"]) == {"a": ("x",), "b": ("y",)}
+        assert set(m.meta) == {"parts"}
+
+    def test_equal_matrices_answer_alike(self):
+        # two equal copies of bool2 once answered one query "yes" and "no"
+        a, b = copy.deepcopy(builtin("bool2")), copy.deepcopy(builtin("bool2"))
+        gamma, delta = [parse_formula("p", a.sig)], [parse_formula("neg(neg(p))", a.sig)]
+        assert decide_multiple(a, gamma, delta).answer == "yes"
+        for m in (a, b):
+            with pytest.raises(TypeError):
+                m.tables["neg"][("0",)] = frozenset({"0"})
+        assert a == b
+        assert decide_multiple(b, gamma, delta).answer == "yes"
+
+    def test_a_matrix_is_unhashable(self):
+        with pytest.raises(TypeError, match="unhashable type: 'PNMatrix'"):
+            hash(builtin("bool2"))
+
+    def test_copies_keep_their_parts_read_only(self):
+        s = sum_matrices([builtin("neg3"), builtin("neg3")])
+        for twin in (copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert twin == s and twin.meta == s.meta
+            assert twin.meta["summands"] == 2
+            with pytest.raises(TypeError):
+                twin.meta["parts"]["0.0"] = ()
+            assert inclusion(twin, 1) == inclusion(s, 1)
+
+
+# ---------------------------------------------------------------------------
+# the build bound
+# ---------------------------------------------------------------------------
+
+class TestBuildBound:
+    @pytest.mark.parametrize("build, width", [
+        (lambda: strict_product(builtin("bool2"), builtin("kleene-ks")), 2),
+        (lambda: sum_matrices([builtin("neg3"), only_neg(["x"], [])]), 2),
+        (lambda: power(builtin("bool2n"), 3), 3),
+    ], ids=["product", "sum", "power"])
+    def test_values_cells_and_members_are_counted(self, monkeypatch, build, width):
+        m = build()
+        cells = sum(len(t) for t in m.tables.values())
+        members = sum(len(e) for t in m.tables.values() for e in t.values())
+        units = len(m.values) * width + cells + members
+        monkeypatch.setattr(matrix_core, "BUILD_CAP", units)
+        assert build() == m
+        # one unit less stops the build as its tables fill; less than the
+        # values and cells stops it before any part is made
+        for cap in (units - 1, len(m.values) * width + cells - 1):
+            monkeypatch.setattr(matrix_core, "BUILD_CAP", cap)
+            with pytest.raises(MatrixError, match=f"needs more than {cap} values, table cells"):
+                build()
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: combine_single_power(builtin("neg3"), builtin("sources"), 3),
+         "strict product needs more than 2097152 values, table cells and entry members"
+         " (at least 1464 values and 4288056 table cells)"),
+        (lambda: power(builtin("sources"), 7),
+         "power needs more than 2097152 values, table cells and entry members"
+         " (at least 16384 values and 536887296 table cells)"),
+        (lambda: sum_matrices([builtin("bool2")] * 2049),
+         "sum needs more than 2097152 values, table cells and entry members"
+         " (at least 4098 values and 50384911 table cells)"),
+        (lambda: power(builtin("neg3"), 21),
+         "power needs more than 2097152 values, table cells and entry members"
+         " (at least 10460353203 values and 10460353203 table cells)"),
+        (lambda: power(nullary(["0", "1"], ["1"], {"0", "1"}), 20),  # only a nullary connective
+         "power needs more than 2097152 values, table cells and entry members"
+         " (at least 1048576 values and 1 table cells)"),
+        (lambda: power(builtin("bool2"), 10 ** 9),  # counted as the 22nd power
+         "power needs more than 2097152 values, table cells and entry members"
+         " (at least 4194304 values and 52776562327553 table cells)"),
+    ], ids=["defect-2-product", "sources^7", "2049-summands", "neg3^21", "nullary^20", "bool2^1e9"])
+    def test_a_build_past_the_bound_stops_before_it_allocates(self, build, message):
+        tracemalloc.start()
+        try:
+            with pytest.raises(MatrixError, match=f"^{re.escape(message)}$"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# the bytes of constructed matrices
+# ---------------------------------------------------------------------------
+
+#: per construction, the first 16 hex digits of the sha256 of its
+#: ``format_matrix`` text and of the repr of its meta (see ``plain_meta``),
+#: computed before products, sums and powers made their parts lazily and
+#: took designation as a predicate
+CONSTRUCTED_DIGESTS = {
+    "product:bool2:bool2": ("c22d277b29844d88", "87e889e3182c7a56"),
+    "product:bool2:bool2n": ("db3d1e963804e6af", "87e889e3182c7a56"),
+    "product:bool2:kleene-imp": ("064843ddcb94dde0", "a064df730d21c05d"),
+    "product:bool2:kleene-ks": ("f4911f14466ab6f1", "6e642bf761345402"),
+    "product:bool2:luk-imp": ("f5d52f85da43978a", "a064df730d21c05d"),
+    "product:bool2:luk3": ("85771923d7bec15b", "a064df730d21c05d"),
+    "product:bool2:neg3": ("542a5571647b110a", "a064df730d21c05d"),
+    "product:bool2:sources": ("61f876659b75bcfa", "064feae750602736"),
+    "product:bool2n:bool2": ("db3d1e963804e6af", "87e889e3182c7a56"),
+    "product:bool2n:bool2n": ("cffa2f0bb2cc75ce", "87e889e3182c7a56"),
+    "product:bool2n:kleene-imp": ("d709d81ccc0aeb79", "a064df730d21c05d"),
+    "product:bool2n:kleene-ks": ("7c2c68c772c9aac7", "6e642bf761345402"),
+    "product:bool2n:luk-imp": ("c9e915493c39a2d4", "a064df730d21c05d"),
+    "product:bool2n:luk3": ("e3f803a1e1363faf", "a064df730d21c05d"),
+    "product:bool2n:neg3": ("3ae86069af64ff6d", "a064df730d21c05d"),
+    "product:bool2n:sources": ("56ac1ad4ca61627a", "064feae750602736"),
+    "product:kleene-imp:bool2": ("5e09627da681bc59", "a97ce32cb99e356d"),
+    "product:kleene-imp:bool2n": ("7a19452277552a49", "a97ce32cb99e356d"),
+    "product:kleene-imp:kleene-imp": ("b4f9cc0e4df57978", "b3f84d8398e1eecd"),
+    "product:kleene-imp:kleene-ks": ("d1a08eca8b14ccf2", "0bbc4ef448fe9755"),
+    "product:kleene-imp:luk-imp": ("e10cbbad87226e20", "b3f84d8398e1eecd"),
+    "product:kleene-imp:luk3": ("e00dc790e106e6eb", "b3f84d8398e1eecd"),
+    "product:kleene-imp:neg3": ("9e87fd552089fcbd", "b3f84d8398e1eecd"),
+    "product:kleene-imp:sources": ("7bc9e533bf92d41d", "0d703ea63505922c"),
+    "product:kleene-ks:bool2": ("b6ba3b15c60c31f2", "cee806f6ff152e85"),
+    "product:kleene-ks:bool2n": ("1587d136148c6922", "cee806f6ff152e85"),
+    "product:kleene-ks:kleene-imp": ("28920210822b0d3b", "93fa8865c241308b"),
+    "product:kleene-ks:kleene-ks": ("97bead496d4e5baa", "bbb514713c3534b9"),
+    "product:kleene-ks:luk-imp": ("68846509178d6854", "93fa8865c241308b"),
+    "product:kleene-ks:luk3": ("6f99a7c84efe2811", "93fa8865c241308b"),
+    "product:kleene-ks:neg3": ("cb977ae9061a99f7", "93fa8865c241308b"),
+    "product:kleene-ks:sources": ("ba6740163aa6b551", "05363cff16dd64b4"),
+    "product:luk-imp:bool2": ("0c5737a7de403e59", "a97ce32cb99e356d"),
+    "product:luk-imp:bool2n": ("54bd1ade00355bed", "a97ce32cb99e356d"),
+    "product:luk-imp:kleene-imp": ("839bc79a0d4ed060", "b3f84d8398e1eecd"),
+    "product:luk-imp:kleene-ks": ("65554c8003ff69ec", "0bbc4ef448fe9755"),
+    "product:luk-imp:luk-imp": ("a57d1fabbb12c279", "b3f84d8398e1eecd"),
+    "product:luk-imp:luk3": ("2f49ce2c91e7db30", "b3f84d8398e1eecd"),
+    "product:luk-imp:neg3": ("9e9757f15f3dd4f4", "b3f84d8398e1eecd"),
+    "product:luk-imp:sources": ("354a7eef8145c39d", "0d703ea63505922c"),
+    "product:luk3:bool2": ("1bf757f663b50eb4", "a97ce32cb99e356d"),
+    "product:luk3:bool2n": ("c47a3c305b04c6f6", "a97ce32cb99e356d"),
+    "product:luk3:kleene-imp": ("34f78c19a0779c52", "b3f84d8398e1eecd"),
+    "product:luk3:kleene-ks": ("aa4d63b9eb6df1bb", "0bbc4ef448fe9755"),
+    "product:luk3:luk-imp": ("5fbda279e1b984ee", "b3f84d8398e1eecd"),
+    "product:luk3:luk3": ("d5ca5278bd6db965", "b3f84d8398e1eecd"),
+    "product:luk3:neg3": ("860959dd0fcc01af", "b3f84d8398e1eecd"),
+    "product:luk3:sources": ("587c3b284555bba9", "0d703ea63505922c"),
+    "product:neg3:bool2": ("510d579dcc515853", "a97ce32cb99e356d"),
+    "product:neg3:bool2n": ("cafa05cf2ca8d0a1", "a97ce32cb99e356d"),
+    "product:neg3:kleene-imp": ("ddee147c35f58222", "b3f84d8398e1eecd"),
+    "product:neg3:kleene-ks": ("a87e6c07ae0df9a6", "0bbc4ef448fe9755"),
+    "product:neg3:luk-imp": ("c553ee6b0bd96159", "b3f84d8398e1eecd"),
+    "product:neg3:luk3": ("f6144950771b5a78", "b3f84d8398e1eecd"),
+    "product:neg3:neg3": ("1ba3d64c4c1413d1", "b3f84d8398e1eecd"),
+    "product:neg3:sources": ("c1d41f2730c0f662", "0d703ea63505922c"),
+    "product:sources:bool2": ("096ad016563c014e", "2106f899063b7438"),
+    "product:sources:bool2n": ("91b5709fc4099023", "2106f899063b7438"),
+    "product:sources:kleene-imp": ("d79e988a1bb94a03", "cc8d444fc939f8d0"),
+    "product:sources:kleene-ks": ("8cfad26f3630f985", "0448591e43d386c3"),
+    "product:sources:luk-imp": ("756862db85d5d983", "cc8d444fc939f8d0"),
+    "product:sources:luk3": ("8fd4206a7f09e706", "cc8d444fc939f8d0"),
+    "product:sources:neg3": ("32dac8c226879ca4", "cc8d444fc939f8d0"),
+    "product:sources:sources": ("ba4440163c61224f", "1051f30dcc9867d3"),
+    "power:bool2:2": ("a0febaee7140b234", "a1374ca52523d799"),
+    "power:bool2:3": ("4514bf5888a1b30a", "8a91d7684614a1f4"),
+    "power:bool2n:2": ("a9c82b71ef3eed9c", "a1374ca52523d799"),
+    "power:bool2n:3": ("40e8981de2dc7bd2", "8a91d7684614a1f4"),
+    "power:kleene-imp:2": ("b3df72c003736a0f", "abb2786a1220f9ed"),
+    "power:kleene-imp:3": ("fe65c748ba11777f", "785c8265487cb7ac"),
+    "power:kleene-ks:2": ("1ae8bcadafffccaf", "d74e0cae7833989b"),
+    "power:kleene-ks:3": ("4e1894d633002ca8", "eda7a6eeba3fb6f2"),
+    "power:luk-imp:2": ("9dfb90e07c28640e", "abb2786a1220f9ed"),
+    "power:luk-imp:3": ("c01dace289cd5c66", "785c8265487cb7ac"),
+    "power:luk3:2": ("e32528bfa0878e1d", "abb2786a1220f9ed"),
+    "power:luk3:3": ("3b739dbb6becee34", "785c8265487cb7ac"),
+    "power:neg3:2": ("1a5476d85ff5fa28", "abb2786a1220f9ed"),
+    "power:neg3:3": ("723383b846d39133", "785c8265487cb7ac"),
+    "power:sources:2": ("a50841d399050b69", "851b1871cf4efbd3"),
+    "power:sources:3": ("116965225495bd01", "780a38af676a4768"),
+    "sum:bool2:bool2": ("aed200f5c891afef", "f6cd6c10b15a8565"),
+    "sum:bool2n:bool2n": ("60714ea0fdc54cfe", "f6cd6c10b15a8565"),
+    "sum:kleene-imp:kleene-imp": ("0aa851f024a0a731", "98921860ff94f0b6"),
+    "sum:kleene-imp:luk-imp": ("f6fa9bdcf62419aa", "98921860ff94f0b6"),
+    "sum:kleene-ks:kleene-ks": ("d23a99cd31ea1fb6", "9245f3cfe658a7fb"),
+    "sum:kleene-ks:sources": ("6427a86aa3c80536", "582056aa9f4633b2"),
+    "sum:luk-imp:kleene-imp": ("a7e6c5aa8e2fce46", "98921860ff94f0b6"),
+    "sum:luk-imp:luk-imp": ("af565fbd682d35f2", "98921860ff94f0b6"),
+    "sum:luk3:luk3": ("27b0be21747f7cfa", "98921860ff94f0b6"),
+    "sum:neg3:neg3": ("a5bd4046393eabe9", "98921860ff94f0b6"),
+    "sum:sources:kleene-ks": ("0920ab3172d8159a", "3e3531115e365afc"),
+    "sum:sources:sources": ("f2042e5170c447fa", "0f1db82e96492f34"),
+    "prune": ("0bae3a0fce1b8380", "b9b043560e7011e0"),
+    "reduct": ("0d914fde95bd153e", "93fa8865c241308b"),
+    "restrict": ("dbe0663c5fed0106", "621618b4c1497e44"),
+    "extend": ("92cafa2a4360e661", "93fa8865c241308b"),
+    "rename_connectives": ("88b5b484c25c79f4", "93fa8865c241308b"),
+}
+
+CONSTRUCTIONS = (
+    [f"product:{a}:{b}" for a, b in itertools.product(fixture_names(), repeat=2)]
+    + [f"power:{a}:{k}" for a in fixture_names() for k in (2, 3)]
+    + [f"sum:{a}:{b}" for a, b in itertools.product(fixture_names(), repeat=2)
+       if builtin(a).sig == builtin(b).sig]
+    + ["prune", "reduct", "restrict", "extend", "rename_connectives"]
+)
+
+DERIVED = {
+    "prune": prune,
+    "reduct": lambda p: reduct(p, Signature.of({"neg": 1, "imp": 2})),
+    "restrict": lambda p: restrict(p, p.values[::2]),
+    "extend": lambda p: extend(p, p.sig.union(Signature.of({"box": 1, "top": 0}))),
+    "rename_connectives": lambda p: rename_connectives(p, {"and": "or", "or": "and", "imp": "to"}),
+}
+
+
+def constructed(case):
+    """The matrix a case of ``CONSTRUCTIONS`` names."""
+    kind, *args = case.split(":")
+    if kind == "product":
+        return strict_product(builtin(args[0]), builtin(args[1]))
+    if kind == "power":
+        return power(builtin(args[0]), int(args[1]))
+    if kind == "sum":
+        return sum_matrices([builtin(a) for a in args])
+    return DERIVED[kind](kleene_luk3())
+
+
+def plain_meta(m):
+    """m's meta with its parts as a plain dict."""
+    return {k: dict(v) if k == "parts" else v for k, v in m.meta.items()}
+
+
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TestConstructedBytes:
+    def test_every_construction_is_pinned(self):
+        assert sorted(CONSTRUCTIONS) == sorted(CONSTRUCTED_DIGESTS)
+
+    @pytest.mark.parametrize("case", CONSTRUCTIONS)
+    def test_file_bytes_and_parts(self, case):
+        m = constructed(case)
+        assert validate(m) == []
+        assert (digest(format_matrix(m)), digest(repr(plain_meta(m)))) == CONSTRUCTED_DIGESTS[case]
