@@ -25,13 +25,12 @@ from .matrix_core import PNMatrix, power, strict_product, strict_product_is_tota
 from .syntax import (
     Formula,
     MonolithMap,
-    Substitution,
-    apply_substitution,
+    compile_schema,
     ill_formed_node,
+    instantiate,
     print_formula,
     skeleton,
     subformula_closure,
-    variables,
 )
 
 if TYPE_CHECKING:
@@ -165,7 +164,9 @@ def decide_combined_ctx(
     the first bad subformula as the caller wrote it.
 
     Each side skeletonises every context formula once, under one
-    ``MonolithMap``, and indexes one ``Closure`` over those skeletons; a
+    ``MonolithMap`` and so one memo: the context is closed under
+    subformulas, so each node is rebuilt once, from its arguments'
+    skeletons.  Each side indexes one ``Closure`` over those skeletons; a
     partition is then one ``PremiseContext`` on that closure, asked once
     for the right side (multiple mode) or once per conclusion (single
     mode).  Skeletons under one map differ from those of a map per
@@ -240,9 +241,13 @@ def axiom_instances(
     """Instances of the axioms under all substitutions into the universe.
 
     Deterministic order: axioms in the given order, substitution targets in
-    the universe's order.  Raises ValueError past the instance cap, before
-    building a schema whose instances alone pass it: distinct substitutions
-    of an axiom's variables give distinct instances.
+    the universe's order, for the axiom's variables in name order.  Raises
+    ValueError past the instance cap, before building a schema whose
+    instances alone pass it: distinct substitutions of an axiom's variables
+    give distinct instances.  Each axiom is compiled once
+    (``syntax.compile_schema``), so an instance costs one node look-up per
+    compound node of the axiom, and a subformula repeated in it is built
+    once.
     """
     if cap < 0:
         raise ValueError(f"cap must be at least 0, got {cap}")
@@ -250,11 +255,11 @@ def axiom_instances(
     out: list[Formula] = []
     seen: set[Formula] = set()
     for ax in axioms:
-        vs = sorted(variables(ax))
-        if len(universe) ** len(vs) > cap:
+        schema = compile_schema(ax)
+        if len(universe) ** len(schema[0]) > cap:
             raise ValueError(f"more than {cap} axiom instances")
-        for targets in itertools.product(universe, repeat=len(vs)):
-            inst = apply_substitution(ax, Substitution.of(dict(zip(vs, targets))))
+        for targets in itertools.product(universe, repeat=len(schema[0])):
+            inst = instantiate(schema, targets)
             if inst not in seen:
                 seen.add(inst)
                 out.append(inst)

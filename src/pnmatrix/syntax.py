@@ -7,7 +7,19 @@ parse as applications with zero arguments.
 
 Formulas are hash-consed (Filliâtre and Conchon, "Type-safe modular
 hash-consing", 2006): ``Var``/``App`` return the one live node for their
-formula, so ``==`` is identity.  No function here recurses on formula depth.
+formula, so ``==`` is identity.  The table of live nodes is a plain dict
+from a node's key to a weak reference that carries the key.  Finding a node
+is one look-up and one dereference, without a lock; a new node is checked,
+built with direct slot writes, and inserted under a lock after a second
+look-up.  A dead node's reference removes its own entry, unless a new node
+has taken the key since.
+
+The two rewrites walk each node once.  ``skeleton`` keeps a memo per
+subsignature in its ``MonolithMap``, so the formulas of one session share
+their rebuilt subformulas.  ``apply_substitution`` and
+``combine.axiom_instances`` compile a formula once (``compile_schema``) and
+make an instance with one node look-up per compound node
+(``instantiate``).  No function here recurses on formula depth.
 """
 
 from __future__ import annotations
@@ -15,6 +27,7 @@ from __future__ import annotations
 import re
 import threading
 import weakref
+from _weakref import _remove_dead_weakref
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -100,15 +113,35 @@ class Signature:
 # Formulas
 # ---------------------------------------------------------------------------
 
-#: the live nodes, under (name,) for a variable and (head, args) for an
-#: application; weakly held, so a formula nothing else uses is freed
-_nodes: "weakref.WeakValueDictionary[tuple, Formula]" = weakref.WeakValueDictionary()
-#: one look-up-and-insert at a time; reentrant, as a collection inside may run any code
+#: the live nodes' entries (see ``_Entry``), under its name for a variable
+#: and (head, args) for an application
+_nodes: dict[object, "_Entry"] = {}
+#: guards a new node's second look-up and insert; reentrant, as a collection inside may run any code
 _intern_lock = threading.RLock()
 #: larger nodes print their text when asked, so that a deep formula keeps no text per node
 _TEXT_SIZE = 64
 #: the closure order of nodes that all keep their text (see ``subformula_closure``)
 _size_and_text = attrgetter("size", "_text")
+
+
+class _Entry(weakref.ref):
+    """The table's entry for a live node: a weak reference, so that a
+    formula nothing else uses is freed, carrying the node's key, so that the
+    node's death removes its own entry (``_forget``)."""
+
+    __slots__ = ("key",)
+
+
+def _forget(entry: _Entry, remove=_remove_dead_weakref, nodes=_nodes) -> None:
+    """Drop a dead node's entry, unless a new node has taken its key since:
+    ``remove`` deletes the key only while it maps to a dead reference, in
+    one step, as ``weakref.WeakValueDictionary`` does."""
+    remove(nodes, entry.key)
+
+
+def _absent() -> None:
+    """What a key no node holds looks up: a reference to nothing."""
+    return None
 
 
 class _Node:
@@ -130,16 +163,18 @@ class _Node:
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {print_formula(self)}>"
 
-    @classmethod
-    def _intern(cls, key: tuple, **fields) -> "Formula":
-        with _intern_lock:
-            node = _nodes.get(key)
-            if node is None:
-                node = object.__new__(cls)
-                for name, value in fields.items():
-                    object.__setattr__(node, name, value)
-                _nodes[key] = node
-        return node
+
+def _intern(key, node: "Formula") -> "Formula":
+    """The live node under key; if there is none, node, entered as the one.
+    A thread that loses the race to insert gets the winner's node."""
+    with _intern_lock:
+        live = _nodes.get(key, _absent)()
+        if live is None:
+            entry = _new_entry(_Entry, node, _forget)
+            _set_key(entry, key)
+            _nodes[key] = entry
+            return node
+    return live
 
 
 class Var(_Node):
@@ -147,7 +182,18 @@ class Var(_Node):
     head, args, size = None, (), 1  # so that formula walks need no case for variables
 
     def __new__(cls, name: str) -> "Var":
-        return _nodes.get((name,)) or cls._intern((name,), name=name, _text=name)
+        try:
+            node = _nodes.get(name, _absent)()
+        except TypeError:  # unhashable: refused by name below
+            node = None
+        if node is None:
+            if not isinstance(name, str):
+                raise TypeError(f"a variable's name must be a str, not {name!r}")
+            node = _new(cls)
+            _set_name(node, name)
+            _set_text(node, name)
+            node = _intern(name, node)
+        return node
 
     def __reduce__(self):
         return Var, (self.name,)
@@ -158,13 +204,28 @@ class App(_Node):
 
     def __new__(cls, head: str, args: Iterable["Formula"] = ()) -> "App":
         args = tuple(args)
-        node = _nodes.get((head, args))
+        try:
+            node = _nodes.get((head, args), _absent)()
+        except TypeError:  # unhashable: refused by name below
+            node = None
         if node is None:
-            size = 1 + sum(a.size for a in args)
+            if not isinstance(head, str):
+                raise TypeError(f"an application's head must be a str, not {head!r}")
+            size, texts = 1, []
+            for a in args:
+                if not isinstance(a, _Node):
+                    raise TypeError(f"an argument of {head!r} must be a formula, not {a!r}")
+                size += a.size
+                texts.append(a._text)
             text = None
-            if size <= _TEXT_SIZE:  # and so are the arguments
-                text = f"{head}({', '.join(a._text for a in args)})" if args else head
-            node = cls._intern((head, args), head=head, args=args, size=size, _text=text)
+            if size <= _TEXT_SIZE:  # and so are the arguments, which all have text
+                text = f"{head}({', '.join(texts)})" if args else head
+            node = _new(cls)
+            _set_head(node, head)
+            _set_args(node, args)
+            _set_size(node, size)
+            _set_text(node, text)
+            node = _intern((head, args), node)
         return node
 
     def __reduce__(self):
@@ -172,6 +233,12 @@ class App(_Node):
 
 
 Formula = Union[Var, App]
+
+# a new node's or entry's slots are written directly, past the refusal in
+# ``__setattr__`` and without a Python-level initialiser
+_new, _new_entry, _set_key = object.__new__, weakref.ref.__new__, _Entry.key.__set__
+_set_name, _set_text = Var.name.__set__, _Node._text.__set__
+_set_head, _set_args, _set_size = App.head.__set__, App.args.__set__, App.size.__set__
 
 
 def _walk(roots: Iterable[Formula]) -> dict[Formula, None]:
@@ -186,23 +253,26 @@ def _walk(roots: Iterable[Formula]) -> dict[Formula, None]:
     return nodes
 
 
-def _rebuild(f: Formula, leaf, keep=None) -> Formula:
+def _rebuild(f: Formula, leaf, keep, memo: dict[Formula, Formula]) -> Formula:
     """f with each maximal subformula g that is a variable, or whose head
-    fails keep(g), replaced by leaf(g).  Post-order without recursion, so
-    leaf sees the replaced subformulas left to right."""
-    out: dict[Formula, Formula] = {}
-    stack = [f]
+    fails keep(g), replaced by leaf(g).  Depth first without recursion, so
+    leaf sees the replaced subformulas left to right, and keep sees each
+    node at most once.  memo maps the nodes rebuilt so far to their
+    results, and gains f's; calls that pass one memo, with one leaf and
+    keep, share it, so each node is rebuilt once."""
+    stack: list = [f]
     while stack:
-        g = stack[-1]
-        kept = g.head is not None and (keep is None or keep(g))
-        todo = [a for a in g.args if a not in out] if kept else ()
-        if todo:
-            stack.extend(reversed(todo))
-            continue
-        stack.pop()
-        if g not in out:
-            out[g] = App(g.head, tuple(out[a] for a in g.args)) if kept else leaf(g)
-    return out[f]
+        g = stack.pop()
+        if g is None:  # the next node's arguments are all rebuilt
+            g = stack.pop()
+            memo[g] = App(g.head, tuple([memo[a] for a in g.args]))
+        elif g not in memo:
+            if g.head is not None and keep(g):
+                stack += (g, None)
+                stack += reversed(g.args)
+            else:
+                memo[g] = leaf(g)
+    return memo[f]
 
 
 def print_formula(f: Formula) -> str:
@@ -394,8 +464,41 @@ class Substitution:
         return Var(name)
 
 
+def compile_schema(f: Formula) -> tuple:
+    """f as a plan for its instances: (names, steps, root).  names are f's
+    variables, sorted; slot i holds the target of names[i].  steps are f's
+    distinct compound nodes in post-order, each its head and the slots of
+    its arguments, and fills the next slot; root is the slot of f."""
+    names = tuple(sorted(variables(f)))
+    slot = {Var(n): i for i, n in enumerate(names)}
+    steps = []
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        todo = [a for a in g.args if a not in slot]
+        if todo:
+            stack.extend(reversed(todo))
+            continue
+        stack.pop()
+        if g not in slot:
+            slot[g] = len(slot)
+            steps.append((g.head, tuple([slot[a] for a in g.args])))
+    return names, tuple(steps), slot[f]
+
+
+def instantiate(schema: tuple, targets: Iterable[Formula]) -> Formula:
+    """The instance of a compiled schema that puts targets[i] for its
+    variable names[i]: one node made or found per compound node."""
+    _, steps, root = schema
+    filled = list(targets)
+    for head, slots in steps:
+        filled.append(App(head, tuple(map(filled.__getitem__, slots))))
+    return filled[root]
+
+
 def apply_substitution(f: Formula, s: Substitution) -> Formula:
-    return _rebuild(f, lambda g: s(g.name))
+    schema = compile_schema(f)
+    return instantiate(schema, [s(name) for name in schema[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +519,8 @@ class MonolithMap:
     def __init__(self) -> None:
         self.var_of_monolith: dict[Formula, str] = {}
         self.monolith_of_var: dict[str, Formula] = {}
+        #: per subsignature, the skeleton of every node translated so far
+        self.skeletons: dict[Signature, dict[Formula, Formula]] = {}
 
     def fresh_for(self, monolith: Formula, sub_sig: Signature) -> str:
         if monolith in self.var_of_monolith:
@@ -434,11 +539,15 @@ def skeleton(f: Formula, sub_sig: Signature, mm: MonolithMap) -> tuple[Formula, 
     Connectives of sub_sig are kept; variables p are renamed to v_p; any other
     subformula is a monolith and is replaced by its fresh variable from mm.
     Neither kind of name is one that sub_sig declares (see ``MonolithMap``).
+    The calls of one session into one subsignature share a memo in mm, so
+    a node skeletonised once is not walked again.
     """
     def leaf(g: Formula) -> Var:
         name = f"v_{g.name}" if g.head is None else mm.fresh_for(g, sub_sig)
-        while name in sub_sig:  # only a variable's (fresh_for's are undeclared)
+        while name in arity:  # only a variable's (fresh_for's are undeclared)
             name = f"v_{name}"
         return Var(name)
 
-    return _rebuild(f, leaf, lambda g: g.head in sub_sig), mm
+    arity = sub_sig._arity
+    memo = mm.skeletons.setdefault(sub_sig, {})
+    return _rebuild(f, leaf, lambda g: g.head in arity, memo), mm

@@ -3,11 +3,15 @@ import itertools
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from corpus import random_formula, seeded
+from corpus import random_formula, random_query, seeded
 from partition_reference import reference_decide_combined_ctx
+from rewrite_reference import reference_axiom_instances, reference_skeleton
+from test_syntax import formulas
 from pnmatrix import (
     AxiomSet,
+    MonolithMap,
     SaturationRefused,
     Signature,
     builtin,
@@ -26,6 +30,7 @@ from pnmatrix import (
     prune,
     reduct,
     rename_connectives,
+    skeleton,
     strict_product,
     subformula_closure,
     viable_components,
@@ -170,6 +175,28 @@ class TestContextDecision:
                 assert got == want, (a, b, mode, gamma, delta, extra)
                 answers[mode, got.answer] += 1
         assert sum(answers.values()) == 36 * 12 and len(answers) == 4, answers
+
+    def test_context_skeletons_equal_the_per_formula_walks(self):
+        # one map, and so one memo, per side, as decide_combined_ctx uses
+        # them, over every fixture pair that has a common signature
+        rng = seeded("ctx-skeletons")
+        pairs = 0
+        for a, b in itertools.combinations_with_replacement(fixture_names(), 2):
+            m1, m2 = builtin(a), builtin(b)
+            try:
+                union = m1.sig.union(m2.sig)
+            except ValueError:
+                continue
+            pairs += 1
+            for _ in range(3):
+                gamma, delta = random_query(rng, union, ("p", "q"), closure_cap=combine.CTX_CAP)
+                ctx = subformula_closure(gamma + delta)
+                for m in (m1, m2):
+                    mm, ref = MonolithMap(), MonolithMap()
+                    shared = [skeleton(f, m.sig, mm)[0] for f in ctx]
+                    assert shared == [reference_skeleton(f, m.sig, ref) for f in ctx], (a, b)
+                    assert list(mm.var_of_monolith.items()) == list(ref.var_of_monolith.items())
+        assert pairs == 36
 
     def test_one_closure_per_side(self, monkeypatch):
         built = []
@@ -339,9 +366,11 @@ class TestAxioms:
 
     def test_cap_is_checked_before_a_schema_is_built(self, monkeypatch):
         built = []
-        substitute = combine.apply_substitution
+        instantiate = combine.instantiate
         monkeypatch.setattr(
-            combine, "apply_substitution", lambda f, s: built.append(f) or substitute(f, s)
+            combine,
+            "instantiate",
+            lambda schema, targets: built.append(targets) or instantiate(schema, targets),
         )
         u = subformula_closure([self.pf("squig(p, squig(q, r))")])
         assert len(u) == 5  # 25 instances of the first axiom, 125 of the second
@@ -353,6 +382,21 @@ class TestAxioms:
         with pytest.raises(ValueError, match="more than 7 axiom instances"):
             axiom_instances(second, u[:2], cap=7)
         assert built == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(formulas(), max_size=3),
+        st.lists(formulas(), max_size=6),
+        st.integers(-1, 60),
+    )
+    def test_instances_equal_the_reference(self, axioms, universe, cap):
+        try:
+            want = reference_axiom_instances(axioms, universe, cap)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(e))}$"):
+                axiom_instances(axioms, universe, cap)
+        else:
+            assert axiom_instances(axioms, universe, cap) == want
 
     def test_cap_counts_the_instances_of_all_axioms(self):
         # each axiom alone stays within the cap; together they pass it

@@ -539,9 +539,11 @@ RANDOM_SIG = Signature.of({"c": 0, "neg": 1, "imp": 2})
 
 @st.composite
 def small_matrices(draw, sig=RANDOM_SIG):
-    """2-3 values; entries may be empty (partial) or hold several values."""
+    """2-3 values; entries may hold several values, and in one matrix of
+    four they may be empty (partial), so that most matrices are total and
+    refute some queries."""
     values = ["a", "b", "c"][: draw(st.integers(2, 3))]
-    cells = st.sets(st.sampled_from(values))
+    cells = st.sets(st.sampled_from(values), min_size=draw(st.sampled_from([1, 1, 1, 0])))
     tables = {
         name: {tup: draw(cells) for tup in itertools.product(values, repeat=k)}
         for name, k in sig

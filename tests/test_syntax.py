@@ -2,9 +2,12 @@ import copy
 import gc
 import importlib.util
 import pickle
+import re
 import sys
 import threading
+import tracemalloc
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -31,7 +34,8 @@ from pnmatrix import (
     variables,
     well_formed,
 )
-from pnmatrix.syntax import ill_formed_node, print_formula_list
+from pnmatrix.syntax import _rebuild, ill_formed_node, print_formula_list
+from rewrite_reference import reference_apply_substitution, reference_skeleton
 
 SIG = Signature.of({"top": 0, "neg": 1, "and": 2, "imp": 2})
 ROOT = Path(__file__).resolve().parents[1]
@@ -204,6 +208,40 @@ class TestSkeleton:
         assert skeleton(Var("q"), sub, mm)[0] == Var("v_q")
 
 
+class TestRewrites:
+    """Substitution and skeletons equal their one-walk-per-formula reference
+    (``rewrite_reference``)."""
+
+    @given(formulas(), st.dictionaries(st.sampled_from("pqrs"), formulas(), max_size=3))
+    def test_substitution_equals_the_reference(self, f, mapping):
+        s = Substitution.of(mapping)
+        assert apply_substitution(f, s) is reference_apply_substitution(f, s)
+
+    @given(st.lists(formulas(), min_size=1, max_size=4))
+    def test_a_shared_memo_gives_the_reference_skeletons(self, fs):
+        sub = Signature.of({"imp": 2, "top": 0})
+        mm, ref = MonolithMap(), MonolithMap()
+        for f in fs:
+            assert skeleton(f, sub, mm)[0] is reference_skeleton(f, sub, ref)
+        assert list(mm.var_of_monolith.items()) == list(ref.var_of_monolith.items())
+
+    def test_keep_is_asked_once_per_node(self):
+        f = parse_formula("and(imp(neg(p), neg(p)), imp(neg(p), q))", SIG)
+        asked, leaves = Counter(), []
+
+        def keep(g):
+            asked[g] += 1
+            return g.head != "neg"
+
+        s = _rebuild(f, lambda g: leaves.append(g) or Var(f"x{len(leaves)}"), keep, {})
+        assert s is parse_formula("and(imp(x1, x1), imp(x1, x2))", SIG)
+        assert leaves == [parse_formula("neg(p)", SIG), Var("q")]
+        assert set(asked.values()) == {1} and len(asked) == 4
+        memo = {}
+        first = _rebuild(f, lambda g: Var("x"), keep, memo)
+        assert _rebuild(f, None, keep, memo) is first and asked[f] == 2  # found in the memo
+
+
 class TestInterning:
     """Var and App return the one live node for their formula."""
 
@@ -239,6 +277,65 @@ class TestInterning:
         fresh = [App("and", (Var(f"fresh{i}"), App("neg", (Var("p"),)))) for i in range(10_000)]
         assert len(_nodes) >= before + 20_000
         del fresh
+        gc.collect()
+        assert len(_nodes) == before
+
+    def test_a_node_rebuilt_under_a_dead_entry_keeps_its_key(self):
+        from pnmatrix.syntax import _forget, _nodes
+
+        gc.collect()
+        before = len(_nodes)
+        key = ("neg", (Var("rebuilt"),))  # a node no other test keeps
+        node = App(*key)
+        stale = _nodes[key]
+        del node
+        assert key not in _nodes and stale() is None
+        # as when the node dies while another thread builds it again: the
+        # table still holds the dead entry, and its removal runs late
+        _nodes[key] = stale
+        node = App(*key)
+        assert _nodes[key] is not stale and _nodes[key]() is node
+        _forget(stale)
+        assert _nodes[key]() is node and App(*key) is node
+        del node, key, stale  # the key holds Var("rebuilt")
+        gc.collect()
+        assert len(_nodes) == before
+
+    def test_built_and_dropped_nodes_free_their_memory(self):
+        def build_and_drop(tag):
+            fresh = [App("imp", (Var(f"{tag}{i}"), App("neg", (Var(f"{tag}{i}"),)))) for i in range(10_000)]
+            del fresh
+            gc.collect()
+
+        gc.collect()
+        tracemalloc.start()
+        try:
+            build_and_drop("warm")  # the table grows to its size for 30,000 nodes
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            for r in range(3):
+                build_and_drop(f"round{r}_")
+            now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert now - start < 64_000
+        assert peak - start < 12_000_000  # about 300 bytes per live node and its entry
+
+    @pytest.mark.parametrize("make, named", [
+        (lambda: App(None, ()), "head must be a str, not None"),
+        (lambda: Var(3), "name must be a str, not 3"),
+        (lambda: App("neg", ("p",)), "argument of 'neg' must be a formula, not 'p'"),
+        (lambda: App("and", (Var("p"), None)), "argument of 'and' must be a formula, not None"),
+        (lambda: Var(["p"]), "name must be a str, not ['p']"),  # unhashable
+        (lambda: App("neg", [[Var("p")]]), "argument of 'neg' must be a formula, not [<Var p>]"),
+    ])
+    def test_what_is_not_a_formula_is_refused(self, make, named):
+        from pnmatrix.syntax import _nodes
+
+        gc.collect()
+        before = len(_nodes)
+        with pytest.raises(TypeError, match=re.escape(named)):
+            make()
         gc.collect()
         assert len(_nodes) == before
 
