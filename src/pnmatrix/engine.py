@@ -27,8 +27,8 @@ values, and the search reads an entry by indexing: no argument tuple is
 built or hashed.
 
 A ``PremiseContext`` holds one premise set over an indexed closure and runs
-the fixpoint once per component, on first need, with the premises narrowed
-(and, in a batch, the conclusions every query shares).  A query then starts
+the fixpoint once per component, on first need, with the premises narrowed,
+and with the conclusions it was made with, if any.  A query then starts
 from those domains on its own sub-closure, the ids its formulas reach: it
 narrows its other conclusions, revises only the arcs inside, and the search
 walks those ids in ascending order, which is their own closure order, in
@@ -36,10 +36,11 @@ place on the shared index.  That is sound because the component is viable:
 every entry over it meets it, so a node outside the sub-closure can always
 take a value and never removes one from a node inside, and the query
 reaches the same fixpoint, first countermodel and ``assignments_explored``
-as on its own closure.  ``decide_batch``, the one driver, indexes the
-premises and every conclusion and asks one context each query;
-``decide_multiple`` is its one-query case.  The saturation refuter indexes
-its formula pool once and makes one context per theory base.
+as on its own closure.  ``decide_multiple`` indexes its query's closure and
+asks one context made with its conclusions, so its search starts at its own
+fixpoint; ``decide_batch`` asks it once per query.  The saturation refuter
+indexes its formula pool once and makes one context per theory base, and
+split advice and the context decision index each side once.
 
 A context can also be grown by one premise b (``with_premise``).  The
 fixpoint of gamma plus b in a component is then the fixpoint of gamma
@@ -77,7 +78,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import product
 from typing import Iterable, Optional, Sequence
 
 from .matrix_core import CompiledMatrix, PNMatrix, mask_bits, viable_components
@@ -352,23 +353,24 @@ def _search_component(comp: CompiledMatrix, cl: Closure, dom: list[int], ids):
 
 class PremiseContext:
     """The premises gamma over an indexed closure, answering one query at a
-    time (see the module docstring).  Its fixpoints narrow gamma and the set
-    ``common`` of conclusions; the other conclusions of a query are its own.
-    A context made by ``with_premise`` grows each fixpoint from its parent's
-    and shares its kept countermodel masks, of which it reads those that
-    designate its premises (see the module docstring).
+    time (see the module docstring).  Its fixpoints narrow gamma to
+    designated values and the set ``conclusions`` to undesignated ones, at
+    the root: a query's conclusions outside that set are narrowed by the
+    query alone.  A context made by ``with_premise`` grows each fixpoint
+    from its parent's and shares its kept countermodel masks, of which it
+    reads those that designate its premises (see the module docstring).
     """
 
     def __init__(
-        self, m: PNMatrix, cl: Closure, gamma: Sequence[Formula], common=frozenset(), parent=None
+        self, m: PNMatrix, cl: Closure, gamma: Sequence[Formula], conclusions=frozenset(), parent=None
     ):
-        self.m, self.cl, self.common, self.gamma = m, cl, common, gamma
+        self.m, self.cl, self.conclusions, self.gamma = m, cl, conclusions, gamma
         self.premises = [cl.node[f] for f in gamma]
-        self.shared = [cl.node[f] for f in common]
+        self.refuted = [cl.node[f] for f in conclusions]
         self.parent = parent  # the context of gamma[:-1], or None
-        # every query reaches the whole closure when the premises and common
+        # every query reaches the whole closure when gamma and the conclusions
         # hold every root; else the ids they reach, walked on the first search
-        self.whole = common.union(gamma).issuperset(cl.roots)
+        self.whole = conclusions.union(gamma).issuperset(cl.roots)
         self.base: Optional[set[int]] = None
         self.fixpoints: list[Optional[list[int]]] = []  # per component reached: domains, or None
         # the designation masks of every countermodel extended by the root
@@ -384,7 +386,7 @@ class PremiseContext:
     def with_premise(self, b: Formula) -> PremiseContext:
         """The context of gamma plus b: each of its fixpoints is this one's
         with b narrowed to designated values, propagated from b alone."""
-        return PremiseContext(self.m, self.cl, (*self.gamma, b), self.common, self)
+        return PremiseContext(self.m, self.cl, (*self.gamma, b), self.conclusions, self)
 
     def decide(self, delta: Iterable[Formula]) -> Verdict:
         """Does ``gamma |- delta`` hold?  delta's formulas lie in the closure."""
@@ -462,7 +464,7 @@ class PremiseContext:
                 dom = [comp.components[k]] * len(cl.formulas)
                 for i in self.premises:
                     dom[i] &= comp.designated
-                for i in self.shared:
+                for i in self.refuted:
                     dom[i] &= ~comp.designated
                 good = all(dom) and _propagate(cl, comp, dom)
             else:
@@ -484,7 +486,7 @@ class PremiseContext:
         cl = self.cl
         comp = self.m.compiled
         undesignated = ~comp.designated
-        own = [cl.node[f] for f in delta if f not in self.common]
+        own = [cl.node[f] for f in delta if f not in self.conclusions]
         ids = None
         explored = 0
         for tried in range(1, len(comp.components) + 1):
@@ -496,7 +498,7 @@ class PremiseContext:
                 inside = None
                 if not self.whole:
                     if self.base is None:
-                        self.base = cl.reach(self.premises + self.shared)
+                        self.base = cl.reach(self.premises + self.refuted)
                     inside = cl.reach(own, self.base)
                 ids = range(len(dom)) if inside is None else sorted(inside)
             if own:
@@ -536,7 +538,9 @@ class PremiseContext:
 
 def decide_multiple(m: PNMatrix, gamma: Iterable[Formula], delta: Iterable[Formula]) -> Verdict:
     """Does every valuation designating all of gamma designate some of delta?"""
-    return decide_batch(m, gamma, [delta])[0]
+    gamma, delta = tuple(gamma), tuple(delta)
+    cl = Closure([*gamma, *delta], m.sig)
+    return PremiseContext(m, cl, gamma, frozenset(delta)).decide(delta)
 
 
 def decide_single(m: PNMatrix, gamma: Iterable[Formula], a: Formula) -> Verdict:
@@ -546,15 +550,9 @@ def decide_single(m: PNMatrix, gamma: Iterable[Formula], a: Formula) -> Verdict:
 def decide_batch(
     m: PNMatrix, gamma: Iterable[Formula], deltas: Iterable[Iterable[Formula]]
 ) -> list[Verdict]:
-    """``[decide_multiple(m, gamma, delta) for delta in deltas]``, from one
-    ``PremiseContext`` over one closure (see the module docstring)."""
+    """One ``decide_multiple`` per conclusion set, in order."""
     gamma = tuple(gamma)
-    deltas = [tuple(delta) for delta in deltas]
-    if not deltas:
-        return []
-    cl = Closure([*gamma, *chain.from_iterable(deltas)], m.sig)
-    context = PremiseContext(m, cl, gamma, set(deltas[0]).intersection(*deltas[1:]))
-    return [context.decide(delta) for delta in deltas]
+    return [decide_multiple(m, gamma, delta) for delta in deltas]
 
 
 def possible_values(m: PNMatrix, a: Formula, x: str) -> frozenset[str]:

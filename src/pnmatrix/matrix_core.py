@@ -196,7 +196,7 @@ class FormatError(ValueError):
 
 def read_matrix(text: str) -> PNMatrix:
     lines = text.splitlines()
-    sig_pairs: list[tuple[str, int]] = []
+    sig_pairs: Optional[list[tuple[str, int]]] = None
     values: Optional[list[str]] = None
     designated: Optional[list[str]] = None
     tables: dict[str, dict[tuple[str, ...], frozenset[str]]] = {}
@@ -208,6 +208,7 @@ def read_matrix(text: str) -> PNMatrix:
             continue
         if line == "signature:":
             section = "signature"
+            sig_pairs = sig_pairs or []  # an empty block is an empty signature
             continue
         if line.startswith("values:"):
             if values is not None:
@@ -255,7 +256,7 @@ def read_matrix(text: str) -> PNMatrix:
             continue
         raise FormatError(f"unexpected line {line!r}", lineno)
 
-    if not sig_pairs:
+    if sig_pairs is None:
         raise FormatError("missing signature block", len(lines))
     if values is None:
         raise FormatError("missing values line", len(lines))

@@ -54,19 +54,24 @@ class Signature:
 
     Names are unique across arities: a connective has exactly one arity,
     which is never negative.  Stored as a sorted tuple of (name, arity)
-    pairs so signatures are hashable and comparable.
+    pairs, however the pairs were given, so signatures are hashable and
+    equal signatures compare equal.
     """
 
     connectives: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self):
-        for name, k in self.connectives:
-            if k < 0:
-                raise ValueError(f"connective {name!r} has negative arity {k}")
+        pairs = tuple(sorted(self.connectives))
+        for k, (name, arity) in enumerate(pairs):
+            if arity < 0:
+                raise ValueError(f"connective {name!r} has negative arity {arity}")
+            if k and pairs[k - 1][0] == name:
+                raise ValueError(f"connective {name!r} given twice")
+        object.__setattr__(self, "connectives", pairs)
 
     @staticmethod
     def of(mapping: Mapping[str, int] | Iterable[tuple[str, int]]) -> "Signature":
-        return Signature(tuple(sorted(dict(mapping).items())))
+        return Signature(tuple(dict(mapping).items()))
 
     @cached_property
     def _arity(self) -> dict[str, int]:

@@ -72,6 +72,20 @@ class TestMatrixFiles:
         with pytest.raises(MatrixError, match="cannot be written"):
             rename_connectives(m, {"neg": bad})
 
+    def test_empty_signature_round_trips(self):
+        m = make_matrix(Signature(), ["a", "b"], ["b"], {})
+        assert format_matrix(m) == "signature:\nvalues: a b\ndesignated: b\n"
+        assert read_matrix(format_matrix(m)) == m
+        r = reduct(builtin("bool2"), Signature())
+        assert read_matrix(format_matrix(r)) == r
+
+    def test_unsorted_signature_round_trips(self):
+        m = make_matrix(Signature((("b", 1), ("a", 1))), ["0", "1"], ["1"], {
+            "a": {("0",): {"1"}, ("1",): {"0"}},
+            "b": {("0",): {"0"}, ("1",): {"1"}},
+        })
+        assert read_matrix(format_matrix(m)) == m
+
     def test_empty_and_full_cells(self):
         ks = builtin("kleene-ks")
         text = format_matrix(ks)
@@ -755,6 +769,14 @@ class TestFileCommands:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["witness"]["values"]) == 65
         assert len(payload["components"]) == 20
+
+    def test_reduct_to_no_connectives_then_info(self, tmp_path, capsys):
+        out = tmp_path / "empty.matrix"
+        assert run_cli(["reduct", "--matrix", "bool2", "--keep", ",", "--output", str(out)]) == EXIT_YES
+        assert out.read_text() == "signature:\nvalues: 0 1\ndesignated: 1\n"
+        capsys.readouterr()
+        assert run_cli(["info", "--matrix", str(out)]) == EXIT_YES
+        assert capsys.readouterr().out.startswith("kind: matrix\nvalues: 0 1\n")
 
     def test_reduct_and_prune(self, tmp_path, capsys):
         rc = run_cli(["reduct", "--matrix", "luk3", "--keep", "imp"])

@@ -36,7 +36,7 @@ from pnmatrix.engine import Closure, PremiseContext
 from pnmatrix.matrix_core import mask_bits
 
 from closure_reference import reference_closure
-from corpus import random_formula, random_query, seeded
+from corpus import random_formula, random_query, seeded, total_nmatrices
 from oracle import brute_viable_sets, oracle_decide
 from power_reference import reference_decide_power
 from value_reference import reference_value_vector
@@ -561,6 +561,13 @@ def random_formulas(variables):
         ),
         max_leaves=3,
     )
+
+
+def split_deltas(variables):
+    """``[f, neg(f)]``, then at most one more formula: a Δ that a power may
+    refute only through a proper split (see ``power_reference``)."""
+    f = random_formulas(variables)
+    return st.builds(lambda a, extra: [a, App("neg", (a,)), *extra], f, st.lists(f, max_size=1))
 
 
 def brute_possible_values(m, a, x):
@@ -1107,12 +1114,28 @@ class TestPowerConsequence:
         small_matrices(),
         st.sampled_from([2, 3]),
         st.lists(random_formulas("pq"), max_size=2),
-        st.lists(random_formulas("pq"), max_size=3),
+        st.one_of(st.lists(random_formulas("pq"), max_size=3), split_deltas("pq")),
     )
     @example(CLASSICAL, 2, [], [Var("p"), App("neg", (Var("p"),))])  # refuted by a split alone
     @example(CLASSICAL, 3, [Var("q")], [Var("p"), App("neg", (Var("p"),)), App("imp", (Var("q"), Var("p")))])
     def test_random_matrices(self, m, k, gamma, delta):
         assert_power_law(m, k, gamma, delta)
+
+    def test_split_only_refutations_on_total_matrices(self):
+        answers = collections.Counter()
+        rng = seeded("power split sweep")
+        for size in (2, 3):
+            values = ["a", "b", "c"][:size]
+            for m in total_nmatrices(f"power split sweep:{size}", RANDOM_SIG, values, 15):
+                for k, _ in itertools.product((2, 3), range(5)):
+                    gamma = [random_formula(rng, RANDOM_SIG, "pq", 2) for _ in range(rng.randint(0, 2))]
+                    f = random_formula(rng, RANDOM_SIG, "pq", 2)
+                    extra = [random_formula(rng, RANDOM_SIG, "pq", 2) for _ in range(rng.randint(0, 1))]
+                    delta = [f, App("neg", (f,)), *extra]
+                    answer = assert_power_law(m, k, gamma, delta)
+                    answers[answer, decide_multiple(m, gamma, delta).answer] += 1
+        # some queries fail over a power only through a proper split
+        assert answers["no", "yes"], answers
 
     def test_sixteen_value_powers(self):
         # power(bool2n, 4) is left out: some of its queries search for seconds

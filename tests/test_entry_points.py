@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,13 +13,13 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_python(*args):
+def run_python(*args, cwd=ROOT):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=ROOT, timeout=120
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd, timeout=120
     )
 
 
@@ -291,3 +292,29 @@ def test_script_runs(script):
     assert proc.stdout
     if script in STDOUT:
         assert proc.stdout.splitlines() == STDOUT[script]
+
+
+def readme_block(section: str, language: str) -> str:
+    """The first ``language`` code block under the README heading ``section``."""
+    text = (ROOT / "README.md").read_text()
+    after = text[text.index(f"\n## {section}\n"):]
+    start = after.index(f"```{language}\n") + len(language) + 4
+    return after[start:after.index("```", start)]
+
+
+def test_readme_quick_start_prints_its_answer():
+    proc = run_python("-c", readme_block("Library quick start", "python"))
+    assert proc.stderr == ""
+    assert proc.stdout == "yes\n"
+
+
+def test_readme_cli_examples_run(tmp_path):
+    """Every ``pnmatrix`` line of the README's CLI block runs, in order in one
+    directory, and answers without an error."""
+    lines = readme_block("Command-line tool", "sh").replace("\\\n", " ").splitlines()
+    assert lines
+    for line in lines:
+        name, *argv = shlex.split(line)
+        assert name == "pnmatrix"
+        proc = run_python("-m", "pnmatrix.cli_io", *argv, cwd=tmp_path)
+        assert proc.returncode in (0, 1, 2) and proc.stderr == "", (line, proc.stderr)

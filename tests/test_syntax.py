@@ -82,6 +82,17 @@ class TestSignature:
         assert Signature.of({"neg": 1}).is_subsignature_of(SIG)
         assert not Signature.of({"neg": 2}).is_subsignature_of(SIG)
 
+    def test_pairs_are_kept_sorted_however_given(self):
+        given = Signature((("b", 1), ("a", 2)))
+        assert given == Signature.of({"a": 2, "b": 1})
+        assert given.connectives == (("a", 2), ("b", 1))
+        assert hash(given) == hash(Signature.of({"b": 1, "a": 2}))
+
+    @pytest.mark.parametrize("pairs", [(("a", 1), ("a", 2)), (("a", 1), ("b", 0), ("a", 1))])
+    def test_a_name_given_twice_is_an_error(self, pairs):
+        with pytest.raises(ValueError, match="connective 'a' given twice"):
+            Signature(pairs)
+
     def test_lookups_leave_identity_alone(self):
         fresh = Signature.of({"top": 0, "neg": 1, "and": 2, "imp": 2})
         cold = pickle.dumps(fresh)
