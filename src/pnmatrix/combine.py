@@ -7,9 +7,10 @@ demand saturation evidence or fall back to finite-power approximants.  The
 context-partition decision procedure answers queries about the combined
 logic through queries about the parts alone, two-sorting each formula by
 treating maximal foreign subformulas as fresh variables.  Each part
-skeletonises the query's context once and indexes it once; every partition
-of the context is one premise context over that index (``engine``).  Its
-answer is certified exact when the strict product of the parts is total,
+skeletonises the query's context once, indexes it once and makes one premise
+context of the query's premises over that index (``engine``); a partition's
+context is that of the partition with one left formula fewer, grown by it.
+Its answer is certified exact when the strict product of the parts is total,
 which is read off the parts' tables without building the product.
 """
 
@@ -133,13 +134,6 @@ class CombinedDecision:
     note: str = ""
 
 
-def _part_holds(m: PNMatrix, cl: Closure, left: list[Formula], right: list[Formula], mode: str) -> bool:
-    context = PremiseContext(m, cl, left)
-    if mode == "multiple":
-        return context.decide(right).answer == "yes"
-    return any(context.decide([b]).answer == "yes" for b in right)
-
-
 def decide_combined_ctx(
     m1: PNMatrix,
     m2: PNMatrix,
@@ -166,12 +160,15 @@ def decide_combined_ctx(
     Each side skeletonises every context formula once, under one
     ``MonolithMap`` and so one memo: the context is closed under
     subformulas, so each node is rebuilt once, from its arguments'
-    skeletons.  Each side indexes one ``Closure`` over those skeletons; a
-    partition is then one ``PremiseContext`` on that closure, asked once
-    for the right side (multiple mode) or once per conclusion (single
-    mode).  Skeletons under one map differ from those of a map per
-    partition only by an injective renaming of variables, which consequence
-    does not see.
+    skeletons.  Each side indexes one ``Closure`` over those skeletons, with
+    one ``PremiseContext`` of gamma on it; the partition whose left part adds
+    ``low`` to gamma asks that of ``low[:-1]`` grown by ``low[-1]``
+    (``PremiseContext.with_premise``), once for the right side (multiple
+    mode) or once per conclusion (single mode).  A grown fixpoint equals a
+    fresh one, since the greatest fixpoint is unique, so the searches are
+    those of a fresh context per partition.  Skeletons under one map differ
+    from those of a map per partition only by an injective renaming of
+    variables, which consequence does not see.
     """
     if mode not in ("single", "multiple"):
         raise ValueError(f"bad mode {mode!r}")
@@ -196,24 +193,24 @@ def decide_combined_ctx(
     # partitions placing a premise on the right or a conclusion on the left
     # hold by overlap, so only the remaining context formulas vary
     rest = [f for f in ctx if f not in gamma and f not in delta]
-    sides = []
+    skels, roots = [], []
     for m in (m1, m2):
         mm = MonolithMap()
         skel = {f: skeleton(f, m.sig, mm)[0] for f in ctx}
-        sides.append((m, Closure(list(skel.values()), m.sig), skel))
+        skels.append(skel)
+        roots.append(PremiseContext(m, Closure(list(skel.values()), m.sig), [skel[f] for f in gamma]))
+    contexts = {(): roots}  # by low part: each side's context of gamma + low
     checked = 0
     for size in range(len(rest) + 1):
         for low in itertools.combinations(rest, size):
-            low_set = set(low)
-            high = tuple(f for f in rest if f not in low_set)
             checked += 1
-            left = gamma + low
-            right = high + delta
-            if not any(
-                _part_holds(m, cl, [skel[f] for f in left], [skel[f] for f in right], mode)
-                for m, cl, skel in sides
-            ):
-                return decision("no", partitions_checked=checked, failing_partition=(left, right))
+            if low:  # low[:-1] has one formula fewer, so its contexts came before
+                contexts[low] = [c.with_premise(s[low[-1]]) for c, s in zip(contexts[low[:-1]], skels)]
+            right = tuple(f for f in rest if f not in low) + delta
+            asks = [right] if mode == "multiple" else [(b,) for b in right]
+            if not any(c.decide([s[f] for f in ask]).answer == "yes"
+                       for c, s in zip(contexts[low], skels) for ask in asks):
+                return decision("no", partitions_checked=checked, failing_partition=(gamma + low, right))
     return decision("yes", partitions_checked=checked)
 
 

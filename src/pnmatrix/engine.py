@@ -618,7 +618,9 @@ def check_countermodel(
     delta: Iterable[Formula],
     cm: Countermodel,
 ) -> list[str]:
-    """Re-verify a countermodel from scratch; empty list means ok."""
+    """Re-verify a countermodel from scratch; empty list means ok.  When
+    its image lies in a maximal viable set, the component it names must be
+    one of those sets and hold the image."""
     gamma, delta = tuple(gamma), tuple(delta)
     violations: list[str] = []
     assignment = cm.as_dict()
@@ -643,9 +645,15 @@ def check_countermodel(
             violations.append(f"argument of {print_formula(f)} missing from assignment")
         elif f.head is not None and v not in m.entry(f.head, args):
             violations.append(f"{print_formula(f)} -> {v} violates its table entry")
-    report = viable_components(m)
-    if not any(image <= w for w in report.maximal):
+    maximal = viable_components(m).maximal
+    if not any(image <= w for w in maximal):
         violations.append("image of the assignment lies in no viable component")
+    else:
+        named = sorted(cm.component)
+        if cm.component not in maximal:
+            violations.append(f"component {named} is not a maximal viable set")
+        if not image <= cm.component:
+            violations.append(f"component {named} does not hold the image of the assignment")
     for f in gamma:
         if assignment.get(f) not in m.designated:
             violations.append(f"premise {print_formula(f)} not designated")

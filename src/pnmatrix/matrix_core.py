@@ -711,10 +711,21 @@ def _parts(m: PNMatrix) -> Mapping[str, tuple]:
 
 
 def projection(m_product: PNMatrix, side: int) -> ValueMap:
-    """The coordinate projection out of a strict product (side 1 or 2)."""
+    """The coordinate projection out of a strict product (side 1 or 2).
+
+    A sum, or a matrix whose values' parts are not pairs (a power other
+    than a square), is refused.  A square power's values are pairs, so it
+    cannot be told from a product by its parts, and it is accepted; its
+    coordinate maps are not strict, which ``check_strict_hom`` reports.
+    """
     if side not in (1, 2):
         raise MatrixError(f"a strict product has sides 1 and 2, not {side!r}")
-    return ValueMap.of({v: p[side - 1] for v, p in _parts(m_product).items()})
+    parts = _parts(m_product)
+    if "summands" in m_product.meta:
+        raise MatrixError("the matrix is a sum, not a strict product")
+    if any(len(p) != 2 for p in parts.values()):
+        raise MatrixError("the matrix's values are not pairs, so it is not a strict product")
+    return ValueMap.of({v: p[side - 1] for v, p in parts.items()})
 
 
 def inclusion(m_sum: PNMatrix, index: int) -> ValueMap:

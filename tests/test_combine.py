@@ -1,6 +1,7 @@
 import collections
 import itertools
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,7 +37,7 @@ from pnmatrix import (
     viable_components,
 )
 from pnmatrix import combine, matrix_core
-from pnmatrix.engine import Closure
+from pnmatrix.engine import Closure, PremiseContext
 from pnmatrix.syntax import App, Var
 
 
@@ -176,6 +177,29 @@ class TestContextDecision:
                 answers[mode, got.answer] += 1
         assert sum(answers.values()) == 36 * 12 and len(answers) == 4, answers
 
+    def test_matches_the_partition_loop_past_eight_formulas(self):
+        # contexts of 9 to CTX_CAP formulas, where a partition's context is
+        # grown through up to 12 premises
+        rng = seeded("ctx-reference-wide")
+        pairs = [("kleene-imp", "luk3"), ("luk3", "kleene-imp"), ("neg3", "luk3"),
+                 ("kleene-ks", "sources"), ("bool2", "kleene-ks"), ("luk-imp", "neg3")]
+        answers, sizes = collections.Counter(), set()
+        for (a, b), mode, _ in itertools.product(pairs, ("multiple", "single"), range(3)):
+            m1, m2 = builtin(a), builtin(b)
+            union = m1.sig.union(m2.sig)
+            while True:
+                gamma = [random_formula(rng, union, ("p", "q"), 3) for _ in range(rng.randint(0, 2))]
+                delta = [random_formula(rng, union, ("p", "q"), 3)
+                         for _ in range(1 if mode == "single" else rng.randint(1, 2))]
+                size = len(subformula_closure(gamma + delta))
+                if 9 <= size <= combine.CTX_CAP:
+                    break
+            got = decide_combined_ctx(m1, m2, gamma, delta, mode=mode)
+            assert got == reference_decide_combined_ctx(m1, m2, gamma, delta, mode), (a, b, gamma, delta)
+            answers[mode, got.answer] += 1
+            sizes.add(size)
+        assert len(answers) == 4 and sizes == set(range(9, combine.CTX_CAP + 1)), (answers, sizes)
+
     def test_context_skeletons_equal_the_per_formula_walks(self):
         # one map, and so one memo, per side, as decide_combined_ctx uses
         # them, over every fixture pair that has a common signature
@@ -217,6 +241,45 @@ class TestContextDecision:
         built.clear()
         d = decide_combined_ctx(m1, m2, gamma, gamma[:1])
         assert d.note == "premises and conclusions overlap" and built == []
+
+    def test_one_root_context_per_side(self, monkeypatch):
+        # every other context is grown from a side's root (with_premise)
+        made = []
+
+        def counting(m, cl, gamma):
+            made.append(m)
+            return PremiseContext(m, cl, gamma)
+
+        monkeypatch.setattr(combine, "PremiseContext", counting)
+        m1, m2 = builtin("neg3"), reduct_with_meta(builtin("bool2"), ["and"])
+        union = m1.sig.union(m2.sig)
+        gamma = parse_formula_list("neg(p), and(p, q)", union)
+        for mode, delta in (("multiple", "neg(and(p, p)), q"), ("single", "neg(and(q, p))")):
+            made.clear()
+            d = decide_combined_ctx(m1, m2, gamma, parse_formula_list(delta, union), mode=mode)
+            assert d.partitions_checked > 1
+            assert made == [m1, m2]
+        made.clear()
+        d = decide_combined_ctx(m1, m2, gamma, gamma[:1])
+        assert d.note == "premises and conclusions overlap" and made == []
+
+    def test_grown_contexts_stay_small(self):
+        # 2,048 partitions, every one held: every grown context is kept
+        # until the call returns
+        m1, m2 = builtin("kleene-imp"), builtin("luk3")
+        union = m1.sig.union(m2.sig)
+        delta = parse_formula_list(
+            "imp(imp(imp(nabla(p), neg(q)), nabla(imp(p, p))), nabla(nabla(imp(q, q))))", union
+        )
+        decide_combined_ctx(m1, m2, [], delta)  # the parts' compiled forms are made
+        tracemalloc.start()
+        try:
+            d = decide_combined_ctx(m1, m2, [], delta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (d.answer, d.partitions_checked) == ("yes", 2048)
+        assert peak < 6 * 2 ** 20, peak
 
     @pytest.mark.parametrize("pair", [("kleene-imp", "luk3"), ("luk3", "kleene-imp")])
     def test_uncertified_no_needs_a_cut(self, pair):

@@ -187,6 +187,24 @@ class TestCountermodelCheck:
         gamma, delta = parse_formula_list(gamma, m.sig), parse_formula_list(delta, m.sig)
         assert check_countermodel(m, gamma, delta, cm) == violations
 
+    @pytest.mark.parametrize("name, assignment, component, violations", [
+        ("bool2", {"p": "1", "q": "0"}, "",
+         ["component [] is not a maximal viable set",
+          "component [] does not hold the image of the assignment"]),
+        ("kleene-ks", {"p": "b", "q": "0"}, "0 1 a",
+         ["component ['0', '1', 'a'] does not hold the image of the assignment"]),
+        ("kleene-ks", {"p": "b", "q": "0"}, "0 1 a b",
+         ["component ['0', '1', 'a', 'b'] is not a maximal viable set"]),
+        ("kleene-ks", {"p": "b", "q": "0"}, "0 1 b", []),
+    ], ids=["empty", "other-maximal", "not-maximal", "its-own"])
+    def test_named_component(self, name, assignment, component, violations):
+        # p does not entail q; the countermodel must name a maximal viable
+        # set that holds its image
+        m = builtin(name)
+        cm = Countermodel(tuple((pf(m, f), v) for f, v in assignment.items()),
+                          frozenset(component.split()))
+        assert check_countermodel(m, [pf(m, "p")], [pf(m, "q")], cm) == violations
+
     def test_a_variable_named_like_a_connective_is_ill_formed(self):
         m = builtin("bool2")
         cm = Countermodel(((Var("neg"), "0"),), frozenset(m.values))

@@ -404,6 +404,24 @@ class TestStrictHoms:
         with pytest.raises(MatrixError, match="summand 5"):
             inclusion(sum_matrices([builtin("neg3"), builtin("neg3")]), 5)
 
+    def test_projection_refuses_a_sum_or_a_power_of_other_width(self):
+        b2 = builtin("bool2")
+        s = sum_matrices([b2, b2])  # its values' parts (i, x) are pairs too
+        for q in (s, prune(s), reduct(s, s.sig)):
+            for side in (1, 2):
+                with pytest.raises(MatrixError, match="^the matrix is a sum, not a strict product$"):
+                    projection(q, side)
+        for k in (1, 3):
+            with pytest.raises(MatrixError, match="values are not pairs"):
+                projection(power(b2, k), 1)
+        # a square cannot be told from a product by its parts, so its
+        # coordinate maps are given; only check_strict_hom rejects them
+        square = power(b2, 2)
+        for side in (1, 2):
+            h = projection(square, side)
+            assert h == ValueMap.of({v: v.split("&")[side - 1] for v in square.values})
+            assert check_strict_hom(h, square, b2).startswith("strictness violated")
+
     def test_colliding_names_rejected(self):
         sig = Signature.of({"neg": 1})
         a = make_matrix(sig, ["a|b", "a"], [], {"neg": {("a|b",): {"a"}, ("a",): {"a"}}})
