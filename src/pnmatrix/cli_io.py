@@ -3,7 +3,8 @@
 Run it as ``pnmatrix`` or ``python -m pnmatrix.cli_io``.  ``import pnmatrix``
 does not load this module; ``pnmatrix.run_cli`` and the ``EXIT_*`` codes load
 it on first use.  Each subcommand is a function of the parsed arguments that
-returns the exit code; ``build_parser`` binds it to its subparser.
+returns its outcome, and ``run_cli`` prints it, the one place that prints a
+result; ``build_parser`` binds each subcommand to its subparser.
 
 This module loads only matrices, formulas and fixtures.  A subcommand that
 decides, checks rules, analyses or combines imports ``engine``, ``calculus``,
@@ -88,13 +89,6 @@ def _parse_sub_sig(spec: str, sig: Signature) -> Signature:
     return Signature.of(pairs)
 
 
-def _emit(args, payload: dict, human: str) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(human)
-
-
 def _cm_json(v) -> Optional[dict]:
     if v is None:
         return None
@@ -115,10 +109,10 @@ def _output_matrix(args, m: PNMatrix) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (exit code, JSON payload or None, human text)
 # ---------------------------------------------------------------------------
 
-def _fixtures(args) -> int:
+def _fixtures(args) -> tuple[int, Optional[dict], str]:
     rows = []
     for name in fixture_names():
         m = builtin(name)
@@ -131,25 +125,19 @@ def _fixtures(args) -> int:
                 "description": m.meta.get("description", ""),
             }
         )
-    _emit(
-        args,
-        {"verdict": "ok", "components": rows},
-        "\n".join(
-            f"{r['name']:12} {r['kind']:9} {r['values']} values  {r['description']}"
-            for r in rows
-        ),
+    human = "\n".join(
+        f"{r['name']:12} {r['kind']:9} {r['values']} values  {r['description']}" for r in rows
     )
-    return EXIT_YES
+    return EXIT_YES, {"verdict": "ok", "components": rows}, human
 
 
-def _parse(args) -> int:
+def _parse(args) -> tuple[int, Optional[dict], str]:
     m = _load_matrix(args.matrix)
-    f = parse_formula(args.formula, m.sig)
-    _emit(args, {"verdict": "ok", "witness": print_formula(f)}, print_formula(f))
-    return EXIT_YES
+    text = print_formula(parse_formula(args.formula, m.sig))
+    return EXIT_YES, {"verdict": "ok", "witness": text}, text
 
 
-def _info(args) -> int:
+def _info(args) -> tuple[int, Optional[dict], str]:
     m = _load_matrix(args.matrix)
     report = viable_components(m)
     payload = {
@@ -168,16 +156,15 @@ def _info(args) -> int:
         f"maximal viable: {', '.join('{' + ' '.join(sorted(w)) + '}' for w in report.maximal)}\n"
         f"spurious: {' '.join(sorted(report.spurious)) or '(none)'}"
     )
-    _emit(args, payload, human)
-    return EXIT_YES
+    return EXIT_YES, payload, human
 
 
-def _writes_matrix(build: Callable[..., PNMatrix]) -> Callable[..., int]:
+def _writes_matrix(build: Callable[..., PNMatrix]) -> Callable[..., tuple[int, Optional[dict], str]]:
     """The subcommand that writes the matrix ``build(args)`` returns."""
 
-    def run(args) -> int:
+    def run(args) -> tuple[int, Optional[dict], str]:
         _output_matrix(args, build(args))
-        return EXIT_YES
+        return EXIT_YES, None, ""
 
     return run
 
@@ -216,28 +203,24 @@ def _prune(args) -> PNMatrix:
     return prune(_load_matrix(args.matrix))
 
 
-def _decide(args) -> int:
-    from .engine import decide_multiple, decide_single
+def _decide(args) -> tuple[int, Optional[dict], str]:
+    from .engine import decide_multiple
 
     m = _load_matrix(args.matrix)
     gamma = parse_formula_list(args.premises, m.sig)
     delta = parse_formula_list(args.conclusions, m.sig)
-    if args.mode == "single":
-        if len(delta) != 1:
-            raise ValueError("single mode takes exactly one conclusion")
-        v = decide_single(m, gamma, delta[0])
-    else:
-        v = decide_multiple(m, gamma, delta)
-    payload = {"verdict": v.answer, "witness": _cm_json(v.countermodel)}
+    if args.mode == "single" and len(delta) != 1:
+        raise ValueError("single mode takes exactly one conclusion")
+    v = decide_multiple(m, gamma, delta)
     human = v.answer
     if v.countermodel is not None:
         human += "\ncountermodel: " + (v.countermodel.pretty() or "(empty)")
-    _emit(args, payload, human)
-    return EXIT_YES if v.answer == "yes" else EXIT_NO
+    payload = {"verdict": v.answer, "witness": _cm_json(v.countermodel)}
+    return EXIT_YES if v.answer == "yes" else EXIT_NO, payload, human
 
 
-def _check_rules(args) -> int:
-    from .calculus import Calculus, calculus_sound, parse_calculus
+def _check_rules(args) -> tuple[int, Optional[dict], str]:
+    from .calculus import calculus_sound, parse_calculus
 
     m = _load_matrix(args.matrix)
     if args.rules:
@@ -266,7 +249,6 @@ def _check_rules(args) -> int:
                 f"calculus {args.calculus!r} uses connectives the matrix lacks: "
                 + ", ".join(misfits)
             )
-        cal = Calculus(sig=m.sig, rules=cal.rules)
     report = calculus_sound(m, cal)
     payload = {
         "verdict": "all-sound" if report.all_sound else "unsound",
@@ -275,15 +257,14 @@ def _check_rules(args) -> int:
             for r, v in report.per_rule
         ],
     }
-    lines = [
+    human = "\n".join(
         f"{r.name}: {'sound' if v.answer == 'yes' else 'NOT sound'}"
         for r, v in report.per_rule
-    ]
-    _emit(args, payload, "\n".join(lines))
-    return EXIT_YES if report.all_sound else EXIT_NO
+    )
+    return EXIT_YES if report.all_sound else EXIT_NO, payload, human
 
 
-def _separators(args) -> int:
+def _separators(args) -> tuple[int, Optional[dict], str]:
     from .analysis import SeparatorBounds, find_separator
 
     m = _load_matrix(args.matrix)
@@ -294,17 +275,12 @@ def _separators(args) -> int:
     bounds = SeparatorBounds(max_depth=args.max_depth)
     f = find_separator(target, pair[0], pair[1], bounds=bounds)
     if f is None:
-        _emit(
-            args,
-            {"verdict": "not-found", "bounds": {"max_depth": args.max_depth}},
-            "not found within bounds",
-        )
-        return EXIT_UNKNOWN
-    _emit(args, {"verdict": "found", "witness": print_formula(f)}, print_formula(f))
-    return EXIT_YES
+        payload = {"verdict": "not-found", "bounds": {"max_depth": args.max_depth}}
+        return EXIT_UNKNOWN, payload, "not found within bounds"
+    return EXIT_YES, {"verdict": "found", "witness": print_formula(f)}, print_formula(f)
 
 
-def _monadic(args) -> int:
+def _monadic(args) -> tuple[int, Optional[dict], str]:
     from .analysis import SeparatorBounds, monadicity_report
 
     m = _load_matrix(args.matrix)
@@ -323,39 +299,31 @@ def _monadic(args) -> int:
         for (x, y), f in table.pairs
     ]
     lines.append("monadic" if table.monadic else "not shown monadic within bounds")
-    _emit(args, payload, "\n".join(lines))
-    return EXIT_YES if table.monadic else EXIT_UNKNOWN
+    return EXIT_YES if table.monadic else EXIT_UNKNOWN, payload, "\n".join(lines)
 
 
-def _refute_saturation(args) -> int:
+def _refute_saturation(args) -> tuple[int, Optional[dict], str]:
     from .analysis import refute_saturation
 
     m = _load_matrix(args.matrix)
     result = refute_saturation(m)
     bounds = result.bounds.__dict__
-    if result.refuted:
-        _emit(
-            args,
-            {
-                "verdict": "refuted",
-                "witness": {
-                    "gamma0": [print_formula(f) for f in result.witness.gamma0],
-                    "phi": [print_formula(f) for f in result.witness.phi],
-                },
-                "bounds": bounds,
-            },
-            f"not saturated: {result.witness.pretty()}",
-        )
-        return EXIT_NO
-    _emit(
-        args,
-        {"verdict": "none-found", "witness": None, "bounds": bounds},
-        "no counterexample within bounds",
-    )
-    return EXIT_UNKNOWN
+    if not result.refuted:
+        payload = {"verdict": "none-found", "witness": None, "bounds": bounds}
+        return EXIT_UNKNOWN, payload, "no counterexample within bounds"
+    w = result.witness
+    payload = {
+        "verdict": "refuted",
+        "witness": {
+            "gamma0": [print_formula(f) for f in w.gamma0],
+            "phi": [print_formula(f) for f in w.phi],
+        },
+        "bounds": bounds,
+    }
+    return EXIT_NO, payload, f"not saturated: {w.pretty()}"
 
 
-def _split_advice(args) -> int:
+def _split_advice(args) -> tuple[int, Optional[dict], str]:
     from .analysis import split_advice
 
     m = _load_matrix(args.matrix)
@@ -372,17 +340,12 @@ def _split_advice(args) -> int:
         },
         "bounds": {"samples": args.samples},
     }
-    lines = [f"verdict: {sv.verdict}"]
-    lines += [d.pretty() for d in sv.divergences]
-    _emit(args, payload, "\n".join(lines))
-    if sv.verdict == "unsafe-evidence":
-        return EXIT_NO
-    if sv.verdict == "inconclusive":
-        return EXIT_UNKNOWN
-    return EXIT_YES
+    human = "\n".join([f"verdict: {sv.verdict}"] + [d.pretty() for d in sv.divergences])
+    code = {"unsafe-evidence": EXIT_NO, "inconclusive": EXIT_UNKNOWN}.get(sv.verdict, EXIT_YES)
+    return code, payload, human
 
 
-def _combine(args) -> int:
+def _combine(args) -> tuple[int, Optional[dict], str]:
     from .combine import (
         SaturationRefused,
         combine_multiple,
@@ -401,16 +364,13 @@ def _combine(args) -> int:
         try:
             combined = combine_single_saturated(left, right)
         except SaturationRefused as e:
-            _emit(args, {"verdict": "refused", "witness": str(e)}, f"refused: {e}")
-            return EXIT_NO
+            return EXIT_NO, {"verdict": "refused", "witness": str(e)}, f"refused: {e}"
     if not args.json or args.output:
         _output_matrix(args, combined.product)
-    if args.json:
-        print(json.dumps({"verdict": combined.status}, indent=2))
-    return EXIT_YES
+    return EXIT_YES, ({"verdict": combined.status} if args.json else None), ""
 
 
-def _decide_combined(args) -> int:
+def _decide_combined(args) -> tuple[int, Optional[dict], str]:
     from .combine import decide_combined_ctx
 
     left, right = _load_matrix(args.left), _load_matrix(args.right)
@@ -435,11 +395,10 @@ def _decide_combined(args) -> int:
     if decision.failing_partition is not None:
         low, high = decision.failing_partition
         human += f"\nfailing partition: {print_formula_list(low)} / {print_formula_list(high)}"
-    _emit(args, payload, human)
-    return EXIT_YES if decision.answer == "yes" else EXIT_NO
+    return EXIT_YES if decision.answer == "yes" else EXIT_NO, payload, human
 
 
-def _axiom_derive(args) -> int:
+def _axiom_derive(args) -> tuple[int, Optional[dict], str]:
     from .combine import AxiomSet, decide_with_axioms
 
     m = _load_matrix(args.matrix)
@@ -453,8 +412,8 @@ def _axiom_derive(args) -> int:
         "verdict": decision.answer,
         "bounds": {"depth": args.depth, "instances": decision.instances_used},
     }
-    _emit(args, payload, decision.answer + (f" ({decision.note})" if decision.note else ""))
-    return EXIT_YES if decision.answer == "yes" else EXIT_UNKNOWN
+    human = decision.answer + (f" ({decision.note})" if decision.note else "")
+    return EXIT_YES if decision.answer == "yes" else EXIT_UNKNOWN, payload, human
 
 
 # ---------------------------------------------------------------------------
@@ -569,10 +528,13 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args)
+        code, payload, human = args.run(args)
     except (OSError, ValueError) as e:  # the library's input errors are ValueErrors
         print(f"pnmatrix: error: {e}", file=sys.stderr)
         return EXIT_ERROR
+    if payload is not None:  # None: the subcommand wrote its matrix itself
+        print(json.dumps(payload, indent=2, sort_keys=True) if args.json else human)
+    return code
 
 
 def main() -> None:

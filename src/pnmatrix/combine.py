@@ -164,7 +164,8 @@ def decide_combined_ctx(
     one ``PremiseContext`` of gamma on it; the partition whose left part adds
     ``low`` to gamma asks that of ``low[:-1]`` grown by ``low[-1]``
     (``PremiseContext.with_premise``), once for the right side (multiple
-    mode) or once per conclusion (single mode).  A grown fixpoint equals a
+    mode) or once per conclusion (single mode).  Only the contexts of the
+    current size and the size before are kept.  A grown fixpoint equals a
     fresh one, since the greatest fixpoint is unique, so the searches are
     those of a fresh context per partition.  Skeletons under one map differ
     from those of a map per partition only by an injective renaming of
@@ -199,18 +200,20 @@ def decide_combined_ctx(
         skel = {f: skeleton(f, m.sig, mm)[0] for f in ctx}
         skels.append(skel)
         roots.append(PremiseContext(m, Closure(list(skel.values()), m.sig), [skel[f] for f in gamma]))
-    contexts = {(): roots}  # by low part: each side's context of gamma + low
+    # by low part: each side's context of gamma + low, for this size and the one before
+    contexts, previous = {(): roots}, {}
     checked = 0
     for size in range(len(rest) + 1):
         for low in itertools.combinations(rest, size):
             checked += 1
-            if low:  # low[:-1] has one formula fewer, so its contexts came before
-                contexts[low] = [c.with_premise(s[low[-1]]) for c, s in zip(contexts[low[:-1]], skels)]
+            if low:  # low[:-1] has one formula fewer, so its contexts are in previous
+                contexts[low] = [c.with_premise(s[low[-1]]) for c, s in zip(previous[low[:-1]], skels)]
             right = tuple(f for f in rest if f not in low) + delta
             asks = [right] if mode == "multiple" else [(b,) for b in right]
             if not any(c.decide([s[f] for f in ask]).answer == "yes"
                        for c, s in zip(contexts[low], skels) for ask in asks):
                 return decision("no", partitions_checked=checked, failing_partition=(gamma + low, right))
+        previous, contexts = contexts, {}  # the next size reads only this one
     return decision("yes", partitions_checked=checked)
 
 

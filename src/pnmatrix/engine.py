@@ -113,7 +113,7 @@ class Countermodel:
 
 @dataclass(frozen=True)
 class Verdict:
-    answer: str  # "yes" | "no" | "unknown"
+    answer: str  # "yes" | "no"
     countermodel: Optional[Countermodel] = None
     components_tried: int = 0
     assignments_explored: int = 0

@@ -207,8 +207,10 @@ def read_matrix(text: str) -> PNMatrix:
         if not line:
             continue
         if line == "signature:":
+            if sig_pairs is not None:
+                raise FormatError("duplicate signature block", lineno)
             section = "signature"
-            sig_pairs = sig_pairs or []  # an empty block is an empty signature
+            sig_pairs = []  # an empty block is an empty signature
             continue
         if line.startswith("values:"):
             if values is not None:

@@ -53,7 +53,8 @@ class Signature:
     """An arity-indexed family of connective names.
 
     Names are unique across arities: a connective has exactly one arity,
-    which is never negative.  Stored as a sorted tuple of (name, arity)
+    which is never negative.  A name is a ``str`` and an arity an ``int``
+    (a ``bool`` is not one).  Stored as a sorted tuple of (name, arity)
     pairs, however the pairs were given, so signatures are hashable and
     equal signatures compare equal.
     """
@@ -61,6 +62,11 @@ class Signature:
     connectives: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self):
+        for name, arity in self.connectives:  # before sorting, which mixed types break
+            if not isinstance(name, str):
+                raise ValueError(f"connective name {name!r} is not a str")
+            if isinstance(arity, bool) or not isinstance(arity, int):
+                raise ValueError(f"connective {name!r} has arity {arity!r}, not an int")
         pairs = tuple(sorted(self.connectives))
         for k, (name, arity) in enumerate(pairs):
             if arity < 0:

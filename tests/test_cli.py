@@ -120,9 +120,13 @@ class TestMatrixFiles:
          "line 4: duplicate values line"),
         ("signature:\n  neg 1\nvalues: 0 1\ndesignated: 1\ndesignated: 0\n" + NEG,
          "line 5: duplicate designated line"),
+        ("signature:\n  neg 1\nvalues: 0 1\ndesignated: 1\nsignature:\n  top 0\n" + NEG
+         + "table top:\n   : 1\n",
+         "line 5: duplicate signature block"),
     ], ids=["duplicate-table", "signature-line", "unexpected-line", "no-signature",
             "no-values", "no-designated", "duplicate-connective", "invalid-matrix",
-            "star-before-values", "duplicate-values", "duplicate-designated"])
+            "star-before-values", "duplicate-values", "duplicate-designated",
+            "duplicate-signature"])
     def test_rejections(self, text, message):
         from pnmatrix import FormatError
 

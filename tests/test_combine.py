@@ -281,6 +281,25 @@ class TestContextDecision:
         assert (d.answer, d.partitions_checked) == ("yes", 2048)
         assert peak < 6 * 2 ** 20, peak
 
+    def test_only_two_sizes_of_grown_contexts_are_kept(self):
+        # a partition of size k reads only the contexts of size k - 1, so
+        # those of smaller sizes are dropped: about 1.8 MB here, and about
+        # 3 MB when every grown context is kept until the call returns
+        m1, m2 = builtin("kleene-imp"), builtin("luk3")
+        delta = parse_formula_list(
+            "imp(imp(imp(nabla(p), neg(q)), nabla(imp(p, p))), nabla(nabla(imp(q, q))))",
+            m1.sig.union(m2.sig),
+        )
+        decide_combined_ctx(m1, m2, [], delta)  # the parts' compiled forms are made
+        tracemalloc.start()
+        try:
+            d = decide_combined_ctx(m1, m2, [], delta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (d.answer, d.partitions_checked) == ("yes", 2048)
+        assert peak < 2.5 * 2 ** 20, peak
+
     @pytest.mark.parametrize("pair", [("kleene-imp", "luk3"), ("luk3", "kleene-imp")])
     def test_uncertified_no_needs_a_cut(self, pair):
         # the product says yes; the subformula context lacks the cut formula

@@ -1,7 +1,7 @@
 """Source hygiene checks that need no linter: every import in the library is
 used, no module imports another module's private (underscore) names or reads
-them off an object, and no module keeps a cache of its own outside the
-objects it derives data from."""
+them off an object, no module keeps a cache of its own outside the objects it
+derives data from, and the command line prints its results in one place."""
 
 import ast
 from pathlib import Path
@@ -186,3 +186,46 @@ def test_the_check_sees_a_module_level_cache():
         "line 11: @cache on h",
     ]
     assert module_caches("_fixture_cache = {}\n", {"_fixture_cache"}) == []
+
+
+def print_paths(source: str) -> list[str]:
+    """Calls of ``print`` outside ``run_cli`` and uses of ``sys.stdout``
+    outside ``_output_matrix``, each named with the function it is in."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "print":
+                if where != "run_cli":
+                    found.append((child.lineno, f"print in {where}"))
+            elif (isinstance(child, ast.Attribute) and child.attr == "stdout"
+                  and getattr(child.value, "id", None) == "sys" and where != "_output_matrix"):
+                found.append((child.lineno, f"sys.stdout in {where}"))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, child.name if named else where)
+
+    visit(ast.parse(source), "the module")
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_the_cli_prints_in_one_place():
+    # a subcommand returns its outcome; run_cli prints it, and only a matrix
+    # is written straight to stdout
+    assert print_paths((PACKAGE / "cli_io.py").read_text()) == []
+
+
+def test_the_check_sees_a_second_print_path():
+    source = (
+        "def _emit(args, payload, human):\n    print(human)\n"
+        "def _output_matrix(args, m):\n    sys.stdout.write(format_matrix(m))\n"
+        "def _combine(args):\n    print(json.dumps({}))\n"
+        "def run_cli(argv=None):\n    print('error', file=sys.stderr)\n"
+        "    sys.stdout.flush()\n"
+        "print('loaded')\n"
+    )
+    assert print_paths(source) == [
+        "line 2: print in _emit",
+        "line 6: print in _combine",
+        "line 9: sys.stdout in run_cli",
+        "line 10: print in the module",
+    ]

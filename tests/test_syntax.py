@@ -93,6 +93,18 @@ class TestSignature:
         with pytest.raises(ValueError, match="connective 'a' given twice"):
             Signature(pairs)
 
+    @pytest.mark.parametrize("pairs, message", [
+        ({"neg": 1.0}, "connective 'neg' has arity 1.0, not an int"),
+        ({"neg": True}, "connective 'neg' has arity True, not an int"),
+        ({"neg": "1"}, "connective 'neg' has arity '1', not an int"),
+        ({("a",): 1}, "connective name ('a',) is not a str"),
+        ({"neg": 1, 2: 0}, "connective name 2 is not a str"),  # sorting would raise first
+    ], ids=["float", "bool", "str-arity", "tuple-name", "mixed-names"])
+    def test_a_name_or_arity_of_the_wrong_type_is_an_error(self, pairs, message):
+        with pytest.raises(ValueError) as e:
+            Signature.of(pairs)
+        assert str(e.value) == message
+
     def test_lookups_leave_identity_alone(self):
         fresh = Signature.of({"top": 0, "neg": 1, "and": 2, "imp": 2})
         cold = pickle.dumps(fresh)
